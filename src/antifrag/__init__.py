@@ -6,98 +6,3 @@ window and time scale, and pairs the result with conventional performance
 metrics, quantile-bin summaries, distributions, and top-performer
 comparison statistics. Everything is emitted as plot-ready CSV/JSON.
 """
-
-from .analysis import (
-    BinSummary,
-    ComparisonStats,
-    Distribution,
-    distribution,
-    pearson,
-    quantile_bin_summary,
-    scatter_export,
-    top_comparison,
-)
-from .config import RunConfig, load_config
-from .errors import AntifragError, ComputeError, ConfigError, IngestionError
-from .ingestion import (
-    AgentSeries,
-    AnalysisWindow,
-    IndexSeries,
-    RawObservation,
-    TopPerformerList,
-    load_agent_series,
-    load_index_series,
-    load_top_performers,
-    slice_window,
-)
-from .measures import (
-    CRYPTO_MEASURES,
-    MEASURES_BY_KIND,
-    STOCK_MEASURES,
-    AntifragilityResult,
-    PerturbationSeries,
-    SatisfactionSeries,
-    antifragility,
-    compute_measures,
-    satisfaction,
-)
-from .performance import PERF_VARIABLES, PerformanceRecord, compute_performance
-from .pipeline import execute, run
-from .resampling import (
-    NormalizedPanel,
-    NormalizedSeries,
-    TimeScale,
-    build_panel,
-    minmax_normalize,
-    period_start,
-    resample,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AgentSeries",
-    "AnalysisWindow",
-    "AntifragError",
-    "AntifragilityResult",
-    "BinSummary",
-    "ComparisonStats",
-    "ComputeError",
-    "ConfigError",
-    "CRYPTO_MEASURES",
-    "Distribution",
-    "IndexSeries",
-    "IngestionError",
-    "MEASURES_BY_KIND",
-    "NormalizedPanel",
-    "NormalizedSeries",
-    "PERF_VARIABLES",
-    "PerformanceRecord",
-    "PerturbationSeries",
-    "RawObservation",
-    "RunConfig",
-    "STOCK_MEASURES",
-    "SatisfactionSeries",
-    "TimeScale",
-    "TopPerformerList",
-    "antifragility",
-    "build_panel",
-    "compute_measures",
-    "compute_performance",
-    "distribution",
-    "execute",
-    "load_agent_series",
-    "load_config",
-    "load_index_series",
-    "load_top_performers",
-    "minmax_normalize",
-    "pearson",
-    "period_start",
-    "quantile_bin_summary",
-    "resample",
-    "run",
-    "satisfaction",
-    "scatter_export",
-    "slice_window",
-    "top_comparison",
-]

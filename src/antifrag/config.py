@@ -14,7 +14,9 @@ Recognized keys (one per line, ``#`` starts a comment):
     worker_count         0 = one per CPU            default: 0
 
 A window spec is either a plain year (``2014`` covers the calendar year) or
-``label:start:end`` with ISO dates (``2018:2018-01-01:2018-11-30``).
+``label:start:end`` with ISO dates (``2018:2018-01-01:2018-11-30``). A label
+names report rows and ``--dump-panels`` files, so it may only contain
+letters, digits, ``.``, ``_`` and ``-``.
 Relative paths are resolved against the config file's directory.
 """
 
@@ -25,7 +27,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .ingestion import MARKET_KINDS, STOCK, AnalysisWindow
+from .ingestion import (
+    MARKET_KINDS,
+    SAFE_NAME_RULE,
+    STOCK,
+    AnalysisWindow,
+    is_safe_name,
+)
 from .measures import MEASURES_BY_KIND
 from .resampling import TimeScale
 
@@ -88,6 +96,8 @@ def _parse_window(token: str) -> AnalysisWindow:
         if len(parts) != 3:
             raise ValueError(f"bad window spec {token!r} (want label:start:end)")
         label, start, end = (p.strip() for p in parts)
+        if not is_safe_name(label):
+            raise ValueError(f"window label {label!r} {SAFE_NAME_RULE}")
         return AnalysisWindow(dt.date.fromisoformat(start), dt.date.fromisoformat(end), label)
     return AnalysisWindow.calendar_year(int(token))
 

@@ -23,7 +23,6 @@ from .ingestion import (
     AgentSeries,
     AnalysisWindow,
     IndexSeries,
-    RawObservation,
     write_agent_csv,
 )
 
@@ -46,11 +45,11 @@ def _days(start=FIRST_DAY, weekdays_only=False):
 
 
 def _series(agent_id, kind, days, price, volume, cap=None):
-    observations = tuple(
-        RawObservation(day, price(i), volume(i), cap(i, day) if cap else None)
+    rows = [
+        (day, price(i), volume(i), cap(i, day) if cap else None)
         for i, day in enumerate(days)
-    )
-    return AgentSeries(agent_id, kind, observations)
+    ]
+    return AgentSeries.from_rows(agent_id, kind, rows)
 
 
 def stock_agents() -> list[AgentSeries]:
@@ -81,7 +80,7 @@ def stock_indexes() -> list[IndexSeries]:
         "SPX": lambda j: 1830.0 + 2 * j + 3 * ((j * j) % 7),
     }
     return [
-        IndexSeries(iid, tuple((day, fn(j)) for j, day in enumerate(days)))
+        IndexSeries.from_rows(iid, [(day, fn(j)) for j, day in enumerate(days)])
         for iid, fn in levels.items()
     ]
 

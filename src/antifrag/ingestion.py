@@ -4,6 +4,11 @@ Agent files are CSV with header ``date,open,volume`` plus an optional
 ``market_cap`` column (cryptocurrencies only). Index files are CSV with header
 ``date,level``. Top-performer files are JSON objects mapping a year to a list
 of agent ids. All dates are ISO ``YYYY-MM-DD``.
+
+A loaded series is a record of numpy columns: dates as int64 day ordinals
+(``date.toordinal()``), values as float64, and NaN for a missing market cap.
+Every invariant is checked once, when a series is loaded or built with
+``from_rows``; slicing returns views of columns that are already checked.
 """
 
 from __future__ import annotations
@@ -12,8 +17,13 @@ import csv
 import datetime as dt
 import json
 import logging
+import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
+
+import numpy as np
 
 from .errors import IngestionError
 
@@ -25,82 +35,106 @@ MARKET_KINDS = (STOCK, CRYPTO)
 
 INDEX_IDS = ("VIX", "NASDAQ", "DJI", "SPX")
 
-
-@dataclass(frozen=True)
-class RawObservation:
-    """One trading record as it appears in an input file."""
-
-    date: dt.date
-    open: float
-    volume: float
-    market_cap: float | None = None
+_SAFE_NAME = re.compile(r"[A-Za-z0-9._-]+")
+SAFE_NAME_RULE = "may only contain letters, digits, '.', '_' and '-'"
 
 
-@dataclass(frozen=True)
+def is_safe_name(name: str) -> bool:
+    """Agent ids and window labels become report fields and file-name parts,
+    so only ``[A-Za-z0-9._-]+`` is accepted: no separator, quote or slash."""
+    return _SAFE_NAME.fullmatch(name) is not None
+
+
+def to_dates(days: np.ndarray) -> tuple[dt.date, ...]:
+    """Day ordinals as dates."""
+    return tuple(map(dt.date.fromordinal, days.tolist()))
+
+
+def _built_days(who: str, rows) -> np.ndarray:
+    if not rows:
+        raise IngestionError(f"{who}: no observations")
+    return np.array([r[0].toordinal() for r in rows], dtype=np.int64)
+
+
+def _check_built(who: str, days: np.ndarray, checks) -> None:
+    """Raise on the first of the (bad-row mask, problem) checks that fails,
+    after checking that the days strictly increase."""
+    increasing = np.diff(days, prepend=days[0] - 1) > 0
+    for bad, problem in ((~increasing, "dates not strictly increasing"), *checks):
+        if bad.any():
+            at = dt.date.fromordinal(int(days[bad.argmax()]))
+            raise IngestionError(f"{who}: {problem} at {at}")
+
+
+@dataclass(frozen=True, eq=False)
 class AgentSeries:
-    """Full or sliced history for one stock or cryptocurrency."""
+    """Full or sliced history for one stock or cryptocurrency.
+
+    ``days`` holds strictly increasing day ordinals; ``open``, ``volume`` and
+    ``cap`` align with it, ``cap`` being NaN where no market cap was given
+    (always, for stocks).
+    """
 
     agent_id: str
     market_kind: str
-    observations: tuple[RawObservation, ...]
+    days: np.ndarray
+    open: np.ndarray
+    volume: np.ndarray
+    cap: np.ndarray
 
-    def __post_init__(self):
-        if self.market_kind not in MARKET_KINDS:
-            raise IngestionError(
-                f"agent {self.agent_id}: unknown market kind {self.market_kind!r}"
-            )
-        if not self.observations:
-            raise IngestionError(f"agent {self.agent_id}: no observations")
-        prev = None
-        for obs in self.observations:
-            if prev is not None and obs.date <= prev:
-                raise IngestionError(
-                    f"agent {self.agent_id}: dates not strictly increasing at {obs.date}"
-                )
-            prev = obs.date
-            if obs.open < 0 or obs.volume < 0:
-                raise IngestionError(
-                    f"agent {self.agent_id}: negative value at {obs.date}"
-                )
-            if obs.market_cap is not None and obs.market_cap < 0:
-                raise IngestionError(
-                    f"agent {self.agent_id}: negative market_cap at {obs.date}"
-                )
-            if self.market_kind == STOCK and obs.market_cap is not None:
-                raise IngestionError(
-                    f"agent {self.agent_id}: market_cap not allowed for stocks"
-                )
+    def __len__(self):
+        return len(self.days)
 
     @property
     def first_date(self) -> dt.date:
-        return self.observations[0].date
+        return dt.date.fromordinal(int(self.days[0]))
 
-    @property
-    def last_date(self) -> dt.date:
-        return self.observations[-1].date
+    @classmethod
+    def from_rows(cls, agent_id: str, market_kind: str, rows) -> "AgentSeries":
+        """Build from (date, open, volume, cap_or_None) rows in date order."""
+        if market_kind not in MARKET_KINDS:
+            raise IngestionError(
+                f"agent {agent_id}: unknown market kind {market_kind!r}"
+            )
+        days = _built_days(f"agent {agent_id}", rows)
+        open_ = np.array([r[1] for r in rows], dtype=np.float64)
+        volume = np.array([r[2] for r in rows], dtype=np.float64)
+        cap = np.array([math.nan if r[3] is None else r[3] for r in rows],
+                       dtype=np.float64)
+        if market_kind == STOCK and not np.isnan(cap).all():
+            raise IngestionError(f"agent {agent_id}: market_cap not allowed for stocks")
+        _check_built(f"agent {agent_id}", days, (
+            ((open_ < 0) | (volume < 0), "negative value"),
+            (cap < 0, "negative market_cap"),
+        ))
+        return cls(agent_id, market_kind, days, open_, volume, cap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexSeries:
-    """A market index, ordered date -> level."""
+    """A market index: strictly increasing day ordinals and their levels."""
 
     index_id: str
-    values: tuple[tuple[dt.date, float], ...]
+    days: np.ndarray
+    levels: np.ndarray
 
-    def __post_init__(self):
-        if self.index_id not in INDEX_IDS:
-            raise IngestionError(f"unknown index id {self.index_id!r}")
-        if not self.values:
-            raise IngestionError(f"index {self.index_id}: no observations")
-        prev = None
-        for day, level in self.values:
-            if prev is not None and day <= prev:
-                raise IngestionError(
-                    f"index {self.index_id}: dates not strictly increasing at {day}"
-                )
-            prev = day
-            if level < 0:
-                raise IngestionError(f"index {self.index_id}: negative level at {day}")
+    def __len__(self):
+        return len(self.days)
+
+    @property
+    def values(self) -> tuple[tuple[dt.date, float], ...]:
+        """The (date, level) pairs as Python objects."""
+        return tuple(zip(to_dates(self.days), self.levels.tolist()))
+
+    @classmethod
+    def from_rows(cls, index_id: str, rows) -> "IndexSeries":
+        """Build from (date, level) rows in date order."""
+        if index_id not in INDEX_IDS:
+            raise IngestionError(f"unknown index id {index_id!r}")
+        days = _built_days(f"index {index_id}", rows)
+        levels = np.array([r[1] for r in rows], dtype=np.float64)
+        _check_built(f"index {index_id}", days, ((levels < 0, "negative level"),))
+        return cls(index_id, days, levels)
 
 
 @dataclass(frozen=True)
@@ -130,8 +164,10 @@ class AnalysisWindow:
                 f"window {self.label}: start {self.start} after end {self.end}"
             )
 
-    def contains(self, day: dt.date) -> bool:
-        return self.start <= day <= self.end
+    def span(self, days: np.ndarray) -> slice:
+        """The part of sorted day ordinals that falls inside the window."""
+        lo, hi = np.searchsorted(days, (self.start.toordinal(), self.end.toordinal() + 1))
+        return slice(int(lo), int(hi))
 
     @classmethod
     def calendar_year(cls, year: int) -> "AnalysisWindow":
@@ -159,17 +195,86 @@ def _parse_real(text: str, path: Path, line: int, field: str) -> float:
     return value
 
 
-def load_agent_series(path: Path, market_kind: str) -> AgentSeries:
-    """Read one agent CSV. The agent id is the file's stem.
-
-    Rows may arrive in any order; they are sorted by date. Duplicate dates,
-    malformed fields, and a market_cap column in a stock file are errors.
-    """
-    path = Path(path)
+def _read_rows(path: Path) -> list[list[str]]:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise IngestionError(f"{path}: empty file")
+    return rows
+
+
+def _parse_columns(body, width: int, blank_last: bool):
+    """Day ordinals and float64 value columns of the data rows.
+
+    Each cell is parsed once, with the same calls the row-by-row check uses.
+    A blank cell in the last column becomes NaN when ``blank_last``; any other
+    NaN fails the finiteness count. Returns None when a row has the wrong
+    field count, a cell does not parse, or a value is non-finite or negative.
+    """
+    if set(map(len, body)) != {width}:
+        return None
+    cells = list(zip(*body))
+    blanks = 0
+    try:
+        days = np.array(
+            list(map(dt.date.toordinal, map(dt.date.fromisoformat, map(str.strip, cells[0])))),
+            dtype=np.int64,
+        )
+        values = [list(map(float, c)) for c in cells[1 : width - blank_last]]
+        if blank_last:
+            last = list(map(str.strip, cells[-1]))
+            blanks = last.count("")
+            values.append([float(t) if t else math.nan for t in last])
+    except ValueError:
+        return None
+    columns = [np.array(v, dtype=np.float64) for v in values]
+    if sum(np.count_nonzero(~np.isfinite(c)) for c in columns) != blanks:
+        return None
+    if any((c < 0).any() for c in columns):
+        return None
+    return days, columns
+
+
+def _raise_first_bad_row(path: Path, header: list[str], body, in_order: bool) -> NoReturn:
+    """Check the rows one by one and raise on the first offending line.
+
+    Only called once the column checks have failed, so that every message
+    names the line a row-by-row reader would stop at.
+    """
+    seen: dict[dt.date, int] = {}
+    prev = None
+    for lineno, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise IngestionError(
+                f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        day = _parse_date(row[0], path, lineno)
+        if in_order:
+            if prev is not None and day <= prev:
+                raise IngestionError(f"{path}: line {lineno}: out-of-order date {day}")
+            prev = day
+        elif day in seen:
+            raise IngestionError(
+                f"{path}: line {lineno}: duplicate date {day} (first at line {seen[day]})"
+            )
+        seen[day] = lineno
+        for field, text in zip(header[1:], row[1:]):
+            if field != "market_cap" or text.strip() != "":
+                _parse_real(text, path, lineno, field)
+    raise AssertionError(f"{path}: column checks failed on rows that pass one by one")
+
+
+def load_agent_series(path: Path, market_kind: str) -> AgentSeries:
+    """Read one agent CSV. The agent id is the file's stem.
+
+    Rows may arrive in any order; they are sorted by date. Duplicate dates,
+    malformed fields, a market_cap column in a stock file, and an id outside
+    ``[A-Za-z0-9._-]+`` are errors.
+    """
+    path = Path(path)
+    if not is_safe_name(path.stem):
+        raise IngestionError(f"{path}: agent id {path.stem!r} {SAFE_NAME_RULE}")
+    rows = _read_rows(path)
     header = [h.strip() for h in rows[0]]
     if header == ["date", "open", "volume"]:
         has_cap = False
@@ -179,31 +284,21 @@ def load_agent_series(path: Path, market_kind: str) -> AgentSeries:
         has_cap = True
     else:
         raise IngestionError(f"{path}: bad header {header!r}")
-    if len(rows) == 1:
+    body = rows[1:]
+    if not body:
         raise IngestionError(f"{path}: no data rows")
 
-    observations = []
-    seen: dict[dt.date, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise IngestionError(
-                f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        day = _parse_date(row[0], path, lineno)
-        if day in seen:
-            raise IngestionError(
-                f"{path}: line {lineno}: duplicate date {day} (first at line {seen[day]})"
-            )
-        seen[day] = lineno
-        open_ = _parse_real(row[1], path, lineno, "open")
-        volume = _parse_real(row[2], path, lineno, "volume")
-        cap = None
-        if has_cap and row[3].strip() != "":
-            cap = _parse_real(row[3], path, lineno, "market_cap")
-        observations.append(RawObservation(day, open_, volume, cap))
-
-    observations.sort(key=lambda o: o.date)
-    return AgentSeries(path.stem, market_kind, tuple(observations))
+    parsed = _parse_columns(body, len(header), blank_last=has_cap)
+    if parsed is None:
+        _raise_first_bad_row(path, header, body, in_order=False)
+    days, columns = parsed
+    order = np.argsort(days, kind="stable")
+    days = days[order]
+    if (days[1:] == days[:-1]).any():
+        _raise_first_bad_row(path, header, body, in_order=False)
+    open_, volume = columns[0][order], columns[1][order]
+    cap = columns[2][order] if has_cap else np.full(len(days), np.nan)
+    return AgentSeries(path.stem, market_kind, days, open_, volume, cap)
 
 
 def load_index_series(path: Path, index_id: str) -> IndexSeries:
@@ -211,29 +306,19 @@ def load_index_series(path: Path, index_id: str) -> IndexSeries:
     path = Path(path)
     if index_id not in INDEX_IDS:
         raise IngestionError(f"{path}: unknown index id {index_id!r}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise IngestionError(f"{path}: empty file")
-    if [h.strip() for h in rows[0]] != ["date", "level"]:
+    rows = _read_rows(path)
+    header = [h.strip() for h in rows[0]]
+    if header != ["date", "level"]:
         raise IngestionError(f"{path}: bad header {rows[0]!r}")
-    if len(rows) == 1:
+    body = rows[1:]
+    if not body:
         raise IngestionError(f"index {index_id}: no observations")
 
-    values = []
-    prev = None
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise IngestionError(
-                f"{path}: line {lineno}: expected 2 fields, got {len(row)}"
-            )
-        day = _parse_date(row[0], path, lineno)
-        if prev is not None and day <= prev:
-            raise IngestionError(f"{path}: line {lineno}: out-of-order date {day}")
-        prev = day
-        level = _parse_real(row[1], path, lineno, "level")
-        values.append((day, level))
-    return IndexSeries(index_id, tuple(values))
+    parsed = _parse_columns(body, 2, blank_last=False)
+    if parsed is None or (np.diff(parsed[0]) <= 0).any():
+        _raise_first_bad_row(path, header, body, in_order=True)
+    days, (levels,) = parsed
+    return IndexSeries(index_id, days, levels)
 
 
 def load_top_performers(path: Path) -> list[TopPerformerList]:
@@ -278,22 +363,37 @@ def load_top_performers(path: Path) -> list[TopPerformerList]:
 
 
 def slice_window(series: AgentSeries, window: AnalysisWindow) -> AgentSeries | None:
-    """Restrict a series to the window; None when fewer than 2 rows remain."""
-    inside = tuple(o for o in series.observations if window.contains(o.date))
-    if len(inside) < 2:
+    """Restrict a series to the window; None when fewer than 2 rows remain.
+
+    The result holds views of the series' columns.
+    """
+    inside = window.span(series.days)
+    if inside.stop - inside.start < 2:
         return None
-    return AgentSeries(series.agent_id, series.market_kind, inside)
+    return AgentSeries(
+        series.agent_id,
+        series.market_kind,
+        series.days[inside],
+        series.open[inside],
+        series.volume[inside],
+        series.cap[inside],
+    )
 
 
 def agent_csv_text(series: AgentSeries) -> str:
     """Canonical CSV serialization; load_agent_series inverts it exactly."""
-    has_cap = any(o.market_cap is not None for o in series.observations)
+    has_cap = not np.isnan(series.cap).all()
     header = "date,open,volume,market_cap" if has_cap else "date,open,volume"
     lines = [header]
-    for o in series.observations:
-        row = f"{o.date.isoformat()},{o.open!r},{o.volume!r}"
+    for day, open_, volume, cap in zip(
+        to_dates(series.days),
+        series.open.tolist(),
+        series.volume.tolist(),
+        series.cap.tolist(),
+    ):
+        row = f"{day.isoformat()},{open_!r},{volume!r}"
         if has_cap:
-            row += "," if o.market_cap is None else f",{o.market_cap!r}"
+            row += "," if math.isnan(cap) else f",{cap!r}"
         lines.append(row)
     return "\n".join(lines) + "\n"
 

@@ -104,10 +104,9 @@ def compute_performance(
     ``series`` must already be sliced to the window and hold at least two
     observations.
     """
-    obs = series.observations
-    prices = [o.open for o in obs]
-    volumes = [o.volume for o in obs]
-    caps = [o.market_cap for o in obs if o.market_cap is not None]
+    prices = series.open.tolist()
+    volumes = series.volume.tolist()
+    caps = series.cap[~np.isnan(series.cap)].tolist()
 
     pct_dlt_pr, pct_pr_f_i, pr_mea = _channel_metrics(prices)
     pct_dlt_vl, pct_vl_f_i, vl_mea = _channel_metrics(volumes)

@@ -17,7 +17,7 @@ import hashlib
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -66,15 +66,6 @@ def _compute_case(task) -> WindowScaleResults:
     return compute_measures(panel, measures)
 
 
-def _load_agents(files, market_kind: str, workers: int) -> list[AgentSeries]:
-    if workers > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, 16)) as pool:
-            series = list(pool.map(lambda p: load_agent_series(p, market_kind), files))
-    else:
-        series = [load_agent_series(p, market_kind) for p in files]
-    return sorted(series, key=lambda s: s.agent_id)
-
-
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -86,7 +77,10 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
     agent_files = sorted(config.data_dir.glob("*.csv"))
     if not agent_files:
         raise IngestionError(f"no agent CSV files in {config.data_dir}")
-    agents = _load_agents(agent_files, config.market_kind, workers)
+    agents = sorted(
+        (load_agent_series(p, config.market_kind) for p in agent_files),
+        key=lambda s: s.agent_id,
+    )
 
     index_files: dict[str, Path] = {}
     if config.market_kind == STOCK:
@@ -208,6 +202,8 @@ def _render_bins(case_values, perf_variables) -> str:
     header = ["window", "measure", "scale", "bin_by", "stat_of",
               "bin_index", "count", "min", "mean", "max"]
     rows = []
+    skipped_cases = 0
+    skipped_names: set[str] = set()
     for (window, measure, scale), values in sorted(case_values.items()):
         skipped = []
         for name in PERF_VARIABLES:
@@ -228,11 +224,14 @@ def _render_bins(case_values, perf_variables) -> str:
                 for s in analysis.quantile_bin_summary(triples, bin_by, stat_of):
                     rows.append((window, measure, scale, s.bin_by, s.stat_of,
                                  s.bin_index, s.count, s.min, s.mean, s.max))
-        if skipped:
-            logger.warning(
-                "bins skipped for %s/%s/%d (fewer than 5 agents defined): %s",
-                window, measure, scale, ", ".join(skipped),
-            )
+        skipped_cases += bool(skipped)
+        skipped_names.update(skipped)
+    if skipped_cases:
+        logger.warning(
+            "bins skipped in %d of %d cases (fewer than 5 agents defined): %s",
+            skipped_cases, len(case_values),
+            ", ".join(n for n in PERF_VARIABLES if n in skipped_names),
+        )
     return _csv(header, rows)
 
 

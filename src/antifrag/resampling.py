@@ -20,13 +20,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ComputeError
-from .ingestion import (
-    CRYPTO,
-    AgentSeries,
-    AnalysisWindow,
-    IndexSeries,
-    RawObservation,
-)
+from .ingestion import CRYPTO, AgentSeries, AnalysisWindow, IndexSeries, to_dates
 
 PRICE = "price"
 VOLUME = "volume"
@@ -40,42 +34,37 @@ class TimeScale(IntEnum):
     MONTHLY = 2
 
 
-def period_start(day: dt.date, scale: TimeScale) -> dt.date:
-    """Map a date to the canonical first day of its period."""
+_EPOCH = dt.date(1970, 1, 1).toordinal()
+
+
+def period_starts(days: np.ndarray, scale: TimeScale) -> np.ndarray:
+    """Map day ordinals to the ordinal of their period's canonical first day."""
     if scale == TimeScale.DAILY:
-        return day
+        return days
     if scale == TimeScale.WEEKLY:
-        return day - dt.timedelta(days=day.weekday())
+        # ordinal 1 (0001-01-01) is a Monday
+        return days - (days - 1) % 7
     if scale == TimeScale.MONTHLY:
-        return day.replace(day=1)
+        months = (days - _EPOCH).astype("datetime64[D]").astype("datetime64[M]")
+        return months.astype("datetime64[D]").astype(np.int64) + _EPOCH
     raise ValueError(f"unknown time scale {scale!r}")
 
 
-def resample(series: AgentSeries, scale: TimeScale) -> AgentSeries | None:
-    """Collapse a window-sliced series to one observation per period.
+def _bucket_sums(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Sum each run ``values[first[i]:first[i + 1]]``, the last one to the end.
 
-    The resampled observation carries the period's canonical start date, the
-    first open, the summed volume, and the first observation's market cap
-    (absent if that observation had none). Returns None when fewer than two
-    periods remain.
+    Runs of equal length are stacked into one 2-D array and reduced along its
+    rows. That gives every run the pairwise summation ``np.sum`` gives it on
+    its own, bit for bit; ``np.add.reduceat`` sums sequentially and may
+    differ in the last bit.
     """
-    grouped: dict[dt.date, list[RawObservation]] = {}
-    for obs in series.observations:
-        grouped.setdefault(period_start(obs.date, scale), []).append(obs)
-    if len(grouped) < 2:
-        return None
-    resampled = []
-    for start in sorted(grouped):
-        bucket = grouped[start]
-        resampled.append(
-            RawObservation(
-                date=start,
-                open=bucket[0].open,
-                volume=float(np.sum([o.volume for o in bucket])),
-                market_cap=bucket[0].market_cap,
-            )
-        )
-    return AgentSeries(series.agent_id, series.market_kind, tuple(resampled))
+    lengths = np.diff(first, append=len(values))
+    sums = np.empty(len(first))
+    for length in np.unique(lengths).tolist():
+        runs = lengths == length
+        rows = first[runs][:, None] + np.arange(length)
+        sums[runs] = np.add.reduce(values[rows], axis=1)
+    return sums
 
 
 def minmax_normalize(values) -> np.ndarray:
@@ -120,19 +109,7 @@ class NormalizedPanel:
 
 
 def _normalized(agent_id, scale, channel, periods, raw) -> NormalizedSeries:
-    raw = np.asarray(raw, dtype=float)
-    return NormalizedSeries(
-        agent_id, scale, channel, tuple(periods), raw, minmax_normalize(raw)
-    )
-
-
-def _resample_index(index: IndexSeries, window: AnalysisWindow, scale: TimeScale):
-    levels: dict[dt.date, float] = {}
-    for day, level in index.values:
-        if window.contains(day):
-            levels.setdefault(period_start(day, scale), level)
-    periods = sorted(levels)
-    return periods, [levels[p] for p in periods]
+    return NormalizedSeries(agent_id, scale, channel, periods, raw, minmax_normalize(raw))
 
 
 def build_panel(
@@ -149,33 +126,28 @@ def build_panel(
     surviving agents' periods.
     """
     panel_agents: dict[str, dict[str, NormalizedSeries]] = {}
-    axis: set[dt.date] = set()
+    axis = []
     market_kind = agents[0].market_kind if agents else CRYPTO
     for series in sorted(agents, key=lambda s: s.agent_id):
-        resampled = resample(series, scale)
-        if resampled is None:
+        keys, first = np.unique(period_starts(series.days, scale), return_index=True)
+        if len(keys) < 2:
             continue
-        obs = resampled.observations
-        periods = tuple(o.date for o in obs)
-        axis.update(periods)
+        axis.append(keys)
+        periods = to_dates(keys)
+        aid = series.agent_id
         channels = {
-            PRICE: _normalized(
-                series.agent_id, scale, PRICE, periods, [o.open for o in obs]
-            ),
+            PRICE: _normalized(aid, scale, PRICE, periods, series.open[first]),
             VOLUME: _normalized(
-                series.agent_id, scale, VOLUME, periods, [o.volume for o in obs]
+                aid, scale, VOLUME, periods, _bucket_sums(series.volume, first)
             ),
         }
-        cap_pairs = [(o.date, o.market_cap) for o in obs if o.market_cap is not None]
-        if cap_pairs:
+        cap = series.cap[first]
+        has_cap = ~np.isnan(cap)
+        if has_cap.any():
             channels[MARKET_CAP] = _normalized(
-                series.agent_id,
-                scale,
-                MARKET_CAP,
-                [p for p, _ in cap_pairs],
-                [c for _, c in cap_pairs],
+                aid, scale, MARKET_CAP, to_dates(keys[has_cap]), cap[has_cap]
             )
-        panel_agents[series.agent_id] = channels
+        panel_agents[aid] = channels
 
     if not panel_agents:
         raise ComputeError(
@@ -184,18 +156,21 @@ def build_panel(
 
     panel_indexes = {}
     for index in indexes:
-        periods, levels = _resample_index(index, window, scale)
-        if not periods:
+        inside = window.span(index.days)
+        keys, first = np.unique(
+            period_starts(index.days[inside], scale), return_index=True
+        )
+        if not len(keys):
             continue
         panel_indexes[index.index_id] = _normalized(
-            index.index_id, scale, INDEX, periods, levels
+            index.index_id, scale, INDEX, to_dates(keys), index.levels[inside][first]
         )
 
     return NormalizedPanel(
         market_kind=market_kind,
         window=window,
         scale=scale,
-        period_axis=tuple(sorted(axis)),
+        period_axis=to_dates(np.unique(np.concatenate(axis))),
         agents=panel_agents,
         indexes=panel_indexes,
     )

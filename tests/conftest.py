@@ -13,8 +13,8 @@ from antifrag.ingestion import (
     AgentSeries,
     AnalysisWindow,
     IndexSeries,
-    RawObservation,
     slice_window,
+    to_dates,
 )
 from antifrag.measures import compute_measures
 from antifrag.resampling import TimeScale, build_panel
@@ -30,20 +30,23 @@ def day(n: int) -> dt.date:
 
 def make_agent(aid, kind, rows) -> AgentSeries:
     """rows: (date, open, volume) or (date, open, volume, cap_or_None)."""
-    obs = tuple(
-        RawObservation(
+    rows = [
+        (
             r[0],
             float(r[1]),
             float(r[2]),
             None if len(r) < 4 or r[3] is None else float(r[3]),
         )
         for r in rows
-    )
-    return AgentSeries(aid, kind, obs)
+    ]
+    return AgentSeries.from_rows(aid, kind, rows)
 
 
 def series_to_rows(series: AgentSeries):
-    return [(o.date, o.open, o.volume, o.market_cap) for o in series.observations]
+    """(date, open, volume, cap_or_None) rows as Python objects."""
+    caps = [None if np.isnan(c) else c for c in series.cap.tolist()]
+    return list(zip(to_dates(series.days), series.open.tolist(),
+                    series.volume.tolist(), caps))
 
 
 def plain_to_agents(plain: dict, kind: str) -> list[AgentSeries]:
@@ -52,7 +55,7 @@ def plain_to_agents(plain: dict, kind: str) -> list[AgentSeries]:
 
 def plain_to_indexes(plain: dict) -> list[IndexSeries]:
     return [
-        IndexSeries(iid, tuple((d, float(v)) for d, v in rows))
+        IndexSeries.from_rows(iid, [(d, float(v)) for d, v in rows])
         for iid, rows in sorted(plain.items())
     ]
 

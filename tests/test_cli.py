@@ -1,5 +1,6 @@
 """End-to-end command line tests built on the synthetic fixture dataset."""
 
+import logging
 import types
 from pathlib import Path
 
@@ -214,3 +215,39 @@ def test_stock_outputs_match_golden(fixture_tree):
         ("comparison.json", "stock_comparison.json"),
     ]:
         assert (out / fresh).read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+
+def test_agent_id_with_comma_fails_the_run(fixture_tree, capsys):
+    agents = fixture_tree / "crypto" / "agents"
+    (agents / "X,Y.csv").write_bytes((agents / "XCOIN.csv").read_bytes())
+    config = fixture_tree / "crypto" / "config.cfg"
+    assert cli.main(["run", "--config", str(config), "--workers", "1"]) == 1
+    assert "agent id 'X,Y'" in capsys.readouterr().err
+    assert not (fixture_tree / "crypto" / "output").exists()
+
+
+def test_window_label_outside_charset_is_a_config_error(fixture_tree, capsys):
+    config = fixture_tree / "crypto" / "config.cfg"
+    text = config.read_text().replace(
+        "windows = 2014", "windows = ../../x:2014-01-01:2014-12-31"
+    )
+    config.write_text(text)
+    assert cli.main(["validate", "--config", str(config)]) == 1
+    assert "error: windows: window label '../../x'" in capsys.readouterr().out
+    rc = cli.main(["run", "--config", str(config), "--workers", "1", "--dump-panels"])
+    assert rc == 1
+    assert "window label" in capsys.readouterr().err
+    assert not list(fixture_tree.parent.rglob("x_s*.csv"))
+
+
+def test_skipped_bins_are_one_warning_per_run(fixture_tree, caplog):
+    config = fixture_tree / "stocks" / "config.cfg"
+    with caplog.at_level(logging.WARNING, logger="antifrag"):
+        assert cli.main(["run", "--config", str(config), "--workers", "1"]) == 0
+    skipped = [r for r in caplog.records if "bins skipped" in r.getMessage()]
+    assert len(skipped) == 1
+    assert skipped[0].getMessage() == (
+        "bins skipped in 12 of 12 cases (fewer than 5 agents defined): "
+        "age_days, pct_dlt_pr, pct_dlt_mk, pct_dlt_vl, pct_pr_f_i, pct_mk_f_i, "
+        "pct_vl_f_i, pr_mea, pr_std, mk_mea, vl_mea"
+    )

@@ -2,11 +2,11 @@ import datetime as dt
 
 import pytest
 
+from antifrag import fixture
 from antifrag.errors import IngestionError
 from antifrag.ingestion import (
     AgentSeries,
     AnalysisWindow,
-    RawObservation,
     agent_csv_text,
     load_agent_series,
     load_index_series,
@@ -15,7 +15,7 @@ from antifrag.ingestion import (
     write_agent_csv,
 )
 
-from conftest import day, make_agent
+from conftest import day, make_agent, series_to_rows
 
 
 def write(tmp_path, name, text):
@@ -30,16 +30,17 @@ def test_load_two_rows(tmp_path):
     series = load_agent_series(path, "stock")
     assert series.agent_id == "AAPL"
     assert series.market_kind == "stock"
-    assert [o.date for o in series.observations] == [dt.date(2014, 1, 2), dt.date(2014, 1, 3)]
-    assert [o.open for o in series.observations] == [10.0, 11.0]
-    assert all(o.market_cap is None for o in series.observations)
+    rows = series_to_rows(series)
+    assert [r[0] for r in rows] == [dt.date(2014, 1, 2), dt.date(2014, 1, 3)]
+    assert [r[1] for r in rows] == [10.0, 11.0]
+    assert all(r[3] is None for r in rows)
 
 
 def test_rows_sorted_by_date(tmp_path):
     path = write(tmp_path, "X.csv",
                  "date,open,volume\n2014-01-03,11.0,90.0\n2014-01-02,10.0,100.0\n")
     series = load_agent_series(path, "stock")
-    assert [o.date for o in series.observations] == [dt.date(2014, 1, 2), dt.date(2014, 1, 3)]
+    assert [r[0] for r in series_to_rows(series)] == [dt.date(2014, 1, 2), dt.date(2014, 1, 3)]
 
 
 def test_duplicate_date_rejected(tmp_path):
@@ -61,7 +62,7 @@ def test_crypto_market_cap_optional_per_row(tmp_path):
                  "date,open,volume,market_cap\n"
                  "2014-01-02,10,100,5000\n2014-01-03,11,90,\n2014-01-04,12,80,5200\n")
     series = load_agent_series(path, "crypto")
-    assert [o.market_cap for o in series.observations] == [5000.0, None, 5200.0]
+    assert [r[3] for r in series_to_rows(series)] == [5000.0, None, 5200.0]
 
 
 def test_malformed_row_names_file_line_field(tmp_path):
@@ -157,8 +158,8 @@ def test_slice_window_picks_inside_dates():
     window = AnalysisWindow(dt.date(2014, 1, 1), dt.date(2014, 12, 31), "2014")
     sliced = slice_window(series, window)
     assert sliced is not None
-    assert all(d.year == 2014 for d in (o.date for o in sliced.observations))
-    assert len(sliced.observations) == 3
+    assert all(r[0].year == 2014 for r in series_to_rows(sliced))
+    assert len(series_to_rows(sliced)) == 3
 
 
 def test_slice_window_dead_agent_is_none():
@@ -189,20 +190,63 @@ def test_round_trip_serialization(tmp_path):
     assert out.read_text() == text
 
 
+def test_fixture_series_round_trip_byte_stable(tmp_path):
+    for series in fixture.stock_agents() + fixture.crypto_agents():
+        text = agent_csv_text(series)
+        path = write(tmp_path, f"{series.agent_id}.csv", text)
+        loaded = load_agent_series(path, series.market_kind)
+        assert agent_csv_text(loaded) == text
+        assert series_to_rows(loaded) == series_to_rows(series)
+    # numbers reach the text as Python floats, never as numpy reprs
+    assert "np." not in agent_csv_text(fixture.crypto_agents()[0])
+
+
+@pytest.mark.parametrize("stem", ["X,Y", "a b", 'q"t', "é"])
+def test_unsafe_agent_id_rejected(tmp_path, stem):
+    path = write(tmp_path, f"{stem}.csv",
+                 "date,open,volume\n2014-01-02,10,100\n2014-01-03,11,90\n")
+    with pytest.raises(IngestionError, match="agent id"):
+        load_agent_series(path, "stock")
+
+
+def test_safe_agent_id_charset_accepted(tmp_path):
+    path = write(tmp_path, "BRK.B_x-1.csv",
+                 "date,open,volume\n2014-01-02,10,100\n2014-01-03,11,90\n")
+    assert load_agent_series(path, "stock").agent_id == "BRK.B_x-1"
+
+
+def test_first_bad_line_reported_in_file_order(tmp_path):
+    # a negative value on line 3 comes before the malformed date on line 4
+    path = write(tmp_path, "X.csv",
+                 "date,open,volume\n2014-01-02,10,100\n2014-01-03,-1,90\n"
+                 "2014-13-01,11,90\n")
+    with pytest.raises(IngestionError, match="line 3: negative open"):
+        load_agent_series(path, "stock")
+
+
+def test_non_finite_market_cap_rejected_blank_accepted(tmp_path):
+    path = write(tmp_path, "C.csv",
+                 "date,open,volume,market_cap\n"
+                 "2014-01-02,10,100,\n2014-01-03,11,90,nan\n")
+    with pytest.raises(IngestionError, match="line 3: non-finite market_cap"):
+        load_agent_series(path, "crypto")
+
+
 def test_loading_is_order_independent(tmp_path):
     a = write(tmp_path, "A.csv", "date,open,volume\n2014-01-02,10,100\n2014-01-03,11,90\n")
     b = write(tmp_path, "B.csv", "date,open,volume\n2014-01-02,20,200\n2014-01-03,21,190\n")
     first = [load_agent_series(p, "stock") for p in (a, b)]
     second = [load_agent_series(p, "stock") for p in (b, a)]
-    assert {s.agent_id: s for s in first} == {s.agent_id: s for s in second}
+    assert ({s.agent_id: series_to_rows(s) for s in first}
+            == {s.agent_id: series_to_rows(s) for s in second})
 
 
 def test_observation_dates_strictly_increasing_enforced():
     with pytest.raises(IngestionError, match="strictly increasing"):
-        AgentSeries("X", "stock", (
-            RawObservation(dt.date(2014, 1, 3), 10.0, 100.0),
-            RawObservation(dt.date(2014, 1, 2), 11.0, 100.0),
-        ))
+        AgentSeries.from_rows("X", "stock", [
+            (dt.date(2014, 1, 3), 10.0, 100.0, None),
+            (dt.date(2014, 1, 2), 11.0, 100.0, None),
+        ])
 
 
 def test_window_start_after_end_rejected():

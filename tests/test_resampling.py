@@ -4,18 +4,30 @@ import numpy as np
 import pytest
 
 from antifrag.errors import ComputeError
-from antifrag.ingestion import AnalysisWindow
+from antifrag.ingestion import AnalysisWindow, to_dates
 from antifrag.resampling import (
     TimeScale,
     build_panel,
     minmax_normalize,
-    period_start,
-    resample,
+    period_starts,
 )
 
 from conftest import day, make_agent, plain_to_indexes
 
 WINDOW = AnalysisWindow(day(0), day(60), "w")
+
+
+def period_start(date, scale):
+    return to_dates(period_starts(np.array([date.toordinal()]), scale))[0]
+
+
+def resample(rows, scale, kind="stock"):
+    """One agent's resampled channels: {channel: (periods, raw values)}."""
+    panel = build_panel([make_agent("X", kind, rows)], [], WINDOW, scale)
+    return {
+        channel: (series.periods, series.raw.tolist())
+        for channel, series in panel.agents["X"].items()
+    }
 
 
 def test_period_start_daily_identity():
@@ -39,35 +51,33 @@ def test_period_start_monthly():
 
 
 def test_daily_resample_is_identity():
-    series = make_agent("X", "stock", [(day(i), 10 + i, 100 + i) for i in range(5)])
-    out = resample(series, TimeScale.DAILY)
-    assert out == series
+    days = tuple(day(i) for i in range(5))
+    out = resample([(day(i), 10 + i, 100 + i) for i in range(5)], TimeScale.DAILY)
+    assert out == {
+        "price": (days, [10.0 + i for i in range(5)]),
+        "volume": (days, [100.0 + i for i in range(5)]),
+    }
 
 
 def test_weekly_resample_first_open_summed_volume():
     # 10 consecutive trading days: 4 in the first ISO week, 6 in the second
     rows = [(day(i), 10 + i, 1) for i in range(4)]
     rows += [(day(7 + i), 20 + i, 2) for i in range(6)]
-    out = resample(make_agent("X", "stock", rows), TimeScale.WEEKLY)
-    assert len(out.observations) == 2
-    first, second = out.observations
-    assert first.date == day(0)
-    assert first.open == 10
-    assert first.volume == 4
-    assert second.date == day(7)
-    assert second.open == 20
-    assert second.volume == 12
+    out = resample(rows, TimeScale.WEEKLY)
+    assert out["price"] == ((day(0), day(7)), [10, 20])
+    assert out["volume"] == ((day(0), day(7)), [4, 12])
 
 
 def test_resample_single_period_is_none():
     rows = [(dt.date(2015, 3, 2 + i), 10, 100) for i in range(5)]
-    assert resample(make_agent("X", "stock", rows), TimeScale.MONTHLY) is None
+    with pytest.raises(ComputeError, match="empty panel"):
+        resample(rows, TimeScale.MONTHLY)
 
 
 def test_resample_market_cap_from_first_observation():
     rows = [(day(0), 10, 1, 500), (day(1), 11, 1, None), (day(7), 12, 1, 700)]
-    out = resample(make_agent("X", "crypto", rows), TimeScale.WEEKLY)
-    assert [o.market_cap for o in out.observations] == [500.0, 700.0]
+    out = resample(rows, TimeScale.WEEKLY, kind="crypto")
+    assert out["market_cap"][1] == [500.0, 700.0]
 
 
 def test_minmax_basic():

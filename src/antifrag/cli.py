@@ -4,8 +4,9 @@
     antifrag validate --config CFG
     antifrag fixture --out DIR
 
-``run`` executes a full analysis and writes the report files; ``--workers``
-only parallelises its (window, scale) cases, loading stays serial. ``validate``
+``run`` executes a full analysis and writes the report files; its
+(window, scale) cases run one after another in one process, and
+``--workers`` is accepted but has no effect. ``validate``
 checks a config without touching any data files. ``fixture`` writes the
 built-in synthetic dataset (stocks/ and crypto/ trees, each with a ready
 config) for smoke testing.
@@ -35,8 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a full analysis run")
     run_p.add_argument("--config", required=True, type=Path)
     run_p.add_argument("--workers", type=int, default=None,
-                       help="override worker_count: processes for the "
-                            "(window, scale) cases (0 = one per CPU)")
+                       help="override worker_count; accepted, has no effect: "
+                            "cases run in one process")
     run_p.add_argument("--out", type=Path, default=None,
                        help="override output_dir")
     run_p.add_argument("--dump-panels", action="store_true",

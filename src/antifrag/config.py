@@ -11,7 +11,7 @@ Recognized keys (one per line, ``#`` starts a comment):
     scales               subset of 0,1,2            default: 0,1,2
     measures             measure ids for the kind   default: all valid
     n_hist_bins          histogram bin count        default: 50
-    worker_count         0 = one per CPU            default: 0
+    worker_count         accepted, has no effect    default: 0
 
 A window spec is either a plain year (``2014`` covers the calendar year) or
 ``label:start:end`` with ISO dates (``2018:2018-01-01:2018-11-30``). A label
@@ -205,6 +205,7 @@ def build_config(raw: dict[str, str], base_dir: Path):
             errors.append(f"worker_count: bad value {raw['worker_count']!r}")
         if worker_count < 0:
             errors.append("worker_count must be >= 0")
+        notes.append("worker_count has no effect: cases run in one process")
 
     if errors:
         return None, errors, notes

@@ -1,10 +1,11 @@
 """End-to-end run: load inputs, compute all cases, render the reports.
 
-A run covers every configured (window, scale) pair. Each pair is an
-independent task, so worker processes schedule them freely; results are
-merged in sorted order and every report row is sorted, which keeps output
-bytes identical for any worker count and any input-file ordering. Reals are
-serialized with 17 significant digits and lines end with \\n.
+A run covers every configured (window, scale) pair in one serial loop. Each
+case builds its panel once, keeps only what the reports read (every agent's
+global antifragility and periods used, and the alive count) and drops the
+rest. Every report row is sorted, which keeps output bytes identical for any
+input-file ordering. Reals are serialized with 17 significant digits and
+lines end with \\n.
 
 Report files: antifragility.csv, performance.csv, scatter.csv, bins.csv,
 distributions.csv, correlations.csv, comparison.json (when top-performer
@@ -16,8 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,7 @@ from .ingestion import (
     load_top_performers,
     slice_window,
 )
-from .measures import WindowScaleResults, compute_measures
+from .measures import compute_measures
 from .performance import PERF_VARIABLES, compute_performance, top_ids_for
 from .resampling import INDEX, MARKET_CAP, PRICE, VOLUME, build_panel
 
@@ -60,20 +59,12 @@ def _csv(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compute_case(task) -> WindowScaleResults:
-    sliced_agents, indexes, window, scale, measures = task
-    panel = build_panel(sliced_agents, indexes, window, scale)
-    return compute_measures(panel, measures)
-
-
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
     """Produce every report as text, keyed by file name. Writes nothing."""
-    workers = config.worker_count or os.cpu_count() or 1
-
     agent_files = sorted(config.data_dir.glob("*.csv"))
     if not agent_files:
         raise IngestionError(f"no agent CSV files in {config.data_dir}")
@@ -123,16 +114,23 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
                 kept.append(inside)
         sliced_by_window[window.label] = kept
 
-    tasks = [
-        (sliced_by_window[w.label], indexes, w, scale, config.measures)
-        for w in config.windows
-        for scale in config.scales
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            case_results = list(pool.map(_compute_case, tasks))
-    else:
-        case_results = [_compute_case(t) for t in tasks]
+    case_values: dict[analysis.CaseKey, dict[str, float]] = {}
+    n_used: dict[analysis.CaseKey, dict[str, int]] = {}
+    alive: dict[str, dict[str, int]] = {}
+    panel_dumps: dict[str, str] = {}
+    for window in config.windows:
+        for scale in config.scales:
+            panel = build_panel(sliced_by_window[window.label], indexes, window, scale)
+            ws = compute_measures(panel, config.measures)
+            alive.setdefault(window.label, {})[str(int(scale))] = len(ws.alive_agents)
+            for measure, per_agent in ws.results.items():
+                key = (window.label, measure, int(scale))
+                case_values[key] = {
+                    aid: result.global_a for aid, result in sorted(per_agent.items())
+                }
+                n_used[key] = {aid: result.n_used for aid, result in per_agent.items()}
+            if dump_panels:
+                panel_dumps.update(_panel_dumps(panel))
 
     # performance records per window, only for agents alive in that window
     perf_records = []
@@ -146,23 +144,12 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
             perf_records.append(record)
             perf_variables[(window.label, series.agent_id)] = record.variables()
 
-    case_values: dict[analysis.CaseKey, dict[str, float]] = {}
-    n_used: dict[tuple, int] = {}
-    for ws in case_results:
-        for measure, per_agent in ws.results.items():
-            key = (ws.window.label, measure, int(ws.scale))
-            case_values[key] = {
-                aid: result.global_a for aid, result in sorted(per_agent.items())
-            }
-            for aid, result in per_agent.items():
-                n_used[key + (aid,)] = result.n_used
-
     outputs: dict[str, str] = {}
     outputs["antifragility.csv"] = _csv(
         ["agent_id", "measure", "scale", "window", "global_A", "n_used"],
         (
             (aid, measure, scale, window, values[aid],
-             n_used[(window, measure, scale, aid)])
+             n_used[(window, measure, scale)][aid])
             for (window, measure, scale), values in sorted(case_values.items())
             for aid in sorted(values)
         ),
@@ -180,9 +167,8 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
     if top_lists is not None:
         stats = analysis.top_comparison(case_values, top_by_window)
         outputs["comparison.json"] = _comparison_json(stats)
-    outputs["run_manifest.json"] = _manifest_json(config, digests, case_results)
-    if dump_panels:
-        outputs.update(_panel_dumps(sliced_by_window, indexes, config))
+    outputs["run_manifest.json"] = _manifest_json(config, digests, alive)
+    outputs.update(panel_dumps)
     return outputs
 
 
@@ -197,6 +183,17 @@ def _render_performance(records) -> str:
     return _csv(header, rows)
 
 
+def _defined(window, values, perf_variables, name) -> list[tuple[str, float, float]]:
+    """(agent, A, variable) in agent order, for every agent of one case whose
+    performance variable ``name`` is defined."""
+    return [
+        (aid, values[aid], perf_variables[(window, aid)][name])
+        for aid in sorted(values)
+        if (window, aid) in perf_variables
+        and perf_variables[(window, aid)][name] is not None
+    ]
+
+
 def _render_bins(case_values, perf_variables) -> str:
     """Both binning directions for every case and performance variable."""
     header = ["window", "measure", "scale", "bin_by", "stat_of",
@@ -207,12 +204,7 @@ def _render_bins(case_values, perf_variables) -> str:
     for (window, measure, scale), values in sorted(case_values.items()):
         skipped = []
         for name in PERF_VARIABLES:
-            entries = [
-                (aid, values[aid], perf_variables[(window, aid)][name])
-                for aid in sorted(values)
-                if (window, aid) in perf_variables
-                and perf_variables[(window, aid)][name] is not None
-            ]
+            entries = _defined(window, values, perf_variables, name)
             if len(entries) < 5:
                 skipped.append(name)
                 continue
@@ -240,14 +232,9 @@ def _render_correlations(case_values, perf_variables) -> str:
     rows = []
     for (window, measure, scale), values in sorted(case_values.items()):
         for name in PERF_VARIABLES:
-            pairs = [
-                (values[aid], perf_variables[(window, aid)][name])
-                for aid in sorted(values)
-                if (window, aid) in perf_variables
-                and perf_variables[(window, aid)][name] is not None
-            ]
-            r = analysis.pearson([p[0] for p in pairs], [p[1] for p in pairs])
-            rows.append((window, measure, scale, name, r, len(pairs)))
+            entries = _defined(window, values, perf_variables, name)
+            r = analysis.pearson([e[1] for e in entries], [e[2] for e in entries])
+            rows.append((window, measure, scale, name, r, len(entries)))
     return _csv(header, rows)
 
 
@@ -289,17 +276,13 @@ def _comparison_json(stats) -> str:
     )
 
 
-def _manifest_json(config: RunConfig, digests, case_results) -> str:
+def _manifest_json(config: RunConfig, digests, alive) -> str:
     """Everything needed to reproduce the run, minus scheduling knobs.
 
     worker_count and output_dir never influence results, so recording them
-    would only break byte-identity between equivalent runs.
+    would only break byte-identity between equivalent runs. ``alive`` maps
+    window label and scale to the number of agents alive in that case.
     """
-    alive: dict[str, dict[str, int]] = {}
-    for ws in case_results:
-        alive.setdefault(ws.window.label, {})[str(int(ws.scale))] = len(
-            ws.alive_agents
-        )
     manifest = {
         "market_kind": config.market_kind,
         "data_dir": str(config.data_dir),
@@ -322,54 +305,46 @@ def _manifest_json(config: RunConfig, digests, case_results) -> str:
     return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
-def _panel_dumps(sliced_by_window, indexes, config) -> dict[str, str]:
-    """Debug export: one CSV per window, scale, and channel (period x agent)."""
+def _panel_dumps(panel) -> dict[str, str]:
+    """Debug export of one panel: one CSV per channel (period x agent)."""
     out = {}
-    for window in config.windows:
-        for scale in config.scales:
-            panel = build_panel(
-                sliced_by_window[window.label], indexes, window, scale
-            )
-            channels = [PRICE, VOLUME]
-            if config.market_kind != STOCK:
-                channels.append(MARKET_CAP)
-            for channel in channels:
-                ids = [
-                    aid for aid in sorted(panel.agents)
-                    if channel in panel.agents[aid]
-                ]
-                if not ids:
-                    continue
-                maps = {
-                    aid: dict(zip(panel.agents[aid][channel].periods,
-                                  panel.agents[aid][channel].values.tolist()))
-                    for aid in ids
-                }
-                rows = [
-                    [p.isoformat()] + [maps[aid].get(p) for aid in ids]
-                    for p in panel.period_axis
-                ]
-                name = f"panels/{window.label}_s{int(scale)}_{channel}.csv"
-                out[name] = _csv(["period"] + ids, rows)
-            if panel.indexes:
-                ids = sorted(panel.indexes)
-                maps = {
-                    iid: dict(zip(panel.indexes[iid].periods,
-                                  panel.indexes[iid].values.tolist()))
-                    for iid in ids
-                }
-                axis = sorted({p for m in maps.values() for p in m})
-                rows = [
-                    [p.isoformat()] + [maps[iid].get(p) for iid in ids] for p in axis
-                ]
-                out[f"panels/{window.label}_s{int(scale)}_{INDEX}.csv"] = _csv(
-                    ["period"] + ids, rows
-                )
+    prefix = f"panels/{panel.window.label}_s{int(panel.scale)}"
+    channels = [PRICE, VOLUME]
+    if panel.market_kind != STOCK:
+        channels.append(MARKET_CAP)
+    for channel in channels:
+        ids = [aid for aid in sorted(panel.agents) if channel in panel.agents[aid]]
+        if not ids:
+            continue
+        maps = {
+            aid: dict(zip(panel.agents[aid][channel].periods,
+                          panel.agents[aid][channel].values.tolist()))
+            for aid in ids
+        }
+        rows = [
+            [p.isoformat()] + [maps[aid].get(p) for aid in ids]
+            for p in panel.period_axis
+        ]
+        out[f"{prefix}_{channel}.csv"] = _csv(["period"] + ids, rows)
+    if panel.indexes:
+        ids = sorted(panel.indexes)
+        maps = {
+            iid: dict(zip(panel.indexes[iid].periods,
+                          panel.indexes[iid].values.tolist()))
+            for iid in ids
+        }
+        axis = sorted({p for m in maps.values() for p in m})
+        rows = [[p.isoformat()] + [maps[iid].get(p) for iid in ids] for p in axis]
+        out[f"{prefix}_{INDEX}.csv"] = _csv(["period"] + ids, rows)
     return out
 
 
 def run(config: RunConfig, dump_panels: bool = False) -> Path:
-    """Execute and write all reports; on failure, remove partial outputs."""
+    """Execute and write all reports; on failure, remove partial outputs.
+
+    A comparison.json left by an earlier run is removed when this run has
+    no top-performer lists, so it cannot sit next to a manifest without one.
+    """
     outputs = execute(config, dump_panels=dump_panels)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -384,5 +359,7 @@ def run(config: RunConfig, dump_panels: bool = False) -> Path:
         for path in written:
             path.unlink(missing_ok=True)
         raise
+    if "comparison.json" not in outputs:
+        (out_dir / "comparison.json").unlink(missing_ok=True)
     logger.info("wrote %d report files to %s", len(written), out_dir)
     return out_dir

@@ -8,6 +8,7 @@ import pytest
 
 import antifrag.cli as cli
 from antifrag import pipeline
+from antifrag.config import load_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -113,6 +114,37 @@ def test_dump_panels_writes_normalized_series(fixture_tree):
     assert header == "period,XCOIN,YCOIN,ZCOIN"
 
 
+@pytest.mark.parametrize("dump_panels", [False, True])
+def test_each_panel_is_built_once(fixture_tree, monkeypatch, dump_panels):
+    config = fixture_tree / "crypto" / "config.cfg"
+    calls = []
+    real_build_panel = pipeline.build_panel
+
+    def counted(agents, indexes, window, scale):
+        calls.append((window.label, int(scale)))
+        return real_build_panel(agents, indexes, window, scale)
+
+    monkeypatch.setattr(pipeline, "build_panel", counted)
+    argv = ["run", "--config", str(config), "--workers", "1"]
+    assert cli.main(argv + ["--dump-panels"] * dump_panels) == 0
+    cfg, _, _ = load_config(config)
+    assert sorted(calls) == sorted(
+        (w.label, int(s)) for w in cfg.windows for s in cfg.scales
+    )
+
+
+def test_rerun_without_top_lists_removes_stale_comparison(fixture_tree):
+    config = fixture_tree / "crypto" / "config.cfg"
+    out = fixture_tree / "crypto" / "output"
+    assert cli.main(["run", "--config", str(config), "--workers", "1"]) == 0
+    assert (out / "comparison.json").is_file()
+    lines = config.read_text().splitlines(keepends=True)
+    config.write_text("".join(x for x in lines if "top_performers_path" not in x))
+    assert cli.main(["run", "--config", str(config), "--workers", "1"]) == 0
+    assert report_names(out) == [n for n in REPORTS if n != "comparison.json"]
+    assert '"top_performers_path": null' in (out / "run_manifest.json").read_text()
+
+
 def test_invalid_measure_for_kind_fails(fixture_tree, capsys):
     config = fixture_tree / "crypto" / "bad.cfg"
     config.write_text(
@@ -180,6 +212,15 @@ def test_validate_overlapping_windows_is_a_note(tmp_path, capsys):
     assert cli.main(["validate", "--config", str(config)]) == 0
     out = capsys.readouterr().out
     assert "note: windows 2014 and h1 overlap" in out
+    assert out.strip().endswith("0 errors")
+
+
+def test_validate_worker_count_is_a_note(fixture_tree, capsys):
+    config = fixture_tree / "crypto" / "config.cfg"
+    config.write_text(config.read_text() + "worker_count = 2\n")
+    assert cli.main(["validate", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "note: worker_count has no effect: cases run in one process" in out
     assert out.strip().endswith("0 errors")
 
 

@@ -190,28 +190,3 @@ def top_comparison(
         ratio=sum_greater / sum_otherwise if sum_otherwise != 0.0 else None,
     )
 
-
-def scatter_export(
-    case_values: dict[CaseKey, dict[str, float]],
-    perf_variables: dict[tuple[str, str], dict[str, float | None]],
-) -> list[tuple[str, str, int, str, float, str, float]]:
-    """Pair every agent's antifragility with its performance metrics.
-
-    ``perf_variables`` maps (window label, agent id) to that agent's metric
-    dict. Undefined metrics are omitted. Rows come out sorted by window,
-    measure, scale, agent, and variable name.
-    """
-    rows = []
-    for (window, measure, scale) in sorted(case_values):
-        values = case_values[(window, measure, scale)]
-        for aid in sorted(values):
-            variables = perf_variables.get((window, aid))
-            if variables is None:
-                continue
-            for name in sorted(variables):
-                if variables[name] is None:
-                    continue
-                rows.append(
-                    (window, measure, scale, aid, values[aid], name, variables[name])
-                )
-    return rows

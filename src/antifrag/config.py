@@ -22,7 +22,6 @@ Relative paths are resolved against the config file's directory.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from .ingestion import (
     STOCK,
     AnalysisWindow,
     is_safe_name,
+    parse_date,
 )
 from .measures import MEASURES_BY_KIND
 from .resampling import TimeScale
@@ -98,7 +98,7 @@ def _parse_window(token: str) -> AnalysisWindow:
         label, start, end = (p.strip() for p in parts)
         if not is_safe_name(label):
             raise ValueError(f"window label {label!r} {SAFE_NAME_RULE}")
-        return AnalysisWindow(dt.date.fromisoformat(start), dt.date.fromisoformat(end), label)
+        return AnalysisWindow(parse_date(start), parse_date(end), label)
     return AnalysisWindow.calendar_year(int(token))
 
 

@@ -3,7 +3,9 @@
 Agent files are CSV with header ``date,open,volume`` plus an optional
 ``market_cap`` column (cryptocurrencies only). Index files are CSV with header
 ``date,level``. Top-performer files are JSON objects mapping a year to a list
-of agent ids. All dates are ISO ``YYYY-MM-DD``.
+of agent ids. All dates are ISO ``YYYY-MM-DD``, the only date form accepted.
+CSV files are UTF-8 and may start with a byte-order mark and end with empty
+lines.
 
 A loaded series is a record of numpy columns: dates as int64 day ordinals
 (``date.toordinal()``), values as float64, and NaN for a missing market cap.
@@ -174,9 +176,17 @@ class AnalysisWindow:
         return cls(dt.date(year, 1, 1), dt.date(year, 12, 31), str(year))
 
 
+def parse_date(text: str) -> dt.date:
+    """A ``YYYY-MM-DD`` date on every supported Python (3.11's
+    ``date.fromisoformat`` also takes ``20140102`` and ``2014-W01-5``)."""
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(f"date {text!r} is not YYYY-MM-DD")
+    return dt.date.fromisoformat(text)
+
+
 def _parse_date(text: str, path: Path, line: int) -> dt.date:
     try:
-        return dt.date.fromisoformat(text.strip())
+        return parse_date(text.strip())
     except ValueError:
         raise IngestionError(f"{path}: line {line}: bad date {text!r}") from None
 
@@ -196,8 +206,12 @@ def _parse_real(text: str, path: Path, line: int, field: str) -> float:
 
 
 def _read_rows(path: Path) -> list[list[str]]:
-    with open(path, newline="") as fh:
+    """The rows of a UTF-8 CSV file, without a byte-order mark or empty lines
+    at the end; an empty line before a row stays (and fails the field count)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
+    while rows and not rows[-1]:
+        rows.pop()
     if not rows:
         raise IngestionError(f"{path}: empty file")
     return rows
@@ -214,10 +228,15 @@ def _parse_columns(body, width: int, blank_last: bool):
     if set(map(len, body)) != {width}:
         return None
     cells = list(zip(*body))
+    dates = list(map(str.strip, cells[0]))
+    # parse_date's YYYY-MM-DD shape, checked without a call per date
+    joined, dashes = "".join(dates), "-" * len(dates)
+    if set(map(len, dates)) != {10} or joined[4::10] != dashes or joined[7::10] != dashes:
+        return None
     blanks = 0
     try:
         days = np.array(
-            list(map(dt.date.toordinal, map(dt.date.fromisoformat, map(str.strip, cells[0])))),
+            list(map(dt.date.toordinal, map(dt.date.fromisoformat, dates))),
             dtype=np.int64,
         )
         values = [list(map(float, c)) for c in cells[1 : width - blank_last]]

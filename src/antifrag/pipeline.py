@@ -4,7 +4,8 @@ A run covers every configured (window, scale) pair in one serial loop. Each
 case builds its panel once, keeps only what the reports read (every agent's
 global antifragility and periods used, and the alive count) and drops the
 rest. Every report row is sorted, which keeps output bytes identical for any
-input-file ordering. Reals are serialized with 17 significant digits and
+input-file ordering. Reals are serialized with 17 significant digits (every
+agent's A and performance values once, for all the per-agent reports) and
 lines end with \\n.
 
 Report files: antifragility.csv, performance.csv, scatter.csv, bins.csv,
@@ -56,7 +57,14 @@ def fmt(value) -> str:
 def _csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return _text(lines)
+
+
+def _text(lines: list[str]) -> str:
+    """The lines, each ending with \\n. Appending an empty line costs less
+    than adding \\n to the joined text, which would copy all of it again."""
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _digest(path: Path) -> str:
@@ -75,12 +83,8 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
 
     index_files: dict[str, Path] = {}
     if config.market_kind == STOCK:
-        needed = set()
-        if "afx" in config.measures:
-            needed.add("VIX")
-        if "af3m" in config.measures:
-            needed.update(("NASDAQ", "DJI", "SPX"))
-        for iid in sorted(needed):
+        needed = {"afx": ("VIX",), "af3m": ("NASDAQ", "DJI", "SPX")}
+        for iid in sorted({i for m in config.measures for i in needed.get(m, ())}):
             path = config.index_dir / f"{iid.lower()}.csv"
             if not path.is_file():
                 raise IngestionError(f"missing index file {path}")
@@ -89,30 +93,20 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
         load_index_series(path, iid) for iid, path in sorted(index_files.items())
     ]
 
-    top_lists = None
-    if config.top_performers_path is not None:
-        top_lists = load_top_performers(config.top_performers_path)
-
     digests = {f"agents/{p.name}": _digest(p) for p in agent_files}
     digests.update({f"indexes/{p.name}": _digest(p) for p in index_files.values()})
-    if config.top_performers_path is not None:
-        digests[f"top/{config.top_performers_path.name}"] = _digest(
-            config.top_performers_path
-        )
+    top_lists = None
+    if (top_path := config.top_performers_path) is not None:
+        top_lists = load_top_performers(top_path)
+        digests[f"top/{top_path.name}"] = _digest(top_path)
 
     full_start = {a.agent_id: a.first_date for a in agents}
-    top_by_window = {
-        w.label: top_ids_for(w, top_lists) for w in config.windows
-    }
+    top_by_window = {w.label: top_ids_for(w, top_lists) for w in config.windows}
 
-    sliced_by_window: dict[str, list[AgentSeries]] = {}
-    for window in config.windows:
-        kept = []
-        for series in agents:
-            inside = slice_window(series, window)
-            if inside is not None:
-                kept.append(inside)
-        sliced_by_window[window.label] = kept
+    sliced_by_window: dict[str, list[AgentSeries]] = {
+        w.label: [s for s in (slice_window(a, w) for a in agents) if s is not None]
+        for w in config.windows
+    }
 
     case_values: dict[analysis.CaseKey, dict[str, float]] = {}
     n_used: dict[analysis.CaseKey, dict[str, int]] = {}
@@ -132,35 +126,30 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
             if dump_panels:
                 panel_dumps.update(_panel_dumps(panel))
 
-    # performance records per window, only for agents alive in that window
-    perf_records = []
-    perf_variables: dict[tuple[str, str], dict[str, float | None]] = {}
-    for window in config.windows:
-        top_ids = top_by_window[window.label]
-        for series in sliced_by_window[window.label]:
-            record = compute_performance(
-                series, full_start[series.agent_id], window, top_ids
-            )
-            perf_records.append(record)
-            perf_variables[(window.label, series.agent_id)] = record.variables()
+    # performance per window, only for agents alive in that window
+    perf_variables: dict[tuple[str, str], dict[str, float | None]] = {
+        (w.label, s.agent_id): compute_performance(
+            s, full_start[s.agent_id], w, top_by_window[w.label]
+        ).variables()
+        for w in config.windows
+        for s in sliced_by_window[w.label]
+    }
 
+    a_text, perf_text = _format_values(case_values, perf_variables)
     outputs: dict[str, str] = {}
-    outputs["antifragility.csv"] = _csv(
-        ["agent_id", "measure", "scale", "window", "global_A", "n_used"],
-        (
-            (aid, measure, scale, window, values[aid],
-             n_used[(window, measure, scale)][aid])
-            for (window, measure, scale), values in sorted(case_values.items())
-            for aid in sorted(values)
-        ),
+    antifragility = ["agent_id,measure,scale,window,global_A,n_used"]
+    for (window, measure, scale), texts in sorted(a_text.items()):
+        used = n_used[(window, measure, scale)]
+        antifragility.extend(
+            f"{aid},{measure},{scale},{window},{a},{used[aid]}"
+            for aid, a in sorted(texts.items())
+        )
+    outputs["antifragility.csv"] = _text(antifragility)
+    outputs["scatter.csv"] = _render_scatter(a_text, perf_text)
+    outputs["performance.csv"] = _render_performance(perf_text, top_by_window)
+    outputs["bins.csv"], outputs["correlations.csv"] = _render_bins_and_correlations(
+        case_values, perf_variables
     )
-    outputs["performance.csv"] = _render_performance(perf_records)
-    outputs["scatter.csv"] = _csv(
-        ["window", "measure", "scale", "agent_id", "A", "perf_variable", "perf_value"],
-        analysis.scatter_export(case_values, perf_variables),
-    )
-    outputs["bins.csv"] = _render_bins(case_values, perf_variables)
-    outputs["correlations.csv"] = _render_correlations(case_values, perf_variables)
     outputs["distributions.csv"] = _render_distributions(
         case_values, top_by_window, config.n_hist_bins
     )
@@ -172,50 +161,86 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
     return outputs
 
 
-def _render_performance(records) -> str:
-    header = ["agent_id", "window"] + list(PERF_VARIABLES) + ["is_top_performer"]
-    rows = []
-    for r in sorted(records, key=lambda r: (r.window, r.agent_id)):
-        row = [r.agent_id, r.window, r.age_days]
-        row += [getattr(r, name) for name in PERF_VARIABLES[1:]]
-        row.append(r.is_top_performer)
-        rows.append(row)
-    return _csv(header, rows)
+def _format_values(case_values, perf_variables):
+    """Each A and performance value formatted once, for every per-agent
+    report: (case -> agent -> A text, (window label, agent id) -> variable
+    -> text, None when undefined). ``age_days``, a float here, renders as
+    the int it is."""
+    a_text = {
+        key: {aid: fmt(a) for aid, a in values.items()}
+        for key, values in case_values.items()
+    }
+    perf_text = {
+        key: {name: None if v is None else fmt(v) for name, v in variables.items()}
+        for key, variables in perf_variables.items()
+    }
+    return a_text, perf_text
 
 
-def _defined(window, values, perf_variables, name) -> list[tuple[str, float, float]]:
-    """(agent, A, variable) in agent order, for every agent of one case whose
-    performance variable ``name`` is defined."""
-    return [
-        (aid, values[aid], perf_variables[(window, aid)][name])
-        for aid in sorted(values)
-        if (window, aid) in perf_variables
-        and perf_variables[(window, aid)][name] is not None
-    ]
+def _render_scatter(a_text, perf_text) -> str:
+    """Every agent's A next to each of its defined performance variables,
+    sorted by window, measure, scale, agent and variable name; an agent
+    without performance in the window has no rows. Takes the text maps of
+    ``_format_values``."""
+    cells = {
+        key: [f"{name},{t}" for name, t in sorted(texts.items()) if t is not None]
+        for key, texts in perf_text.items()
+    }
+    lines = ["window,measure,scale,agent_id,A,perf_variable,perf_value"]
+    for (window, measure, scale), texts in sorted(a_text.items()):
+        for aid, a in sorted(texts.items()):
+            agent_cells = cells.get((window, aid))
+            if agent_cells:
+                prefix = f"{window},{measure},{scale},{aid},{a},"
+                lines.extend(map(prefix.__add__, agent_cells))
+    return _text(lines)
 
 
-def _render_bins(case_values, perf_variables) -> str:
-    """Both binning directions for every case and performance variable."""
-    header = ["window", "measure", "scale", "bin_by", "stat_of",
-              "bin_index", "count", "min", "mean", "max"]
-    rows = []
+def _render_performance(perf_text, top_by_window) -> str:
+    lines = [",".join(["agent_id", "window", *PERF_VARIABLES, "is_top_performer"])]
+    for (window, aid), texts in sorted(perf_text.items()):
+        values = ",".join(texts[name] or "" for name in PERF_VARIABLES)
+        lines.append(f"{aid},{window},{values},{fmt(aid in top_by_window[window])}")
+    return _text(lines)
+
+
+def _defined(agents, name) -> list[tuple[str, float, float]]:
+    """(agent, A, variable) for every agent of ``agents`` whose performance
+    variable ``name`` is defined; ``agents`` holds (agent, A, variables)."""
+    return [(aid, a, variables[name]) for aid, a, variables in agents
+            if variables[name] is not None]
+
+
+def _render_bins_and_correlations(case_values, perf_variables) -> tuple[str, str]:
+    """bins.csv and correlations.csv, from one join per case and performance
+    variable: its Pearson r, and both binning directions when at least five
+    agents have the variable defined."""
+    bins = ["window,measure,scale,bin_by,stat_of,bin_index,count,min,mean,max"]
+    correlations = ["window,measure,scale,perf_variable,r,n_pairs"]
     skipped_cases = 0
     skipped_names: set[str] = set()
     for (window, measure, scale), values in sorted(case_values.items()):
+        case = f"{window},{measure},{scale},"
+        agents = [
+            (aid, a, perf_variables[(window, aid)])
+            for aid, a in sorted(values.items())
+            if (window, aid) in perf_variables
+        ]
         skipped = []
         for name in PERF_VARIABLES:
-            entries = _defined(window, values, perf_variables, name)
+            entries = _defined(agents, name)
+            r = analysis.pearson([e[1] for e in entries], [e[2] for e in entries])
+            correlations.append(f"{case}{name},{fmt(r)},{len(entries)}")
             if len(entries) < 5:
                 skipped.append(name)
                 continue
-            for bin_by, stat_of in (("A", name), (name, "A")):
-                if bin_by == "A":
-                    triples = entries
-                else:
-                    triples = [(aid, var, a) for aid, a, var in entries]
-                for s in analysis.quantile_bin_summary(triples, bin_by, stat_of):
-                    rows.append((window, measure, scale, s.bin_by, s.stat_of,
-                                 s.bin_index, s.count, s.min, s.mean, s.max))
+            flipped = [(aid, var, a) for aid, a, var in entries]
+            for bin_by, stat_of, triples in (("A", name, entries), (name, "A", flipped)):
+                bins.extend(
+                    f"{case}{s.bin_by},{s.stat_of},{s.bin_index},{s.count},"
+                    f"{fmt(s.min)},{fmt(s.mean)},{fmt(s.max)}"
+                    for s in analysis.quantile_bin_summary(triples, bin_by, stat_of)
+                )
         skipped_cases += bool(skipped)
         skipped_names.update(skipped)
     if skipped_cases:
@@ -224,40 +249,28 @@ def _render_bins(case_values, perf_variables) -> str:
             skipped_cases, len(case_values),
             ", ".join(n for n in PERF_VARIABLES if n in skipped_names),
         )
-    return _csv(header, rows)
-
-
-def _render_correlations(case_values, perf_variables) -> str:
-    header = ["window", "measure", "scale", "perf_variable", "r", "n_pairs"]
-    rows = []
-    for (window, measure, scale), values in sorted(case_values.items()):
-        for name in PERF_VARIABLES:
-            entries = _defined(window, values, perf_variables, name)
-            r = analysis.pearson([e[1] for e in entries], [e[2] for e in entries])
-            rows.append((window, measure, scale, name, r, len(entries)))
-    return _csv(header, rows)
+    return _text(bins), _text(correlations)
 
 
 def _render_distributions(case_values, top_by_window, n_bins) -> str:
-    header = ["window", "measure", "scale", "population", "bin_index",
-              "bin_left", "bin_right", "density", "sample_count"]
-    rows = []
+    lines = ["window,measure,scale,population,bin_index,"
+             "bin_left,bin_right,density,sample_count"]
     for (window, measure, scale), values in sorted(case_values.items()):
-        ordered = [values[aid] for aid in sorted(values)]
-        dist = analysis.distribution(ordered, n_bins=n_bins)
+        ordered = sorted(values)
+        dist = analysis.distribution([values[aid] for aid in ordered], n_bins=n_bins)
         populations = [("all", dist)]
-        top_values = [
-            values[aid] for aid in sorted(values) if aid in top_by_window[window]
-        ]
+        top_values = [values[aid] for aid in ordered if aid in top_by_window[window]]
         if top_values:
-            populations.append(
-                ("top", analysis.distribution(top_values, edges=dist.edges))
-            )
+            top = analysis.distribution(top_values, edges=dist.edges)
+            populations.append(("top", top))
         for population, d in populations:
-            for i, density in enumerate(d.densities.tolist()):
-                rows.append((window, measure, scale, population, i,
-                             d.edges[i], d.edges[i + 1], density, d.sample_count))
-    return _csv(header, rows)
+            prefix = f"{window},{measure},{scale},{population},"
+            edges = [fmt(e) for e in d.edges.tolist()]
+            lines.extend(
+                f"{prefix}{i},{edges[i]},{edges[i + 1]},{fmt(density)},{d.sample_count}"
+                for i, density in enumerate(d.densities.tolist())
+            )
+    return _text(lines)
 
 
 def _comparison_json(stats) -> str:
@@ -287,11 +300,8 @@ def _manifest_json(config: RunConfig, digests, alive) -> str:
         "market_kind": config.market_kind,
         "data_dir": str(config.data_dir),
         "index_dir": None if config.index_dir is None else str(config.index_dir),
-        "top_performers_path": (
-            None
-            if config.top_performers_path is None
-            else str(config.top_performers_path)
-        ),
+        "top_performers_path": None if config.top_performers_path is None
+        else str(config.top_performers_path),
         "windows": [
             {"label": w.label, "start": w.start.isoformat(), "end": w.end.isoformat()}
             for w in config.windows
@@ -309,41 +319,30 @@ def _panel_dumps(panel) -> dict[str, str]:
     """Debug export of one panel: one CSV per channel (period x agent)."""
     out = {}
     prefix = f"panels/{panel.window.label}_s{int(panel.scale)}"
-    channels = [PRICE, VOLUME]
-    if panel.market_kind != STOCK:
-        channels.append(MARKET_CAP)
-    for channel in channels:
-        ids = [aid for aid in sorted(panel.agents) if channel in panel.agents[aid]]
-        if not ids:
+    channels = [PRICE, VOLUME] + ([] if panel.market_kind == STOCK else [MARKET_CAP])
+    tables = [
+        (c, {aid: ch[c] for aid, ch in panel.agents.items() if c in ch}) for c in channels
+    ]
+    for name, series in tables + [(INDEX, panel.indexes)]:
+        if not series:
             continue
-        maps = {
-            aid: dict(zip(panel.agents[aid][channel].periods,
-                          panel.agents[aid][channel].values.tolist()))
-            for aid in ids
-        }
-        rows = [
-            [p.isoformat()] + [maps[aid].get(p) for aid in ids]
-            for p in panel.period_axis
-        ]
-        out[f"{prefix}_{channel}.csv"] = _csv(["period"] + ids, rows)
-    if panel.indexes:
-        ids = sorted(panel.indexes)
-        maps = {
-            iid: dict(zip(panel.indexes[iid].periods,
-                          panel.indexes[iid].values.tolist()))
-            for iid in ids
-        }
-        axis = sorted({p for m in maps.values() for p in m})
-        rows = [[p.isoformat()] + [maps[iid].get(p) for iid in ids] for p in axis]
-        out[f"{prefix}_{INDEX}.csv"] = _csv(["period"] + ids, rows)
+        ids = sorted(series)
+        maps = {i: dict(zip(series[i].periods, series[i].values.tolist())) for i in ids}
+        # agents share the panel's period axis; indexes span their own periods
+        axis = panel.period_axis
+        if name == INDEX:
+            axis = sorted({p for m in maps.values() for p in m})
+        rows = [[p.isoformat()] + [maps[i].get(p) for i in ids] for p in axis]
+        out[f"{prefix}_{name}.csv"] = _csv(["period"] + ids, rows)
     return out
 
 
 def run(config: RunConfig, dump_panels: bool = False) -> Path:
     """Execute and write all reports; on failure, remove partial outputs.
 
-    A comparison.json left by an earlier run is removed when this run has
-    no top-performer lists, so it cannot sit next to a manifest without one.
+    After a successful write, the reports of an earlier run that this run
+    does not write (comparison.json, panels/*.csv, then an empty panels/)
+    are removed, so none can sit next to this run's manifest.
     """
     outputs = execute(config, dump_panels=dump_panels)
     out_dir = Path(config.output_dir)
@@ -361,5 +360,12 @@ def run(config: RunConfig, dump_panels: bool = False) -> Path:
         raise
     if "comparison.json" not in outputs:
         (out_dir / "comparison.json").unlink(missing_ok=True)
+    panels = out_dir / "panels"
+    if panels.is_dir():
+        for path in panels.glob("*.csv"):
+            if f"panels/{path.name}" not in outputs:
+                path.unlink()
+        if not any(panels.iterdir()):
+            panels.rmdir()
     logger.info("wrote %d report files to %s", len(written), out_dir)
     return out_dir

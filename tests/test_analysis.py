@@ -7,10 +7,10 @@ from antifrag.analysis import (
     distribution,
     pearson,
     quantile_bin_summary,
-    scatter_export,
     top_comparison,
 )
 from antifrag.errors import ComputeError
+from antifrag.pipeline import _format_values, _render_scatter
 
 
 def test_pearson_perfect_positive():
@@ -189,22 +189,66 @@ def test_top_comparison_ratio():
     assert stats.ratio == pytest.approx(1.5, abs=1e-12)
 
 
-def test_scatter_export_rows_and_order():
+def scatter_lines(cases, perf) -> list[str]:
+    text = _render_scatter(*_format_values(cases, perf))
+    assert text.endswith("\n")
+    lines = text.split("\n")[:-1]
+    assert lines[0] == "window,measure,scale,agent_id,A,perf_variable,perf_value"
+    return lines[1:]
+
+
+def test_render_scatter_rows_and_order():
     cases = {("2014", "afp", 0): {"B": 0.2, "A": 0.1}}
     perf = {
         ("2014", "A"): {"pr_mea": 10.0, "vl_mea": 5.0},
         ("2014", "B"): {"pr_mea": 20.0, "vl_mea": None},
     }
-    rows = scatter_export(cases, perf)
-    assert rows == [
-        ("2014", "afp", 0, "A", 0.1, "pr_mea", 10.0),
-        ("2014", "afp", 0, "A", 0.1, "vl_mea", 5.0),
-        ("2014", "afp", 0, "B", 0.2, "pr_mea", 20.0),
+    assert scatter_lines(cases, perf) == [
+        "2014,afp,0,A,0.10000000000000001,pr_mea,10",
+        "2014,afp,0,A,0.10000000000000001,vl_mea,5",
+        "2014,afp,0,B,0.20000000000000001,pr_mea,20",
     ]
 
 
-def test_scatter_export_skips_agents_without_performance():
+def test_render_scatter_skips_agents_without_performance():
     cases = {("2014", "afp", 0): {"A": 0.1, "GONE": 0.9}}
     perf = {("2014", "A"): {"pr_mea": 1.0}}
-    rows = scatter_export(cases, perf)
-    assert [r[3] for r in rows] == ["A"]
+    lines = scatter_lines(cases, perf)
+    assert [line.split(",")[3] for line in lines] == ["A"]
+
+
+def test_render_scatter_sorts_cases_and_variables():
+    cases = {
+        ("2015", "afp", 0): {"A": 1.0},
+        ("2014", "afv", 0): {"A": 2.0},
+        ("2014", "afp", 1): {"A": 3.0},
+    }
+    perf = {
+        ("2014", "A"): {"vl_mea": 1.0, "age_days": 2.0},
+        ("2015", "A"): {"pr_mea": 3.0},
+    }
+    assert scatter_lines(cases, perf) == [
+        "2014,afp,1,A,3,age_days,2",
+        "2014,afp,1,A,3,vl_mea,1",
+        "2014,afv,0,A,2,age_days,2",
+        "2014,afv,0,A,2,vl_mea,1",
+        "2015,afp,0,A,1,pr_mea,3",
+    ]
+
+
+def test_render_scatter_keeps_negative_zero():
+    cases = {("2014", "afp", 0): {"A": -0.0}}
+    perf = {("2014", "A"): {"pct_dlt_pr": -0.0, "pr_mea": 0.0}}
+    assert scatter_lines(cases, perf) == [
+        "2014,afp,0,A,-0,pct_dlt_pr,-0",
+        "2014,afp,0,A,-0,pr_mea,0",
+    ]
+
+
+def test_render_scatter_integral_float_and_scale_code():
+    cases = {("2014", "afm", 2): {"A": 0.1}}
+    perf = {("2014", "A"): {"age_days": 1.0, "pr_std": 1e-20}}
+    assert scatter_lines(cases, perf) == [
+        "2014,afm,2,A,0.10000000000000001,age_days,1",
+        "2014,afm,2,A,0.10000000000000001,pr_std,9.9999999999999995e-21",
+    ]

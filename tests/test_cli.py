@@ -258,6 +258,15 @@ def test_stock_outputs_match_golden(fixture_tree):
         assert (out / fresh).read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
 
+def test_crypto_outputs_match_golden(fixture_tree):
+    config = fixture_tree / "crypto" / "config.cfg"
+    assert cli.main(["run", "--config", str(config), "--workers", "1"]) == 0
+    out = fixture_tree / "crypto" / "output"
+    for name in ("scatter", "antifragility", "bins", "correlations"):
+        golden = GOLDEN_DIR / f"crypto_{name}.csv"
+        assert (out / f"{name}.csv").read_bytes() == golden.read_bytes()
+
+
 def test_agent_id_with_comma_fails_the_run(fixture_tree, capsys):
     agents = fixture_tree / "crypto" / "agents"
     (agents / "X,Y.csv").write_bytes((agents / "XCOIN.csv").read_bytes())
@@ -281,6 +290,20 @@ def test_window_label_outside_charset_is_a_config_error(fixture_tree, capsys):
     assert not list(fixture_tree.parent.rglob("x_s*.csv"))
 
 
+def test_window_date_must_be_yyyy_mm_dd(tmp_path, capsys):
+    config = tmp_path / "c.cfg"
+    config.write_text(
+        "market_kind = crypto\n"
+        "data_dir = .\n"
+        "output_dir = out\n"
+        "windows = h1:20140101:2014-06-30, h2:2014-07-01:2014-W52-7\n"
+    )
+    assert cli.main(["validate", "--config", str(config)]) == 1
+    out = capsys.readouterr().out
+    assert "error: windows: date '20140101' is not YYYY-MM-DD" in out
+    assert "error: windows: date '2014-W52-7' is not YYYY-MM-DD" in out
+
+
 def test_skipped_bins_are_one_warning_per_run(fixture_tree, caplog):
     config = fixture_tree / "stocks" / "config.cfg"
     with caplog.at_level(logging.WARNING, logger="antifrag"):
@@ -292,3 +315,51 @@ def test_skipped_bins_are_one_warning_per_run(fixture_tree, caplog):
         "age_days, pct_dlt_pr, pct_dlt_mk, pct_dlt_vl, pct_pr_f_i, pct_mk_f_i, "
         "pct_vl_f_i, pr_mea, pr_std, mk_mea, vl_mea"
     )
+
+
+def test_scatter_formats_each_value_once(fixture_tree, monkeypatch):
+    calls = []
+    real_fmt = pipeline.fmt
+    real_render = pipeline._render_scatter
+    calls_at_scatter_end = []
+
+    def counted_fmt(value):
+        calls.append(value)
+        return real_fmt(value)
+
+    def render(*args):
+        text = real_render(*args)
+        calls_at_scatter_end.append(len(calls))
+        return text
+
+    monkeypatch.setattr(pipeline, "fmt", counted_fmt)
+    monkeypatch.setattr(pipeline, "_render_scatter", render)
+    config = fixture_tree / "crypto" / "config.cfg"
+    assert cli.main(["run", "--config", str(config), "--workers", "1"]) == 0
+    out = fixture_tree / "crypto" / "output"
+    a_values = len((out / "antifragility.csv").read_text().splitlines()) - 1
+    defined = sum(
+        1
+        for line in (out / "performance.csv").read_text().splitlines()[1:]
+        for cell in line.split(",")[2:-1]
+        if cell
+    )
+    assert len((out / "scatter.csv").read_text().splitlines()) > a_values
+    assert len(calls_at_scatter_end) == 1
+    assert calls_at_scatter_end[0] <= a_values + defined
+
+
+def test_rerun_without_dump_panels_removes_stale_panels(fixture_tree):
+    config = fixture_tree / "crypto" / "config.cfg"
+    out = fixture_tree / "crypto" / "output"
+    argv = ["run", "--config", str(config), "--workers", "1"]
+    assert cli.main(argv + ["--dump-panels"]) == 0
+    assert len(list((out / "panels").glob("*.csv"))) == 9
+    (out / "panels" / "notes.txt").write_text("kept")
+    assert cli.main(argv) == 0
+    assert sorted(p.name for p in (out / "panels").iterdir()) == ["notes.txt"]
+    (out / "panels" / "notes.txt").unlink()
+    assert cli.main(argv + ["--dump-panels"]) == 0
+    assert cli.main(argv) == 0
+    assert report_names(out) == REPORTS
+    assert not (out / "panels").exists()

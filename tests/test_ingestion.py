@@ -232,6 +232,48 @@ def test_non_finite_market_cap_rejected_blank_accepted(tmp_path):
         load_agent_series(path, "crypto")
 
 
+@pytest.mark.parametrize("text", ["20140103", "2014-W01-5", "2014-1-3", "2014-01-03T00"])
+def test_only_yyyy_mm_dd_dates_accepted(tmp_path, text):
+    path = write(tmp_path, "X.csv",
+                 f"date,open,volume\n2014-01-02,10,100\n{text},11,90\n")
+    with pytest.raises(IngestionError, match=f"line 3: bad date '{text}'"):
+        load_agent_series(path, "stock")
+    index = write(tmp_path, "vix.csv", f"date,level\n2014-01-02,14.5\n{text},15.0\n")
+    with pytest.raises(IngestionError, match=f"line 3: bad date '{text}'"):
+        load_index_series(index, "VIX")
+
+
+def test_byte_order_mark_accepted(tmp_path):
+    text = "date,open,volume\n2014-01-02,10,100\n2014-01-03,11,90\n"
+    plain = load_agent_series(write(tmp_path, "A.csv", text), "stock")
+    path = tmp_path / "B.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert series_to_rows(load_agent_series(path, "stock")) == series_to_rows(plain)
+    index = tmp_path / "vix.csv"
+    index.write_bytes(b"\xef\xbb\xbfdate,level\n2014-01-02,14.5\n")
+    assert load_index_series(index, "VIX").values == ((dt.date(2014, 1, 2), 14.5),)
+
+
+def test_empty_lines_at_end_of_file_accepted(tmp_path):
+    text = "date,open,volume\n2014-01-02,10,100\n2014-01-03,11,90\n"
+    plain = load_agent_series(write(tmp_path, "A.csv", text), "stock")
+    for i, tail in enumerate(["\n", "\n\n\n", "\r\n"]):
+        padded = load_agent_series(write(tmp_path, f"P{i}.csv", text + tail), "stock")
+        assert series_to_rows(padded) == series_to_rows(plain)
+    index = write(tmp_path, "vix.csv", "date,level\n2014-01-02,14.5\n\n")
+    assert len(load_index_series(index, "VIX")) == 1
+
+
+def test_empty_line_before_a_row_rejected(tmp_path):
+    path = write(tmp_path, "X.csv",
+                 "date,open,volume\n2014-01-02,10,100\n\n2014-01-03,11,90\n")
+    with pytest.raises(IngestionError, match="line 3: expected 3 fields, got 0"):
+        load_agent_series(path, "stock")
+    path = write(tmp_path, "Y.csv", "date,open,volume\n\n\n")
+    with pytest.raises(IngestionError, match="no data rows"):
+        load_agent_series(path, "stock")
+
+
 def test_loading_is_order_independent(tmp_path):
     a = write(tmp_path, "A.csv", "date,open,volume\n2014-01-02,10,100\n2014-01-03,11,90\n")
     b = write(tmp_path, "B.csv", "date,open,volume\n2014-01-02,20,200\n2014-01-03,21,190\n")

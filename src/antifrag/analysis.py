@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,12 +26,9 @@ def pearson(xs, ys) -> float | None:
 
     Pairs with an undefined (None or non-finite) member are dropped first.
     """
-    pairs = [
-        (float(x), float(y))
-        for x, y in zip(xs, ys)
-        if x is not None and y is not None
-        and math.isfinite(float(x)) and math.isfinite(float(y))
-    ]
+    pairs = [(float(x), float(y)) for x, y in zip(xs, ys)
+             if x is not None and y is not None]
+    pairs = [(x, y) for x, y in pairs if math.isfinite(x) and math.isfinite(y)]
     if len(pairs) < 2:
         return None
     n = len(pairs)
@@ -66,7 +64,7 @@ def quantile_bin_summary(
     to the lowest bins. Each summary reports count, min, mean, and max of the
     stat values inside the bin.
     """
-    rows = sorted(entries, key=lambda e: (e[1], e[0]))
+    rows = sorted(entries, key=itemgetter(1, 0))
     if len(rows) < n_bins:
         raise ComputeError(
             f"need at least {n_bins} agents to bin, got {len(rows)}"

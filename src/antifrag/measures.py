@@ -8,10 +8,13 @@ defined: an agent whose satisfaction tends to rise with system perturbation
 scores positive (antifragile), one that suffers under perturbation scores
 negative (fragile).
 
-Per-agent contributions to a system mean exist only at periods where the
-underlying inputs exist; the mean at a period divides by the number of agents
-actually contributing there. All means use compensated summation over inputs
-ordered by agent id and period, so results do not depend on scheduling.
+Periods are the panel's int64 period-start day ordinals, and series are
+joined on those sorted arrays (``argsort``, ``searchsorted``,
+``intersect1d``). Per-agent contributions to a system mean exist only at
+periods where the underlying inputs exist; the mean at a period divides by
+the number of agents actually contributing there. Every sum is
+``math.fsum``, which is correctly rounded, so no result depends on the order
+in which values are summed.
 
 Measure ids by market kind:
     stock:  afp (price), afv (price+volume), afx (VIX level), af3m (three
@@ -27,11 +30,12 @@ import datetime as dt
 import logging
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import ComputeError
-from .ingestion import CRYPTO, STOCK, AnalysisWindow
+from .ingestion import CRYPTO, STOCK, to_dates
 from .resampling import (
     MARKET_CAP,
     PRICE,
@@ -54,8 +58,7 @@ class SatisfactionSeries:
     """Signed normalized-price changes of one agent, always within [-1, 1]."""
 
     agent_id: str
-    scale: TimeScale
-    periods: tuple[dt.date, ...]
+    days: np.ndarray
     values: np.ndarray
 
 
@@ -65,62 +68,56 @@ class PerturbationSeries:
 
     measure: str
     scale: TimeScale
-    periods: tuple[dt.date, ...]
+    days: np.ndarray
     values: np.ndarray
+
+    @property
+    def periods(self) -> tuple[dt.date, ...]:
+        """The period starts as dates."""
+        return to_dates(self.days)
 
 
 @dataclass(frozen=True)
 class AntifragilityResult:
     """Antifragility of one agent under one measure at one scale."""
 
-    agent_id: str
-    measure: str
-    scale: TimeScale
-    periods: tuple[dt.date, ...]
+    days: np.ndarray
     instants: np.ndarray
     global_a: float
     n_used: int
 
 
-def satisfaction(prices: NormalizedSeries) -> SatisfactionSeries:
+def satisfaction(agent_id: str, prices: NormalizedSeries) -> SatisfactionSeries:
     """Difference each normalized price against the previous observed one."""
     if len(prices) < 2:
-        raise ComputeError(f"agent {prices.agent_id}: need at least 2 periods")
-    return SatisfactionSeries(
-        agent_id=prices.agent_id,
-        scale=prices.scale,
-        periods=prices.periods[1:],
-        values=np.diff(prices.values),
-    )
+        raise ComputeError(f"agent {agent_id}: need at least 2 periods")
+    return SatisfactionSeries(agent_id, prices.days[1:], np.diff(prices.values))
 
 
-def _system_mean(contributions) -> tuple[tuple[dt.date, ...], np.ndarray]:
-    """Average per-agent (periods, values) contributions period by period.
+def _system_mean(measure: str, contributions) -> tuple[np.ndarray, np.ndarray]:
+    """Average per-agent (days, values) contributions period by period.
 
-    ``contributions`` must be ordered by agent id; within each period the
-    divisor is the count of agents contributing there.
+    Within each period the divisor is the count of agents contributing
+    there. Raises when no agent contributes at any period.
     """
-    bucket: dict[dt.date, list[float]] = {}
-    for periods, values in contributions:
-        for p, v in zip(periods, values.tolist()):
-            bucket.setdefault(p, []).append(v)
-    periods = tuple(sorted(bucket))
-    means = np.array([math.fsum(bucket[p]) / len(bucket[p]) for p in periods])
-    return periods, means
+    if not contributions:
+        raise ComputeError(f"{measure}: no agent defined at any period")
+    days = np.concatenate([d for d, _ in contributions])
+    order = np.argsort(days, kind="stable")
+    periods, first = np.unique(days[order], return_index=True)
+    values = np.concatenate([v for _, v in contributions])[order].tolist()
+    bounds = first.tolist() + [len(values)]
+    means = [math.fsum(values[a:b]) / (b - a) for a, b in zip(bounds, bounds[1:])]
+    return periods, np.array(means)
 
 
 def _abs_diff(series: NormalizedSeries, normalized=True):
     values = series.values if normalized else series.raw
-    return series.periods[1:], np.abs(np.diff(values))
+    return series.days[1:], np.abs(np.diff(values))
 
 
 def _agents_sorted(panel: NormalizedPanel):
     return [panel.agents[aid] for aid in sorted(panel.agents)]
-
-
-def _require_nonempty(measure: str, periods) -> None:
-    if len(periods) == 0:
-        raise ComputeError(f"{measure}: no agent defined at any period")
 
 
 def perturb_price(panel: NormalizedPanel) -> PerturbationSeries:
@@ -132,15 +129,13 @@ def perturb_price(panel: NormalizedPanel) -> PerturbationSeries:
     """
     if panel.market_kind == STOCK:
         contribs = [_abs_diff(ch[PRICE]) for ch in _agents_sorted(panel)]
-        periods, means = _system_mean(contribs)
-        _require_nonempty("afp", periods)
+        days, means = _system_mean("afp", contribs)
         values = np.clip(means, 0.0, 1.0)
     else:
         contribs = [_abs_diff(ch[PRICE], normalized=False) for ch in _agents_sorted(panel)]
-        periods, means = _system_mean(contribs)
-        _require_nonempty("afp", periods)
+        days, means = _system_mean("afp", contribs)
         values = minmax_normalize(means)
-    return PerturbationSeries("afp", panel.scale, periods, values)
+    return PerturbationSeries("afp", panel.scale, days, values)
 
 
 def perturb_volume_stock(
@@ -150,24 +145,19 @@ def perturb_volume_stock(
     contribs = []
     for aid in sorted(panel.agents):
         s = satisfactions[aid]
-        periods, dv = _signed_diff(panel.agents[aid][VOLUME])
+        volume = panel.agents[aid][VOLUME]
         # price and volume share the agent's period grid, so s aligns with dv
-        contribs.append((periods, np.abs(s.values + dv) / 2.0))
-    periods, means = _system_mean(contribs)
-    _require_nonempty("afv", periods)
-    return PerturbationSeries("afv", panel.scale, periods, means)
-
-
-def _signed_diff(series: NormalizedSeries):
-    return series.periods[1:], np.diff(series.values)
+        dv = np.diff(volume.values)
+        contribs.append((volume.days[1:], np.abs(s.values + dv) / 2.0))
+    days, means = _system_mean("afv", contribs)
+    return PerturbationSeries("afv", panel.scale, days, means)
 
 
 def perturb_volume_crypto(panel: NormalizedPanel) -> PerturbationSeries:
     """Crypto volume perturbation: absolute normalized-volume changes."""
     contribs = [_abs_diff(ch[VOLUME]) for ch in _agents_sorted(panel)]
-    periods, means = _system_mean(contribs)
-    _require_nonempty("afv", periods)
-    return PerturbationSeries("afv", panel.scale, periods, means)
+    days, means = _system_mean("afv", contribs)
+    return PerturbationSeries("afv", panel.scale, days, means)
 
 
 def perturb_marketcap(panel: NormalizedPanel) -> PerturbationSeries:
@@ -181,9 +171,8 @@ def perturb_marketcap(panel: NormalizedPanel) -> PerturbationSeries:
         cap = panel.agents[aid].get(MARKET_CAP)
         if cap is not None and len(cap) >= 2:
             contribs.append(_abs_diff(cap))
-    periods, means = _system_mean(contribs)
-    _require_nonempty("afm", periods)
-    return PerturbationSeries("afm", panel.scale, periods, means)
+    days, means = _system_mean("afm", contribs)
+    return PerturbationSeries("afm", panel.scale, days, means)
 
 
 def perturb_normalized_price(
@@ -193,11 +182,10 @@ def perturb_normalized_price(
     contribs = []
     for aid in sorted(panel.agents):
         s = satisfactions[aid]
-        if len(s.periods) >= 2:
-            contribs.append((s.periods[1:], np.abs(s.values[:-1])))
-    periods, means = _system_mean(contribs)
-    _require_nonempty("afn", periods)
-    return PerturbationSeries("afn", panel.scale, periods, means)
+        if len(s.days) >= 2:
+            contribs.append((s.days[1:], np.abs(s.values[:-1])))
+    days, means = _system_mean("afn", contribs)
+    return PerturbationSeries("afn", panel.scale, days, means)
 
 
 def perturb_vix(panel: NormalizedPanel) -> PerturbationSeries:
@@ -205,7 +193,7 @@ def perturb_vix(panel: NormalizedPanel) -> PerturbationSeries:
     vix = panel.indexes.get("VIX")
     if vix is None or len(vix) == 0:
         raise ComputeError("afx: no VIX data inside the window")
-    return PerturbationSeries("afx", panel.scale, vix.periods, vix.values.copy())
+    return PerturbationSeries("afx", panel.scale, vix.days, vix.values.copy())
 
 
 def perturb_three_indexes(panel: NormalizedPanel) -> PerturbationSeries:
@@ -216,13 +204,13 @@ def perturb_three_indexes(panel: NormalizedPanel) -> PerturbationSeries:
         index = panel.indexes.get(iid)
         if index is None or len(index) < 2:
             raise ComputeError(f"af3m: insufficient {iid} data inside the window")
-        periods, diffs = _abs_diff(index)
-        parts.append(dict(zip(periods, diffs.tolist())))
-    common = sorted(set(parts[0]) & set(parts[1]) & set(parts[2]))
-    if not common:
+        parts.append(_abs_diff(index))
+    common = reduce(np.intersect1d, [days for days, _ in parts])
+    if not len(common):
         raise ComputeError("af3m: indexes share no differenced period")
-    values = np.array([math.fsum([p[t] for p in parts]) / 3.0 for t in common])
-    return PerturbationSeries("af3m", panel.scale, tuple(common), values)
+    columns = [diffs[np.searchsorted(days, common)].tolist() for days, diffs in parts]
+    values = np.array([math.fsum(t) / 3.0 for t in zip(*columns)])
+    return PerturbationSeries("af3m", panel.scale, common, values)
 
 
 def antifragility(
@@ -234,27 +222,19 @@ def antifragility(
     value is the plain mean of those instants. Returns None (the agent is
     excluded for this measure) when no period overlaps.
     """
-    pmap = dict(zip(p.periods, p.values.tolist()))
-    periods = []
-    instants = []
-    for t, sv in zip(s.periods, s.values.tolist()):
-        pv = pmap.get(t)
-        if pv is not None:
-            periods.append(t)
-            instants.append(sv * pv)
-    if not periods:
+    at = p.days.searchsorted(s.days)
+    both = p.days.take(at, mode="clip") == s.days
+    instants = s.values[both] * p.values[at[both]]
+    if not len(instants):
         logger.info(
             "agent %s excluded for %s at scale %d: no overlapping periods",
             s.agent_id, p.measure, int(p.scale),
         )
         return None
     return AntifragilityResult(
-        agent_id=s.agent_id,
-        measure=p.measure,
-        scale=p.scale,
-        periods=tuple(periods),
-        instants=np.array(instants),
-        global_a=math.fsum(instants) / len(instants),
+        days=s.days[both],
+        instants=instants,
+        global_a=math.fsum(instants.tolist()) / len(instants),
         n_used=len(instants),
     )
 
@@ -263,8 +243,6 @@ def antifragility(
 class WindowScaleResults:
     """Everything one (window, scale) case produced."""
 
-    window: AnalysisWindow
-    scale: TimeScale
     alive_agents: tuple[str, ...]
     satisfactions: dict[str, SatisfactionSeries]
     perturbations: dict[str, PerturbationSeries]
@@ -278,7 +256,7 @@ def compute_measures(panel: NormalizedPanel, measures) -> WindowScaleResults:
             raise ComputeError(f"measure {m} invalid for {panel.market_kind}")
 
     satisfactions = {
-        aid: satisfaction(panel.agents[aid][PRICE]) for aid in sorted(panel.agents)
+        aid: satisfaction(aid, panel.agents[aid][PRICE]) for aid in sorted(panel.agents)
     }
 
     perturbations: dict[str, PerturbationSeries] = {}
@@ -308,8 +286,6 @@ def compute_measures(panel: NormalizedPanel, measures) -> WindowScaleResults:
         results[m] = per_measure
 
     out = WindowScaleResults(
-        window=panel.window,
-        scale=panel.scale,
         alive_agents=tuple(sorted(panel.agents)),
         satisfactions=satisfactions,
         perturbations=perturbations,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,31 +33,6 @@ PERF_VARIABLES = (
     "mk_mea",
     "vl_mea",
 )
-
-
-@dataclass(frozen=True)
-class PerformanceRecord:
-    agent_id: str
-    window: str
-    age_days: int
-    pct_dlt_pr: float | None
-    pct_dlt_mk: float | None
-    pct_dlt_vl: float | None
-    pct_pr_f_i: float | None
-    pct_mk_f_i: float | None
-    pct_vl_f_i: float | None
-    pr_mea: float | None
-    pr_std: float | None
-    mk_mea: float | None
-    vl_mea: float | None
-    is_top_performer: bool
-
-    def variables(self) -> dict[str, float | None]:
-        """Metric values keyed by variable id, age as a float."""
-        out = {"age_days": float(self.age_days)}
-        for name in PERF_VARIABLES[1:]:
-            out[name] = getattr(self, name)
-        return out
 
 
 def _channel_metrics(values: list[float]):
@@ -94,12 +68,10 @@ def top_ids_for(
 
 
 def compute_performance(
-    series: AgentSeries,
-    full_history_start: dt.date,
-    window: AnalysisWindow,
-    top_ids: frozenset[str],
-) -> PerformanceRecord:
-    """All metrics for one agent over one window.
+    series: AgentSeries, full_history_start: dt.date, window: AnalysisWindow
+) -> dict[str, float | None]:
+    """All metrics for one agent over one window, keyed by variable id in
+    ``PERF_VARIABLES`` order, with ``age_days`` as a float.
 
     ``series`` must already be sliced to the window and hold at least two
     observations.
@@ -115,19 +87,16 @@ def compute_performance(
     mean = math.fsum(prices) / len(prices)
     pr_std = float(np.sqrt(math.fsum((p - mean) ** 2 for p in prices) / len(prices)))
 
-    return PerformanceRecord(
-        agent_id=series.agent_id,
-        window=window.label,
-        age_days=(window.end - full_history_start).days,
-        pct_dlt_pr=pct_dlt_pr,
-        pct_dlt_mk=pct_dlt_mk,
-        pct_dlt_vl=pct_dlt_vl,
-        pct_pr_f_i=pct_pr_f_i,
-        pct_mk_f_i=pct_mk_f_i,
-        pct_vl_f_i=pct_vl_f_i,
-        pr_mea=pr_mea,
-        pr_std=pr_std,
-        mk_mea=mk_mea,
-        vl_mea=vl_mea,
-        is_top_performer=series.agent_id in top_ids,
-    )
+    return {
+        "age_days": float((window.end - full_history_start).days),
+        "pct_dlt_pr": pct_dlt_pr,
+        "pct_dlt_mk": pct_dlt_mk,
+        "pct_dlt_vl": pct_dlt_vl,
+        "pct_pr_f_i": pct_pr_f_i,
+        "pct_mk_f_i": pct_mk_f_i,
+        "pct_vl_f_i": pct_vl_f_i,
+        "pr_mea": pr_mea,
+        "pr_std": pr_std,
+        "mk_mea": mk_mea,
+        "vl_mea": vl_mea,
+    }

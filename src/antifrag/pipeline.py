@@ -33,6 +33,7 @@ from .ingestion import (
     load_index_series,
     load_top_performers,
     slice_window,
+    to_dates,
 )
 from .measures import compute_measures
 from .performance import PERF_VARIABLES, compute_performance, top_ids_for
@@ -128,9 +129,7 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
 
     # performance per window, only for agents alive in that window
     perf_variables: dict[tuple[str, str], dict[str, float | None]] = {
-        (w.label, s.agent_id): compute_performance(
-            s, full_start[s.agent_id], w, top_by_window[w.label]
-        ).variables()
+        (w.label, s.agent_id): compute_performance(s, full_start[s.agent_id], w)
         for w in config.windows
         for s in sliced_by_window[w.label]
     }
@@ -327,12 +326,15 @@ def _panel_dumps(panel) -> dict[str, str]:
         if not series:
             continue
         ids = sorted(series)
-        maps = {i: dict(zip(series[i].periods, series[i].values.tolist())) for i in ids}
         # agents share the panel's period axis; indexes span their own periods
         axis = panel.period_axis
         if name == INDEX:
-            axis = sorted({p for m in maps.values() for p in m})
-        rows = [[p.isoformat()] + [maps[i].get(p) for i in ids] for p in axis]
+            axis = np.unique(np.concatenate([series[i].days for i in ids]))
+        rows = [[d.isoformat()] + [None] * len(ids) for d in to_dates(axis)]
+        for column, i in enumerate(ids, 1):
+            at = np.searchsorted(axis, series[i].days).tolist()
+            for row, value in zip(at, series[i].values.tolist()):
+                rows[row][column] = value
         out[f"{prefix}_{name}.csv"] = _csv(["period"] + ids, rows)
     return out
 

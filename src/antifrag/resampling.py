@@ -20,7 +20,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ComputeError
-from .ingestion import CRYPTO, AgentSeries, AnalysisWindow, IndexSeries, to_dates
+from .ingestion import CRYPTO, AgentSeries, AnalysisWindow, IndexSeries
 
 PRICE = "price"
 VOLUME = "volume"
@@ -81,19 +81,17 @@ def minmax_normalize(values) -> np.ndarray:
 class NormalizedSeries:
     """One agent channel (or one index) on the resampled period grid.
 
-    ``raw`` holds the resampled input values and ``values`` their min-max
-    normalization over the analysis window; both align with ``periods``.
+    ``days`` holds the period-start day ordinals, ``raw`` the resampled input
+    values and ``values`` their min-max normalization over the analysis
+    window; all three align.
     """
 
-    agent_id: str
-    scale: TimeScale
-    channel: str
-    periods: tuple[dt.date, ...]
+    days: np.ndarray
     raw: np.ndarray
     values: np.ndarray
 
     def __len__(self):
-        return len(self.periods)
+        return len(self.days)
 
 
 @dataclass(frozen=True)
@@ -103,13 +101,13 @@ class NormalizedPanel:
     market_kind: str
     window: AnalysisWindow
     scale: TimeScale
-    period_axis: tuple[dt.date, ...]
+    period_axis: np.ndarray
     agents: dict[str, dict[str, NormalizedSeries]]
     indexes: dict[str, NormalizedSeries]
 
 
-def _normalized(agent_id, scale, channel, periods, raw) -> NormalizedSeries:
-    return NormalizedSeries(agent_id, scale, channel, periods, raw, minmax_normalize(raw))
+def _normalized(days, raw) -> NormalizedSeries:
+    return NormalizedSeries(days, raw, minmax_normalize(raw))
 
 
 def build_panel(
@@ -133,21 +131,15 @@ def build_panel(
         if len(keys) < 2:
             continue
         axis.append(keys)
-        periods = to_dates(keys)
-        aid = series.agent_id
         channels = {
-            PRICE: _normalized(aid, scale, PRICE, periods, series.open[first]),
-            VOLUME: _normalized(
-                aid, scale, VOLUME, periods, _bucket_sums(series.volume, first)
-            ),
+            PRICE: _normalized(keys, series.open[first]),
+            VOLUME: _normalized(keys, _bucket_sums(series.volume, first)),
         }
         cap = series.cap[first]
         has_cap = ~np.isnan(cap)
         if has_cap.any():
-            channels[MARKET_CAP] = _normalized(
-                aid, scale, MARKET_CAP, to_dates(keys[has_cap]), cap[has_cap]
-            )
-        panel_agents[aid] = channels
+            channels[MARKET_CAP] = _normalized(keys[has_cap], cap[has_cap])
+        panel_agents[series.agent_id] = channels
 
     if not panel_agents:
         raise ComputeError(
@@ -162,15 +154,13 @@ def build_panel(
         )
         if not len(keys):
             continue
-        panel_indexes[index.index_id] = _normalized(
-            index.index_id, scale, INDEX, to_dates(keys), index.levels[inside][first]
-        )
+        panel_indexes[index.index_id] = _normalized(keys, index.levels[inside][first])
 
     return NormalizedPanel(
         market_kind=market_kind,
         window=window,
         scale=scale,
-        period_axis=to_dates(np.unique(np.concatenate(axis))),
+        period_axis=np.unique(np.concatenate(axis)),
         agents=panel_agents,
         indexes=panel_indexes,
     )

@@ -122,13 +122,13 @@ def assert_engine_matches_oracle(plain_agents, plain_indexes, kind, scale,
                 assert want == {}
                 continue
             series = channels[channel]
-            got = dict(zip(series.periods, series.values.tolist()))
+            got = dict(zip(to_dates(series.days), series.values.tolist()))
             assert got.keys() == want.keys()
             for p in want:
                 assert got[p] == pytest.approx(want[p], abs=tol, rel=tol)
 
     for aid, s in ws.satisfactions.items():
-        got = dict(zip(s.periods, s.values.tolist()))
+        got = dict(zip(to_dates(s.days), s.values.tolist()))
         want = ref["satisfaction"][aid]
         assert got.keys() == want.keys()
         for p in want:
@@ -136,7 +136,7 @@ def assert_engine_matches_oracle(plain_agents, plain_indexes, kind, scale,
 
     assert set(ws.perturbations) == set(ref["perturbation"])
     for m, p in ws.perturbations.items():
-        got = dict(zip(p.periods, p.values.tolist()))
+        got = dict(zip(to_dates(p.days), p.values.tolist()))
         want = ref["perturbation"][m]
         assert got.keys() == want.keys()
         for t in want:
@@ -149,7 +149,7 @@ def assert_engine_matches_oracle(plain_agents, plain_indexes, kind, scale,
             want_global, want_n, want_instants = want_measure[aid]
             assert result.n_used == want_n
             assert result.global_a == pytest.approx(want_global, abs=tol, rel=tol)
-            got = dict(zip(result.periods, result.instants.tolist()))
+            got = dict(zip(to_dates(result.days), result.instants.tolist()))
             assert got.keys() == want_instants.keys()
             for t in want_instants:
                 assert got[t] == pytest.approx(want_instants[t], abs=tol, rel=tol)

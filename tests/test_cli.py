@@ -1,5 +1,6 @@
 """End-to-end command line tests built on the synthetic fixture dataset."""
 
+import hashlib
 import logging
 import types
 from pathlib import Path
@@ -112,6 +113,45 @@ def test_dump_panels_writes_normalized_series(fixture_tree):
     assert (panels / "2014_s2_market_cap.csv").is_file()
     header = (panels / "2014_s0_price.csv").read_text().splitlines()[0]
     assert header == "period,XCOIN,YCOIN,ZCOIN"
+
+
+# SHA-256 of every --dump-panels file of both fixtures, written by the code
+# that still joined dates through dicts; the ordinal-array dump must match.
+PANEL_DIGESTS = {
+    "stocks": {
+        "2014_s0_index.csv": "b891b652e54cb57ecd323d3080ea8ab86409260202b3830ea64d40103c52c588",
+        "2014_s0_price.csv": "93560c6b4013dc7e44ae60b2d50a24dd1955b48a43c3f3816cd7da4abecc7450",
+        "2014_s0_volume.csv": "5212513ad52658c2dbd7100397c03435ff3496558f85080129b608fc68c03208",
+        "2014_s1_index.csv": "ca302cd1ef90dd1b63046fa81212b07576bc27a1c5d0560710f0241f586a4534",
+        "2014_s1_price.csv": "3e4a0f894718ccab04145c54115ef8abd19f22d750cda66b3651c2838bdc90fb",
+        "2014_s1_volume.csv": "a8d8682c460ed64d575e0aa9c450168b84f823a17c50a48545a45ba5ab8cb359",
+        "2014_s2_index.csv": "cce9232442d2a6d5bfd6d97bca280bbe6857f38e895d941f5c4b0a06ab2abfd7",
+        "2014_s2_price.csv": "b743748e815b28bc6e09b3fc72ba83720c5d7cc4e24a3d14152119efddd0cdf2",
+        "2014_s2_volume.csv": "af9ffecb38917ece795743cec24467cb22154a63a699a780d08689267fd5ad3a",
+    },
+    "crypto": {
+        "2014_s0_market_cap.csv": "abcbe81a0cf989b72f2379d0dda02f7d76391c0fd2df1ba582c63e05a36392da",
+        "2014_s0_price.csv": "60b6e21aa56426c58305bea4c6c1be4fb58ad3c0aed9c3cc95a6796a47125319",
+        "2014_s0_volume.csv": "506402e5c85e65b03b714c3990a5df1043c8b90707976a9dc9aae3105a51da9d",
+        "2014_s1_market_cap.csv": "a22b130f8c9e275603a74ad16766e42d92ea89c0652a918feab043faca4de1b8",
+        "2014_s1_price.csv": "d1c45ed276eb30b3964867f8a84ca9b53ee770b22ca5b729fd68fbb97d9b1462",
+        "2014_s1_volume.csv": "81cefb70c8b041352d4e54bad8f46e47fb4360b85e23bb25d0a557744d3cf1ce",
+        "2014_s2_market_cap.csv": "a95cb595c8bbb9766807d02e0026e2658445184b618a40fc879d2a6d9bbd3f03",
+        "2014_s2_price.csv": "6e4a6340d343cf4d2ef210a799103ad9946e1b4ba7ae5c6c26a6dd99dc8a90a3",
+        "2014_s2_volume.csv": "eb99cfde2ddbb145421c4c3b6cb9dcca5e59291ee3a7030bb09def8d378e42d5",
+    },
+}
+
+
+@pytest.mark.parametrize("market", sorted(PANEL_DIGESTS))
+def test_dump_panels_bytes_are_pinned(fixture_tree, market):
+    config = fixture_tree / market / "config.cfg"
+    argv = ["run", "--config", str(config), "--workers", "1", "--dump-panels"]
+    assert cli.main(argv) == 0
+    panels = fixture_tree / market / "output" / "panels"
+    assert {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in panels.iterdir()
+    } == PANEL_DIGESTS[market]
 
 
 @pytest.mark.parametrize("dump_panels", [False, True])

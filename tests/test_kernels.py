@@ -1,15 +1,18 @@
-"""Property tests for the columnar kernels: load, slice, resample.
+"""Property tests for the columnar kernels: load, slice, resample, join.
 
 Random agents with random gap patterns and blank market caps go through the
 CSV loader and the panel builder. Resampled volumes must equal a per-period
 ``np.sum`` loop bit for bit, and every panel must match the brute-force
-oracle.
+oracle. The measures' array joins must equal a dict-per-period reference
+bit for bit.
 """
 
 import datetime as dt
+import math
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -21,11 +24,20 @@ from antifrag.ingestion import (
     agent_csv_text,
     load_agent_series,
     slice_window,
+    to_dates,
 )
+from antifrag import measures
 from antifrag.measures import MEASURES_BY_KIND
 from antifrag.resampling import VOLUME, TimeScale, build_panel
 
-from conftest import assert_engine_matches_oracle, make_agent, series_to_rows
+from conftest import (
+    assert_engine_matches_oracle,
+    engine_case,
+    make_agent,
+    plain_to_agents,
+    plain_to_indexes,
+    series_to_rows,
+)
 from oracle import oracle_compute, period_of
 
 START = dt.date(2015, 12, 21)  # a Monday, so weeks and months straddle a year end
@@ -107,7 +119,7 @@ def test_resampled_volumes_equal_per_period_sums_bit_for_bit(market):
         for d, _, volume, _ in agents[aid]:
             buckets.setdefault(period_of(d, scale), []).append(volume)
         want = [float(np.sum(list(buckets[p]))) for p in sorted(buckets)]
-        assert channels[VOLUME].periods == tuple(sorted(buckets))
+        assert to_dates(channels[VOLUME].days) == tuple(sorted(buckets))
         assert channels[VOLUME].raw.tolist() == want
 
 
@@ -124,3 +136,72 @@ def test_engine_matches_oracle_on_random_gaps_and_blank_caps(market):
     measures = [m for m in MEASURES_BY_KIND[kind] if ref["perturbation"][m]]
     assert_engine_matches_oracle(agents, indexes, kind, scale, window, measures,
                                  tol=1e-9)
+
+
+def by_period(days, values) -> dict[int, list[float]]:
+    buckets = {}
+    for t, v in zip(days.tolist(), values.tolist()):
+        buckets.setdefault(t, []).append(v)
+    return buckets
+
+
+@SETTINGS
+@given(markets(MODERATE), st.data())
+def test_joins_equal_dict_per_period_reference_bit_for_bit(market, data):
+    kind, scale, agents, indexes = market
+    assume(alive(agents, scale))
+    # each index gets its own levels and gaps, so the af3m join is not trivial
+    for iid, rows in indexes.items():
+        drop = data.draw(st.sets(st.integers(0, len(rows) - 1), max_size=len(rows) - 2))
+        indexes[iid] = [(d, data.draw(MODERATE)) for j, (d, _) in enumerate(rows)
+                        if j not in drop]
+    window = window_of(agents)
+    ref = oracle_compute(agents, indexes, kind, scale, window.start, window.end,
+                         MEASURES_BY_KIND[kind])
+    means = []
+    real_system_mean = measures._system_mean
+
+    def recorded(measure, contributions):
+        out = real_system_mean(measure, contributions)
+        means.append((contributions, out))
+        return out
+
+    with mock.patch.object(measures, "_system_mean", recorded):
+        panel, ws = engine_case(
+            plain_to_agents(agents, kind), plain_to_indexes(indexes), window, scale,
+            [m for m in MEASURES_BY_KIND[kind] if ref["perturbation"][m]],
+        )
+
+    for contributions, (days, values) in means:
+        buckets = {}
+        for agent_days, agent_values in contributions:
+            for t, v in by_period(agent_days, agent_values).items():
+                buckets.setdefault(t, []).extend(v)
+        assert days.tolist() == sorted(buckets)
+        assert values.tolist() == [math.fsum(buckets[t]) / len(buckets[t])
+                                   for t in sorted(buckets)]
+
+    if "af3m" in ws.perturbations:
+        diffs = [by_period(index.days[1:], np.abs(np.diff(index.values)))
+                 for index in (panel.indexes[i] for i in ("NASDAQ", "DJI", "SPX"))]
+        common = sorted(set(diffs[0]) & set(diffs[1]) & set(diffs[2]))
+        p = ws.perturbations["af3m"]
+        assert p.days.tolist() == common
+        assert p.values.tolist() == [math.fsum(d[t][0] for d in diffs) / 3.0
+                                     for t in common]
+
+    for m, per_agent in ws.results.items():
+        p = ws.perturbations[m]
+        pmap = dict(zip(p.days.tolist(), p.values.tolist()))
+        for aid, s in ws.satisfactions.items():
+            joined = [(t, sv * pmap[t]) for t, sv in zip(s.days.tolist(), s.values.tolist())
+                      if t in pmap]
+            if not joined:
+                assert aid not in per_agent
+                continue
+            result = per_agent[aid]
+            instants = [v for _, v in joined]
+            assert result.days.tolist() == [t for t, _ in joined]
+            assert result.instants.tolist() == instants
+            assert result.n_used == len(instants)
+            assert result.global_a == math.fsum(instants) / len(instants)

@@ -5,7 +5,7 @@ import pytest
 
 from antifrag import fixture as fixt
 from antifrag.errors import ComputeError
-from antifrag.ingestion import AnalysisWindow
+from antifrag.ingestion import AnalysisWindow, to_dates
 from antifrag.measures import (
     PerturbationSeries,
     SatisfactionSeries,
@@ -40,30 +40,33 @@ def panel_of(agent_rows: dict, kind="stock", indexes=None, scale=TimeScale.DAILY
 
 
 def sats(panel):
-    return {aid: satisfaction(panel.agents[aid]["price"]) for aid in panel.agents}
+    return {aid: satisfaction(aid, panel.agents[aid]["price"]) for aid in panel.agents}
+
+
+def ordinals(*dates):
+    return np.array([d.toordinal() for d in dates])
 
 
 def test_satisfaction_exact_values():
     # raw opens 10,20,15 normalize to 0,1,0.5
     panel = panel_of({"X": [(day(i), p, 1) for i, p in enumerate([10, 20, 15])]})
-    s = satisfaction(panel.agents["X"]["price"])
-    assert s.periods == (day(1), day(2))
+    s = satisfaction("X", panel.agents["X"]["price"])
+    assert to_dates(s.days) == (day(1), day(2))
     assert s.values.tolist() == [1.0, -0.5]
 
 
 def test_satisfaction_constant_price_is_zero():
     panel = panel_of({"X": [(day(i), 7, 1) for i in range(3)]})
-    assert satisfaction(panel.agents["X"]["price"]).values.tolist() == [0.0, 0.0]
+    assert satisfaction("X", panel.agents["X"]["price"]).values.tolist() == [0.0, 0.0]
 
 
 def test_satisfaction_from_prevalidated_series():
     series = NormalizedSeries(
-        "X", TimeScale.DAILY, "price",
-        (day(0), day(1), day(2)),
+        ordinals(day(0), day(1), day(2)),
         np.array([0.2, 0.2, 0.9]),
         np.array([0.2, 0.2, 0.9]),
     )
-    s = satisfaction(series)
+    s = satisfaction("X", series)
     assert s.values[0] == 0.0
     assert s.values[1] == pytest.approx(0.7, abs=1e-15)
 
@@ -186,7 +189,7 @@ def test_vix_missing_period_excluded_from_join():
     indexes = {"VIX": [(day(0), 10), (day(2), 30)]}
     panel = panel_of({"X": [(day(i), 10 + i, 1) for i in range(3)]}, indexes=indexes)
     result = antifragility(sats(panel)["X"], perturb_vix(panel))
-    assert result.periods == (day(2),)
+    assert to_dates(result.days) == (day(2),)
     assert result.n_used == 1
 
 
@@ -222,9 +225,8 @@ def test_perturb_three_indexes_requires_all_three():
 
 
 def test_antifragility_exact_product_and_mean():
-    s = SatisfactionSeries("X", TimeScale.DAILY, (day(1), day(2)),
-                           np.array([1.0, -0.5]))
-    p = PerturbationSeries("afp", TimeScale.DAILY, (day(1), day(2)),
+    s = SatisfactionSeries("X", ordinals(day(1), day(2)), np.array([1.0, -0.5]))
+    p = PerturbationSeries("afp", TimeScale.DAILY, ordinals(day(1), day(2)),
                            np.array([0.5, 0.5]))
     result = antifragility(s, p)
     assert result.instants.tolist() == [0.5, -0.25]
@@ -233,17 +235,16 @@ def test_antifragility_exact_product_and_mean():
 
 
 def test_antifragility_zero_satisfaction_is_exactly_zero():
-    s = SatisfactionSeries("X", TimeScale.DAILY, (day(1), day(2)),
-                           np.array([0.0, 0.0]))
-    p = PerturbationSeries("afp", TimeScale.DAILY, (day(1), day(2)),
+    s = SatisfactionSeries("X", ordinals(day(1), day(2)), np.array([0.0, 0.0]))
+    p = PerturbationSeries("afp", TimeScale.DAILY, ordinals(day(1), day(2)),
                            np.array([0.3, 0.9]))
     result = antifragility(s, p)
     assert result.global_a == 0.0
 
 
 def test_antifragility_empty_intersection_returns_none():
-    s = SatisfactionSeries("X", TimeScale.DAILY, (day(1),), np.array([1.0]))
-    p = PerturbationSeries("afp", TimeScale.DAILY, (day(2),), np.array([0.5]))
+    s = SatisfactionSeries("X", ordinals(day(1)), np.array([1.0]))
+    p = PerturbationSeries("afp", TimeScale.DAILY, ordinals(day(2)), np.array([0.5]))
     assert antifragility(s, p) is None
 
 
@@ -284,11 +285,11 @@ def test_system_mean_matches_reversed_summation_order():
     panel = panel_of(rows)
     p = perturb_price(panel)
     diffs = {
-        aid: dict(zip(panel.agents[aid]["price"].periods[1:],
+        aid: dict(zip(panel.agents[aid]["price"].days[1:].tolist(),
                       np.abs(np.diff(panel.agents[aid]["price"].values)).tolist()))
         for aid in panel.agents
     }
-    for t, value in zip(p.periods, p.values.tolist()):
+    for t, value in zip(p.days.tolist(), p.values.tolist()):
         contribs = [diffs[aid][t] for aid in sorted(diffs, reverse=True) if t in diffs[aid]]
         assert value == pytest.approx(sum(contribs) / len(contribs), abs=1e-12)
 
@@ -317,4 +318,4 @@ def test_crypto_fixture_monthly_is_three_agents_five_periods():
     panel, ws = engine_case(agents, [], fixt.WINDOW, 2, ("afp",))
     assert len(panel.agents) == 3
     for channels in panel.agents.values():
-        assert len(channels["price"].periods) == 5
+        assert len(channels["price"]) == 5

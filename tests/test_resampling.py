@@ -25,7 +25,7 @@ def resample(rows, scale, kind="stock"):
     """One agent's resampled channels: {channel: (periods, raw values)}."""
     panel = build_panel([make_agent("X", kind, rows)], [], WINDOW, scale)
     return {
-        channel: (series.periods, series.raw.tolist())
+        channel: (to_dates(series.days), series.raw.tolist())
         for channel, series in panel.agents["X"].items()
     }
 
@@ -121,7 +121,7 @@ def test_panel_axis_is_union_of_disjoint_grids():
     a = make_agent("A", "stock", [(day(0), 10, 1), (day(2), 11, 1)])
     b = make_agent("B", "stock", [(day(1), 20, 1), (day(3), 21, 1)])
     panel = build_panel([a, b], [], WINDOW, TimeScale.DAILY)
-    assert panel.period_axis == (day(0), day(1), day(2), day(3))
+    assert to_dates(panel.period_axis) == (day(0), day(1), day(2), day(3))
 
 
 def test_panel_drops_agents_below_two_periods():
@@ -162,7 +162,7 @@ def test_panel_values_inside_unit_interval():
 def test_panel_never_invents_periods():
     a = make_agent("A", "stock", [(day(0), 10, 1), (day(3), 11, 1), (day(14), 12, 1)])
     panel = build_panel([a], [], WINDOW, TimeScale.DAILY)
-    assert panel.agents["A"]["price"].periods == (day(0), day(3), day(14))
+    assert to_dates(panel.agents["A"]["price"].days) == (day(0), day(3), day(14))
 
 
 def test_index_resampled_and_normalized():
@@ -174,6 +174,6 @@ def test_index_resampled_and_normalized():
         TimeScale.WEEKLY,
     )
     vix = panel.indexes["VIX"]
-    assert vix.periods == (day(0), day(7))
+    assert to_dates(vix.days) == (day(0), day(7))
     assert vix.raw.tolist() == [10.0, 17.0]
     assert vix.values.tolist() == [0.0, 1.0]

@@ -9,7 +9,8 @@
 ``--workers`` is accepted but has no effect. ``validate``
 checks a config without touching any data files. ``fixture`` writes the
 built-in synthetic dataset (stocks/ and crypto/ trees, each with a ready
-config) for smoke testing.
+config) for smoke testing. ``pipeline`` and ``fixture`` are imported only
+by the commands that use them, so ``validate`` never imports numpy.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ import logging
 import sys
 from pathlib import Path
 
-from . import pipeline
 from .config import load_config
 from .errors import AntifragError
-from .fixture import write_fixture_tree
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,6 +59,8 @@ def main(argv=None) -> int:
     )
 
     if args.command == "fixture":
+        from .fixture import write_fixture_tree
+
         configs = write_fixture_tree(args.out)
         for path in configs:
             print(path)
@@ -90,6 +91,8 @@ def main(argv=None) -> int:
             config.worker_count = args.workers
         if args.out is not None:
             config.output_dir = args.out
+        from . import pipeline
+
         pipeline.run(config, dump_panels=args.dump_panels)
     except AntifragError as exc:
         print(f"error: {exc}", file=sys.stderr)

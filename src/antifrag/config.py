@@ -18,24 +18,80 @@ A window spec is either a plain year (``2014`` covers the calendar year) or
 names report rows and ``--dump-panels`` files, so it may only contain
 letters, digits, ``.``, ``_`` and ``-``.
 Relative paths are resolved against the config file's directory.
+
+The names a config refers to (market kinds, measure ids, time scales, safe
+names, dates, windows) are defined here, and this module imports no numpy,
+so ``antifrag validate`` never pays for importing it.
 """
 
 from __future__ import annotations
 
+import datetime as dt
+import re
 from dataclasses import dataclass
+from enum import IntEnum
 from pathlib import Path
 
-from .errors import ConfigError
-from .ingestion import (
-    MARKET_KINDS,
-    SAFE_NAME_RULE,
-    STOCK,
-    AnalysisWindow,
-    is_safe_name,
-    parse_date,
-)
-from .measures import MEASURES_BY_KIND
-from .resampling import TimeScale
+from .errors import ConfigError, IngestionError
+
+STOCK = "stock"
+CRYPTO = "crypto"
+MARKET_KINDS = (STOCK, CRYPTO)
+
+MEASURES_BY_KIND = {
+    STOCK: ("af3m", "afp", "afv", "afx"),
+    CRYPTO: ("afm", "afn", "afp", "afv"),
+}
+
+
+class TimeScale(IntEnum):
+    DAILY = 0
+    WEEKLY = 1
+    MONTHLY = 2
+
+
+_SAFE_NAME = re.compile(r"[A-Za-z0-9._-]+")
+SAFE_NAME_RULE = "may only contain letters, digits, '.', '_' and '-'"
+
+
+def is_safe_name(name: str) -> bool:
+    """Agent ids and window labels become report fields and file-name parts,
+    so only ``[A-Za-z0-9._-]+`` is accepted: no separator, quote or slash."""
+    return _SAFE_NAME.fullmatch(name) is not None
+
+
+def parse_date(text: str) -> dt.date:
+    """A ``YYYY-MM-DD`` date on every supported Python (3.11's
+    ``date.fromisoformat`` also takes ``20140102`` and ``2014-W01-5``)."""
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(f"date {text!r} is not YYYY-MM-DD")
+    return dt.date.fromisoformat(text)
+
+
+@dataclass(frozen=True)
+class AnalysisWindow:
+    """A closed date interval the pipeline analyzes as one unit."""
+
+    start: dt.date
+    end: dt.date
+    label: str
+
+    def __post_init__(self):
+        if self.start > self.end:
+            raise IngestionError(
+                f"window {self.label}: start {self.start} after end {self.end}"
+            )
+
+    def span(self, days) -> slice:
+        """The part of a sorted numpy array of day ordinals that falls inside
+        the window."""
+        lo, hi = days.searchsorted((self.start.toordinal(), self.end.toordinal() + 1))
+        return slice(int(lo), int(hi))
+
+    @classmethod
+    def calendar_year(cls, year: int) -> "AnalysisWindow":
+        return cls(dt.date(year, 1, 1), dt.date(year, 12, 31), str(year))
+
 
 _KEYS = (
     "market_kind",

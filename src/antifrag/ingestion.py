@@ -18,33 +18,25 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
-import logging
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
+from .config import (
+    CRYPTO,
+    MARKET_KINDS,
+    SAFE_NAME_RULE,
+    STOCK,
+    AnalysisWindow,
+    is_safe_name,
+    parse_date,
+)
 from .errors import IngestionError
 
-logger = logging.getLogger(__name__)
-
-STOCK = "stock"
-CRYPTO = "crypto"
-MARKET_KINDS = (STOCK, CRYPTO)
-
 INDEX_IDS = ("VIX", "NASDAQ", "DJI", "SPX")
-
-_SAFE_NAME = re.compile(r"[A-Za-z0-9._-]+")
-SAFE_NAME_RULE = "may only contain letters, digits, '.', '_' and '-'"
-
-
-def is_safe_name(name: str) -> bool:
-    """Agent ids and window labels become report fields and file-name parts,
-    so only ``[A-Za-z0-9._-]+`` is accepted: no separator, quote or slash."""
-    return _SAFE_NAME.fullmatch(name) is not None
 
 
 def to_dates(days: np.ndarray) -> tuple[dt.date, ...]:
@@ -150,38 +142,6 @@ class TopPerformerList:
     def __post_init__(self):
         if not self.agent_ids:
             raise IngestionError(f"empty top-performer list for year {self.year}")
-
-
-@dataclass(frozen=True)
-class AnalysisWindow:
-    """A closed date interval the pipeline analyzes as one unit."""
-
-    start: dt.date
-    end: dt.date
-    label: str
-
-    def __post_init__(self):
-        if self.start > self.end:
-            raise IngestionError(
-                f"window {self.label}: start {self.start} after end {self.end}"
-            )
-
-    def span(self, days: np.ndarray) -> slice:
-        """The part of sorted day ordinals that falls inside the window."""
-        lo, hi = np.searchsorted(days, (self.start.toordinal(), self.end.toordinal() + 1))
-        return slice(int(lo), int(hi))
-
-    @classmethod
-    def calendar_year(cls, year: int) -> "AnalysisWindow":
-        return cls(dt.date(year, 1, 1), dt.date(year, 12, 31), str(year))
-
-
-def parse_date(text: str) -> dt.date:
-    """A ``YYYY-MM-DD`` date on every supported Python (3.11's
-    ``date.fromisoformat`` also takes ``20140102`` and ``2014-W01-5``)."""
-    if len(text) != 10 or text[4] != "-" or text[7] != "-":
-        raise ValueError(f"date {text!r} is not YYYY-MM-DD")
-    return dt.date.fromisoformat(text)
 
 
 def _parse_date(text: str, path: Path, line: int) -> dt.date:

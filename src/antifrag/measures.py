@@ -8,6 +8,11 @@ defined: an agent whose satisfaction tends to rise with system perturbation
 scores positive (antifragile), one that suffers under perturbation scores
 negative (fragile).
 
+A case is computed on the panel's tables (see ``resampling``) with the same
+numpy calls for any number of agents: one ``np.diff`` per channel, masked at
+agent boundaries, and one ``searchsorted`` join per measure. The per-agent
+``satisfactions`` and ``results`` are views, built on first access.
+
 Periods are the panel's int64 period-start day ordinals, and series are
 joined on those sorted arrays (``argsort``, ``searchsorted``,
 ``intersect1d``). Per-agent contributions to a system mean exist only at
@@ -30,27 +35,25 @@ import datetime as dt
 import logging
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
+from .config import MEASURES_BY_KIND, STOCK, TimeScale
 from .errors import ComputeError
-from .ingestion import CRYPTO, STOCK, to_dates
+from .ingestion import to_dates
 from .resampling import (
     MARKET_CAP,
     PRICE,
     VOLUME,
+    Channel,
     NormalizedPanel,
-    NormalizedSeries,
-    TimeScale,
+    Ragged,
     minmax_normalize,
+    offsets_where,
 )
 
 logger = logging.getLogger(__name__)
-
-STOCK_MEASURES = ("af3m", "afp", "afv", "afx")
-CRYPTO_MEASURES = ("afm", "afn", "afp", "afv")
-MEASURES_BY_KIND = {STOCK: STOCK_MEASURES, CRYPTO: CRYPTO_MEASURES}
 
 
 @dataclass(frozen=True)
@@ -87,11 +90,19 @@ class AntifragilityResult:
     n_used: int
 
 
-def satisfaction(agent_id: str, prices: NormalizedSeries) -> SatisfactionSeries:
-    """Difference each normalized price against the previous observed one."""
-    if len(prices) < 2:
-        raise ComputeError(f"agent {agent_id}: need at least 2 periods")
-    return SatisfactionSeries(agent_id, prices.days[1:], np.diff(prices.values))
+@dataclass(frozen=True)
+class Scores(Ragged):
+    """One measure's antifragility for every alive agent of a case: the
+    instants are ``values``, and ``global_a[k]`` is the mean of agent k's,
+    NaN when it has none (it is excluded for the measure)."""
+
+    global_a: np.ndarray
+
+
+def satisfaction_table(prices: Channel) -> Ragged:
+    """Every agent's normalized price differenced against its previous
+    observed one."""
+    return prices.differences(prices.values)
 
 
 def _system_mean(measure: str, contributions) -> tuple[np.ndarray, np.ndarray]:
@@ -100,9 +111,9 @@ def _system_mean(measure: str, contributions) -> tuple[np.ndarray, np.ndarray]:
     Within each period the divisor is the count of agents contributing
     there. Raises when no agent contributes at any period.
     """
-    if not contributions:
-        raise ComputeError(f"{measure}: no agent defined at any period")
     days = np.concatenate([d for d, _ in contributions])
+    if not len(days):
+        raise ComputeError(f"{measure}: no agent defined at any period")
     order = np.argsort(days, kind="stable")
     periods, first = np.unique(days[order], return_index=True)
     values = np.concatenate([v for _, v in contributions])[order].tolist()
@@ -111,13 +122,10 @@ def _system_mean(measure: str, contributions) -> tuple[np.ndarray, np.ndarray]:
     return periods, np.array(means)
 
 
-def _abs_diff(series: NormalizedSeries, normalized=True):
-    values = series.values if normalized else series.raw
-    return series.days[1:], np.abs(np.diff(values))
-
-
-def _agents_sorted(panel: NormalizedPanel):
-    return [panel.agents[aid] for aid in sorted(panel.agents)]
+def _abs_changes(channel: Channel, column: np.ndarray):
+    """Every agent's absolute changes of ``column``, as one contribution."""
+    changes = channel.differences(column)
+    return [(changes.days, np.abs(changes.values))]
 
 
 def perturb_price(panel: NormalizedPanel) -> PerturbationSeries:
@@ -127,36 +135,29 @@ def perturb_price(panel: NormalizedPanel) -> PerturbationSeries:
     on raw prices, with the resulting system series min-max normalized
     afterwards.
     """
+    price = panel.channels[PRICE]
     if panel.market_kind == STOCK:
-        contribs = [_abs_diff(ch[PRICE]) for ch in _agents_sorted(panel)]
-        days, means = _system_mean("afp", contribs)
+        days, means = _system_mean("afp", _abs_changes(price, price.values))
         values = np.clip(means, 0.0, 1.0)
     else:
-        contribs = [_abs_diff(ch[PRICE], normalized=False) for ch in _agents_sorted(panel)]
-        days, means = _system_mean("afp", contribs)
+        days, means = _system_mean("afp", _abs_changes(price, price.raw))
         values = minmax_normalize(means)
     return PerturbationSeries("afp", panel.scale, days, values)
 
 
-def perturb_volume_stock(
-    satisfactions: dict[str, SatisfactionSeries], panel: NormalizedPanel
-) -> PerturbationSeries:
+def perturb_volume_stock(sat: Ragged, panel: NormalizedPanel) -> PerturbationSeries:
     """Stock volume perturbation: |satisfaction + volume change| / 2."""
-    contribs = []
-    for aid in sorted(panel.agents):
-        s = satisfactions[aid]
-        volume = panel.agents[aid][VOLUME]
-        # price and volume share the agent's period grid, so s aligns with dv
-        dv = np.diff(volume.values)
-        contribs.append((volume.days[1:], np.abs(s.values + dv) / 2.0))
-    days, means = _system_mean("afv", contribs)
+    volume = panel.channels[VOLUME]
+    # price and volume share each agent's period grid, so sat aligns with dv
+    dv = volume.differences(volume.values)
+    days, means = _system_mean("afv", [(dv.days, np.abs(sat.values + dv.values) / 2.0)])
     return PerturbationSeries("afv", panel.scale, days, means)
 
 
 def perturb_volume_crypto(panel: NormalizedPanel) -> PerturbationSeries:
     """Crypto volume perturbation: absolute normalized-volume changes."""
-    contribs = [_abs_diff(ch[VOLUME]) for ch in _agents_sorted(panel)]
-    days, means = _system_mean("afv", contribs)
+    volume = panel.channels[VOLUME]
+    days, means = _system_mean("afv", _abs_changes(volume, volume.values))
     return PerturbationSeries("afv", panel.scale, days, means)
 
 
@@ -166,25 +167,16 @@ def perturb_marketcap(panel: NormalizedPanel) -> PerturbationSeries:
     Agents lacking a cap at a period contribute nothing there; caps observed
     either side of a gap are differenced against each other.
     """
-    contribs = []
-    for aid in sorted(panel.agents):
-        cap = panel.agents[aid].get(MARKET_CAP)
-        if cap is not None and len(cap) >= 2:
-            contribs.append(_abs_diff(cap))
-    days, means = _system_mean("afm", contribs)
+    cap = panel.channels[MARKET_CAP]
+    days, means = _system_mean("afm", _abs_changes(cap, cap.values))
     return PerturbationSeries("afm", panel.scale, days, means)
 
 
-def perturb_normalized_price(
-    satisfactions: dict[str, SatisfactionSeries], panel: NormalizedPanel
-) -> PerturbationSeries:
+def perturb_normalized_price(sat: Ragged, panel: NormalizedPanel) -> PerturbationSeries:
     """Lagged-satisfaction perturbation (afn): |S| one observed period later."""
-    contribs = []
-    for aid in sorted(panel.agents):
-        s = satisfactions[aid]
-        if len(s.days) >= 2:
-            contribs.append((s.days[1:], np.abs(s.values[:-1])))
-    days, means = _system_mean("afn", contribs)
+    later = sat.later_rows()
+    lagged = [(sat.days[later], np.abs(sat.values[:-1][later[1:]]))]
+    days, means = _system_mean("afn", lagged)
     return PerturbationSeries("afn", panel.scale, days, means)
 
 
@@ -204,7 +196,7 @@ def perturb_three_indexes(panel: NormalizedPanel) -> PerturbationSeries:
         index = panel.indexes.get(iid)
         if index is None or len(index) < 2:
             raise ComputeError(f"af3m: insufficient {iid} data inside the window")
-        parts.append(_abs_diff(index))
+        parts.append((index.days[1:], np.abs(np.diff(index.values))))
     common = reduce(np.intersect1d, [days for days, _ in parts])
     if not len(common):
         raise ComputeError("af3m: indexes share no differenced period")
@@ -213,40 +205,59 @@ def perturb_three_indexes(panel: NormalizedPanel) -> PerturbationSeries:
     return PerturbationSeries("af3m", panel.scale, common, values)
 
 
-def antifragility(
-    s: SatisfactionSeries, p: PerturbationSeries
-) -> AntifragilityResult | None:
-    """Combine one agent's satisfaction with a system perturbation series.
+def antifragility_scores(sat: Ragged, p: PerturbationSeries) -> Scores:
+    """Combine every agent's satisfaction with a system perturbation series.
 
-    The product is taken at every period where both are defined; the global
-    value is the plain mean of those instants. Returns None (the agent is
-    excluded for this measure) when no period overlaps.
+    The product is taken at every period where both are defined; an agent's
+    global value is the plain mean of its instants. An agent without an
+    overlapping period has no instants and is excluded for the measure.
     """
-    at = p.days.searchsorted(s.days)
-    both = p.days.take(at, mode="clip") == s.days
-    instants = s.values[both] * p.values[at[both]]
-    if not len(instants):
-        logger.info(
-            "agent %s excluded for %s at scale %d: no overlapping periods",
-            s.agent_id, p.measure, int(p.scale),
-        )
-        return None
-    return AntifragilityResult(
-        days=s.days[both],
-        instants=instants,
-        global_a=math.fsum(instants.tolist()) / len(instants),
-        n_used=len(instants),
-    )
+    at = p.days.searchsorted(sat.days)
+    both = p.days.take(at, mode="clip") == sat.days
+    instants = sat.values[both] * p.values[at[both]]
+    offsets = offsets_where(sat.offsets, both)
+    values, bounds = instants.tolist(), offsets.tolist()
+    global_a = [
+        math.fsum(values[a:b]) / (b - a) if b > a else math.nan
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    return Scores(offsets, sat.days[both], instants, np.array(global_a))
 
 
 @dataclass(frozen=True)
 class WindowScaleResults:
-    """Everything one (window, scale) case produced."""
+    """Everything one (window, scale) case produced, as case tables: the
+    satisfaction of the panel's alive agents (in ``alive_agents`` order) and
+    one ``Scores`` table per measure."""
 
     alive_agents: tuple[str, ...]
-    satisfactions: dict[str, SatisfactionSeries]
+    satisfaction: Ragged
     perturbations: dict[str, PerturbationSeries]
-    results: dict[str, dict[str, AntifragilityResult]]
+    scores: dict[str, Scores]
+
+    @cached_property
+    def satisfactions(self) -> dict[str, SatisfactionSeries]:
+        """Each agent's view of the satisfaction table, built on first access."""
+        s = self.satisfaction
+        return {
+            aid: SatisfactionSeries(aid, s.days[rows], s.values[rows])
+            for aid, rows in s.split(self.alive_agents).items()
+        }
+
+    @cached_property
+    def results(self) -> dict[str, dict[str, AntifragilityResult]]:
+        """Per measure, each included agent's view of the scores, built on
+        first access."""
+        results = {}
+        for m, sc in self.scores.items():
+            global_a = dict(zip(self.alive_agents, sc.global_a.tolist()))
+            results[m] = {
+                aid: AntifragilityResult(
+                    sc.days[rows], sc.values[rows], global_a[aid], rows.stop - rows.start
+                )
+                for aid, rows in sc.split(self.alive_agents).items()
+            }
+        return results
 
 
 def compute_measures(panel: NormalizedPanel, measures) -> WindowScaleResults:
@@ -255,60 +266,57 @@ def compute_measures(panel: NormalizedPanel, measures) -> WindowScaleResults:
         if m not in MEASURES_BY_KIND[panel.market_kind]:
             raise ComputeError(f"measure {m} invalid for {panel.market_kind}")
 
-    satisfactions = {
-        aid: satisfaction(aid, panel.agents[aid][PRICE]) for aid in sorted(panel.agents)
-    }
-
+    sat = satisfaction_table(panel.channels[PRICE])
     perturbations: dict[str, PerturbationSeries] = {}
     for m in sorted(measures):
         if m == "afp":
             perturbations[m] = perturb_price(panel)
         elif m == "afv" and panel.market_kind == STOCK:
-            perturbations[m] = perturb_volume_stock(satisfactions, panel)
+            perturbations[m] = perturb_volume_stock(sat, panel)
         elif m == "afv":
             perturbations[m] = perturb_volume_crypto(panel)
         elif m == "afm":
             perturbations[m] = perturb_marketcap(panel)
         elif m == "afn":
-            perturbations[m] = perturb_normalized_price(satisfactions, panel)
+            perturbations[m] = perturb_normalized_price(sat, panel)
         elif m == "afx":
             perturbations[m] = perturb_vix(panel)
         elif m == "af3m":
             perturbations[m] = perturb_three_indexes(panel)
 
-    results: dict[str, dict[str, AntifragilityResult]] = {}
+    scores = {}
     for m, pser in perturbations.items():
-        per_measure = {}
-        for aid in sorted(satisfactions):
-            result = antifragility(satisfactions[aid], pser)
-            if result is not None:
-                per_measure[aid] = result
-        results[m] = per_measure
+        scores[m] = antifragility_scores(sat, pser)
+        excluded = np.flatnonzero(scores[m].counts == 0).tolist()
+        if excluded:
+            logger.info(
+                "%s at scale %d in window %s: %d agents excluded, no overlapping "
+                "periods: %s", m, int(panel.scale), panel.window.label, len(excluded),
+                ", ".join([panel.ids[k] for k in excluded]),
+            )
 
-    out = WindowScaleResults(
-        alive_agents=tuple(sorted(panel.agents)),
-        satisfactions=satisfactions,
-        perturbations=perturbations,
-        results=results,
-    )
+    out = WindowScaleResults(panel.ids, sat, perturbations, scores)
     check_bounds(out)
     return out
 
 
 def check_bounds(ws: WindowScaleResults) -> None:
-    """Assert the range invariants every run must satisfy."""
-    for aid, s in ws.satisfactions.items():
-        if len(s.values) and (s.values.min() < -1.0 or s.values.max() > 1.0):
-            raise ComputeError(f"satisfaction out of [-1, 1] for agent {aid}")
+    """Assert the range invariants every run must satisfy, with one pass
+    over each case table."""
+    s = ws.satisfaction
+    if len(s.values) and (s.values.min() < -1.0 or s.values.max() > 1.0):
+        row = int(np.flatnonzero(np.abs(s.values) > 1.0)[0])
+        aid = ws.alive_agents[int(s.offsets.searchsorted(row, side="right")) - 1]
+        raise ComputeError(f"satisfaction out of [-1, 1] for agent {aid}")
     for m, p in ws.perturbations.items():
         if len(p.values) and (p.values.min() < 0.0 or p.values.max() > 1.0):
             raise ComputeError(f"perturbation {m} out of [0, 1]")
-    for m, per_measure in ws.results.items():
-        for aid, r in per_measure.items():
-            peak = np.abs(r.instants).max()
-            if peak > 1.0:
-                raise ComputeError(f"instant antifragility out of [-1, 1]: {m}/{aid}")
-            if abs(r.global_a) > peak:
-                raise ComputeError(f"global antifragility exceeds instants: {m}/{aid}")
-            if r.n_used != len(r.instants) or r.n_used < 1:
-                raise ComputeError(f"inconsistent n_used: {m}/{aid}")
+    for m, sc in ws.scores.items():
+        used = np.flatnonzero(sc.counts)
+        peak = np.maximum.reduceat(np.abs(sc.values), sc.offsets[used])
+        for bad, problem in (
+            (peak > 1.0, "instant antifragility out of [-1, 1]"),
+            (np.abs(sc.global_a[used]) > peak, "global antifragility exceeds instants"),
+        ):
+            if bad.any():
+                raise ComputeError(f"{problem}: {m}/{ws.alive_agents[used[bad.argmax()]]}")

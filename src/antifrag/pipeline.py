@@ -18,6 +18,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -118,12 +121,15 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
             panel = build_panel(sliced_by_window[window.label], indexes, window, scale)
             ws = compute_measures(panel, config.measures)
             alive.setdefault(window.label, {})[str(int(scale))] = len(ws.alive_agents)
-            for measure, per_agent in ws.results.items():
+            for measure, scores in ws.scores.items():
                 key = (window.label, measure, int(scale))
+                used = scores.counts.tolist()
                 case_values[key] = {
-                    aid: result.global_a for aid, result in sorted(per_agent.items())
+                    aid: a
+                    for aid, a, n in zip(ws.alive_agents, scores.global_a.tolist(), used)
+                    if n
                 }
-                n_used[key] = {aid: result.n_used for aid, result in per_agent.items()}
+                n_used[key] = {aid: n for aid, n in zip(ws.alive_agents, used) if n}
             if dump_panels:
                 panel_dumps.update(_panel_dumps(panel))
 
@@ -340,26 +346,34 @@ def _panel_dumps(panel) -> dict[str, str]:
 
 
 def run(config: RunConfig, dump_panels: bool = False) -> Path:
-    """Execute and write all reports; on failure, remove partial outputs.
+    """Execute and write all reports; a failed write keeps the previous ones.
 
-    After a successful write, the reports of an earlier run that this run
-    does not write (comparison.json, panels/*.csv, then an empty panels/)
-    are removed, so none can sit next to this run's manifest.
+    The reports are written into a temporary directory inside ``output_dir``
+    (always removed afterwards) and, once all are written and no report path
+    is a directory, moved into place with ``os.replace``, run_manifest.json
+    last. Then the reports of an earlier run that this run does not write
+    (comparison.json, panels/*.csv, then an empty panels/) are removed, so
+    none can sit next to this run's manifest.
     """
     outputs = execute(config, dump_panels=dump_panels)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    names = sorted(outputs, key=lambda name: (name == "run_manifest.json", name))
+    staging = Path(tempfile.mkdtemp(prefix=".antifrag-", dir=out_dir))
     try:
-        for name in sorted(outputs):
-            path = out_dir / name
+        for name in names:
+            path = staging / name
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(outputs[name].encode("utf-8"))
-            written.append(path)
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+        for name in names:
+            if (out_dir / name).is_dir():
+                raise IsADirectoryError(f"report path {out_dir / name} is a directory")
+        for parent in {(out_dir / name).parent for name in names}:
+            parent.mkdir(parents=True, exist_ok=True)
+        for name in names:
+            os.replace(staging / name, out_dir / name)
+    finally:
+        shutil.rmtree(staging)
     if "comparison.json" not in outputs:
         (out_dir / "comparison.json").unlink(missing_ok=True)
     panels = out_dir / "panels"
@@ -369,5 +383,5 @@ def run(config: RunConfig, dump_panels: bool = False) -> Path:
                 path.unlink()
         if not any(panels.iterdir()):
             panels.rmdir()
-    logger.info("wrote %d report files to %s", len(written), out_dir)
+    logger.info("wrote %d report files to %s", len(names), out_dir)
     return out_dir

@@ -9,29 +9,30 @@ Within a period, ``open`` and ``market_cap`` come from the period's first
 observation and ``volume`` is summed. A series is only usable at a scale if
 it spans at least two periods. Gaps are never filled: each series is treated
 as its own observation sequence.
+
+A panel holds one table per channel: the rows of all alive agents,
+concatenated in sorted-id order, with per-agent ``offsets``. It is built
+with the same numpy calls for any number of agents, and ``panel.agents``
+serves per-agent views of it, built on first access.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from enum import IntEnum
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
+from .config import AnalysisWindow, TimeScale
 from .errors import ComputeError
-from .ingestion import CRYPTO, AgentSeries, AnalysisWindow, IndexSeries
+from .ingestion import AgentSeries, IndexSeries
 
 PRICE = "price"
 VOLUME = "volume"
 MARKET_CAP = "market_cap"
 INDEX = "index"
-
-
-class TimeScale(IntEnum):
-    DAILY = 0
-    WEEKLY = 1
-    MONTHLY = 2
 
 
 _EPOCH = dt.date(1970, 1, 1).toordinal()
@@ -67,47 +68,108 @@ def _bucket_sums(values: np.ndarray, first: np.ndarray) -> np.ndarray:
     return sums
 
 
-def minmax_normalize(values) -> np.ndarray:
-    """Rescale a sequence into [0, 1]; a zero-range sequence becomes all 0.5."""
-    arr = np.asarray(values, dtype=float)
-    lo = arr.min()
-    hi = arr.max()
-    if hi == lo:
-        return np.full(arr.shape, 0.5)
-    return (arr - lo) / (hi - lo)
+def minmax_normalize(values, offsets=None) -> np.ndarray:
+    """Rescale each segment ``values[offsets[k]:offsets[k + 1]]`` (by default
+    the whole sequence) into [0, 1]; a zero-range segment becomes all 0.5.
+    Bounds are reduced over non-empty segments only: ``reduceat`` gives an
+    empty segment the element at its index."""
+    raw = np.asarray(values, dtype=float)
+    offsets = np.array([0, len(raw)]) if offsets is None else offsets
+    counts = np.diff(offsets)
+    present = counts > 0
+    starts = offsets[:-1][present]
+    lo = np.repeat(np.minimum.reduceat(raw, starts), counts[present])
+    span = np.repeat(np.maximum.reduceat(raw, starts), counts[present]) - lo
+    return np.divide(raw - lo, span, out=np.full(len(raw), 0.5), where=span != 0)
+
+
+def offsets_where(offsets: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The offsets of a table's segments once the rows ``mask`` leaves out
+    are dropped."""
+    return np.concatenate(([0], np.cumsum(mask)))[offsets]
 
 
 @dataclass(frozen=True)
-class NormalizedSeries:
-    """One agent channel (or one index) on the resampled period grid.
+class Ragged:
+    """Rows of many agents, concatenated in agent order: agent k owns rows
+    ``offsets[k]:offsets[k + 1]``, possibly none, at increasing period-start
+    ordinals ``days``."""
 
-    ``days`` holds the period-start day ordinals, ``raw`` the resampled input
-    values and ``values`` their min-max normalization over the analysis
-    window; all three align.
-    """
-
+    offsets: np.ndarray
     days: np.ndarray
-    raw: np.ndarray
     values: np.ndarray
 
     def __len__(self):
         return len(self.days)
 
+    @property
+    def counts(self) -> np.ndarray:
+        """Each agent's number of rows."""
+        return np.diff(self.offsets)
+
+    def later_rows(self) -> np.ndarray:
+        """Which rows follow an earlier row of the same agent."""
+        later = np.ones(len(self.days), dtype=bool)
+        later[self.offsets[:-1][self.counts > 0]] = False
+        return later
+
+    def differences(self, column: np.ndarray) -> "Ragged":
+        """Each agent's change of ``column`` (aligned with ``days``) from one
+        row to the next, dated at the later row."""
+        later = self.later_rows()
+        offsets = offsets_where(self.offsets, later)
+        return Ragged(offsets, self.days[later], np.diff(column)[later[1:]])
+
+    def split(self, ids) -> dict[str, slice]:
+        """The rows of each agent of ``ids`` (the table's agents) that has any."""
+        bounds = self.offsets.tolist()
+        return {aid: slice(a, b) for aid, a, b in zip(ids, bounds, bounds[1:]) if a < b}
+
+
+@dataclass(frozen=True)
+class Channel(Ragged):
+    """Agents' (or one index's) series on the resampled period grid: their
+    resampled ``raw`` values and the min-max normalization ``values`` of each
+    agent's rows over the analysis window."""
+
+    raw: np.ndarray
+
+    def view(self, rows: slice) -> "Channel":
+        """The given rows of one agent as a table of their own."""
+        offsets = np.array([0, rows.stop - rows.start])
+        return Channel(offsets, self.days[rows], self.values[rows], self.raw[rows])
+
+
+def _channel(offsets: np.ndarray, days: np.ndarray, raw: np.ndarray) -> Channel:
+    """Each agent's rows normalized over its own minimum and maximum."""
+    return Channel(offsets, days, minmax_normalize(raw, offsets), raw)
+
 
 @dataclass(frozen=True)
 class NormalizedPanel:
-    """All alive agents and indexes of one window at one scale."""
+    """All alive agents and indexes of one window at one scale.
+
+    ``ids`` are the alive agents in sorted order; every channel table
+    follows that order, and an agent may have no ``market_cap`` rows.
+    """
 
     market_kind: str
     window: AnalysisWindow
     scale: TimeScale
     period_axis: np.ndarray
-    agents: dict[str, dict[str, NormalizedSeries]]
-    indexes: dict[str, NormalizedSeries]
+    ids: tuple[str, ...]
+    channels: dict[str, Channel]
+    indexes: dict[str, Channel]
 
-
-def _normalized(days, raw) -> NormalizedSeries:
-    return NormalizedSeries(days, raw, minmax_normalize(raw))
+    @cached_property
+    def agents(self) -> dict[str, dict[str, Channel]]:
+        """Per-agent views of the channel tables, built on first access; an
+        agent has an entry for each channel it has rows in."""
+        views: dict[str, dict[str, Channel]] = {aid: {} for aid in self.ids}
+        for name, ch in self.channels.items():
+            for aid, rows in ch.split(self.ids).items():
+                views[aid][name] = ch.view(rows)
+        return views
 
 
 def build_panel(
@@ -123,28 +185,39 @@ def build_panel(
     and that is an error. The period axis is the sorted union of the
     surviving agents' periods.
     """
-    panel_agents: dict[str, dict[str, NormalizedSeries]] = {}
-    axis = []
-    market_kind = agents[0].market_kind if agents else CRYPTO
-    for series in sorted(agents, key=lambda s: s.agent_id):
-        keys, first = np.unique(period_starts(series.days, scale), return_index=True)
-        if len(keys) < 2:
-            continue
-        axis.append(keys)
-        channels = {
-            PRICE: _normalized(keys, series.open[first]),
-            VOLUME: _normalized(keys, _bucket_sums(series.volume, first)),
-        }
-        cap = series.cap[first]
-        has_cap = ~np.isnan(cap)
-        if has_cap.any():
-            channels[MARKET_CAP] = _normalized(keys[has_cap], cap[has_cap])
-        panel_agents[series.agent_id] = channels
-
-    if not panel_agents:
+    series = sorted(agents, key=attrgetter("agent_id"))
+    keep = np.zeros(0, dtype=bool)
+    if series:
+        days = np.concatenate([s.days for s in series])
+        starts = np.cumsum([0] + [len(s.days) for s in series[:-1]])
+        keys = period_starts(days, scale)
+        # a run of one period starts at each key change and each agent's first row
+        run_start = np.ones(len(keys), dtype=bool)
+        run_start[1:] = keys[1:] != keys[:-1]
+        run_start[starts] = True
+        first = np.flatnonzero(run_start)
+        runs = np.diff(first.searchsorted(starts), append=len(first))
+        keep = runs >= 2
+    if not keep.any():
         raise ComputeError(
             f"empty panel: no agent alive in window {window.label} at scale {int(scale)}"
         )
+
+    kept = np.repeat(keep, runs)
+    volume = _bucket_sums(np.concatenate([s.volume for s in series]), first)[kept]
+    first = first[kept]
+    offsets = np.concatenate(([0], np.cumsum(runs[keep])))
+    periods = keys[first]
+    opens = np.concatenate([s.open for s in series])[first]
+    cap = np.concatenate([s.cap for s in series])[first]
+    has_cap = ~np.isnan(cap)
+    channels = {
+        PRICE: _channel(offsets, periods, opens),
+        VOLUME: _channel(offsets, periods, volume),
+        MARKET_CAP: _channel(
+            offsets_where(offsets, has_cap), periods[has_cap], cap[has_cap]
+        ),
+    }
 
     panel_indexes = {}
     for index in indexes:
@@ -152,15 +225,17 @@ def build_panel(
         keys, first = np.unique(
             period_starts(index.days[inside], scale), return_index=True
         )
-        if not len(keys):
-            continue
-        panel_indexes[index.index_id] = _normalized(keys, index.levels[inside][first])
+        if len(keys):
+            panel_indexes[index.index_id] = _channel(
+                np.array([0, len(keys)]), keys, index.levels[inside][first]
+            )
 
     return NormalizedPanel(
-        market_kind=market_kind,
+        market_kind=series[0].market_kind,
         window=window,
         scale=scale,
-        period_axis=np.unique(np.concatenate(axis)),
-        agents=panel_agents,
+        period_axis=np.unique(periods),
+        ids=tuple([s.agent_id for s, alive in zip(series, keep.tolist()) if alive]),
+        channels=channels,
         indexes=panel_indexes,
     )

@@ -2,13 +2,15 @@
 
 import hashlib
 import logging
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 import antifrag.cli as cli
-from antifrag import pipeline
+from antifrag import measures, pipeline
 from antifrag.config import load_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -227,6 +229,42 @@ def test_validate_clean_config(fixture_tree, capsys):
     assert out.strip().endswith("0 errors")
 
 
+def test_validate_imports_no_numpy(fixture_tree):
+    config = fixture_tree / "stocks" / "config.cfg"
+    script = (
+        "import sys\n"
+        "from antifrag.config import load_config\n"
+        f"load_config({str(config)!r})\n"
+        "assert 'numpy' not in sys.modules, 'load_config'\n"
+        "from antifrag.cli import main\n"
+        f"assert main(['validate', '--config', {str(config)!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'validate'\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().endswith("0 errors")
+
+
+@pytest.mark.parametrize("market", ["stocks", "crypto"])
+def test_execute_builds_no_per_agent_objects(fixture_tree, monkeypatch, market):
+    built = []
+    for cls in (measures.SatisfactionSeries, measures.AntifragilityResult):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    config, _, _ = load_config(fixture_tree / market / "config.cfg")
+    assert "antifragility.csv" in pipeline.execute(config)
+    assert built == []
+    pipeline.execute(config, dump_panels=True)
+    assert built == []
+    measures.SatisfactionSeries("X", None, None)
+    assert built == ["SatisfactionSeries"]
+
+
 def test_validate_reports_missing_data_dir(tmp_path, capsys):
     config = tmp_path / "c.cfg"
     config.write_text(
@@ -285,6 +323,29 @@ def test_failed_write_removes_partial_outputs(tmp_path, monkeypatch):
         pipeline.run(config)
     assert not (out / "a.csv").exists()
     assert (out / "sub").is_file()
+
+
+def tree_bytes(root: Path) -> dict[str, bytes | None]:
+    """Every path under root, with a file's bytes (None for a directory)."""
+    return {
+        str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+    }
+
+
+def test_failed_rerun_leaves_previous_reports_intact(fixture_tree, capsys):
+    config = fixture_tree / "crypto" / "config.cfg"
+    out = fixture_tree / "crypto" / "output"
+    argv = ["run", "--config", str(config), "--workers", "1", "--dump-panels"]
+    assert cli.main(argv) == 0
+    (out / "performance.csv").unlink()
+    (out / "performance.csv").mkdir()
+    before = tree_bytes(out)
+    # the rerun's distributions.csv and manifest would differ from the first's
+    config.write_text(config.read_text() + "n_hist_bins = 7\n")
+    assert cli.main(argv) == 1
+    assert "performance.csv is a directory" in capsys.readouterr().err
+    assert tree_bytes(out) == before
 
 
 def test_stock_outputs_match_golden(fixture_tree):

@@ -1,15 +1,19 @@
+import logging
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
+import antifrag
 from antifrag import fixture as fixt
 from antifrag.errors import ComputeError
 from antifrag.ingestion import AnalysisWindow, to_dates
 from antifrag.measures import (
+    MEASURES_BY_KIND,
     PerturbationSeries,
-    SatisfactionSeries,
-    antifragility,
+    antifragility_scores,
     compute_measures,
     perturb_marketcap,
     perturb_normalized_price,
@@ -18,9 +22,9 @@ from antifrag.measures import (
     perturb_vix,
     perturb_volume_crypto,
     perturb_volume_stock,
-    satisfaction,
+    satisfaction_table,
 )
-from antifrag.resampling import NormalizedSeries, TimeScale, build_panel
+from antifrag.resampling import PRICE, Channel, Ragged, TimeScale, build_panel
 
 from conftest import (
     assert_engine_matches_oracle,
@@ -40,7 +44,7 @@ def panel_of(agent_rows: dict, kind="stock", indexes=None, scale=TimeScale.DAILY
 
 
 def sats(panel):
-    return {aid: satisfaction(aid, panel.agents[aid]["price"]) for aid in panel.agents}
+    return satisfaction_table(panel.channels[PRICE])
 
 
 def ordinals(*dates):
@@ -50,23 +54,24 @@ def ordinals(*dates):
 def test_satisfaction_exact_values():
     # raw opens 10,20,15 normalize to 0,1,0.5
     panel = panel_of({"X": [(day(i), p, 1) for i, p in enumerate([10, 20, 15])]})
-    s = satisfaction("X", panel.agents["X"]["price"])
+    s = sats(panel)
     assert to_dates(s.days) == (day(1), day(2))
     assert s.values.tolist() == [1.0, -0.5]
 
 
 def test_satisfaction_constant_price_is_zero():
     panel = panel_of({"X": [(day(i), 7, 1) for i in range(3)]})
-    assert satisfaction("X", panel.agents["X"]["price"]).values.tolist() == [0.0, 0.0]
+    assert sats(panel).values.tolist() == [0.0, 0.0]
 
 
 def test_satisfaction_from_prevalidated_series():
-    series = NormalizedSeries(
+    prices = Channel(
+        np.array([0, 3]),
         ordinals(day(0), day(1), day(2)),
         np.array([0.2, 0.2, 0.9]),
         np.array([0.2, 0.2, 0.9]),
     )
-    s = satisfaction("X", series)
+    s = satisfaction_table(prices)
     assert s.values[0] == 0.0
     assert s.values[1] == pytest.approx(0.7, abs=1e-15)
 
@@ -151,6 +156,27 @@ def test_perturb_marketcap_diffs_across_gap():
     assert p.values.tolist() == [1.0, 0.5]
 
 
+def test_perturb_marketcap_skips_agents_without_two_caps():
+    # A and C have no cap or one, around B's two, so the cap table has empty
+    # and one-row segments on both sides of the only differenced pair
+    caps = {"A": [None, None, None], "B": [None, 100, 300], "C": [None, 50, None]}
+    panel = panel_of({aid: [(day(i), 10 + i, 1, c) for i, c in enumerate(cs)]
+                      for aid, cs in caps.items()}, kind="crypto")
+    assert sorted(panel.agents["A"]) == ["price", "volume"]
+    assert panel.agents["C"]["market_cap"].values.tolist() == [0.5]
+    p = perturb_marketcap(panel)
+    assert p.periods == (day(2),)
+    assert p.values.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("caps", [[None, None, None], [100, None, None]])
+def test_marketcap_needs_one_agent_with_two_caps(caps):
+    panel = panel_of({aid: [(day(i), 10 + i, 1, c) for i, c in enumerate(caps)]
+                      for aid in ("X", "Y")}, kind="crypto")
+    with pytest.raises(ComputeError, match="afm: no agent defined at any period"):
+        compute_measures(panel, ["afm"])
+
+
 def test_perturb_normalized_price_lags_satisfaction():
     # normalized prices 0, 0.4, 1, 0.2 -> S = 0.4, 0.6, -0.8
     panel = panel_of({"X": [(day(i), p, 1, 100) for i, p in enumerate([10, 14, 20, 12])]},
@@ -178,9 +204,9 @@ def test_constant_vix_gives_half_mean_satisfaction():
     indexes = {"VIX": [(day(i), 15) for i in range(4)]}
     rows = [(day(i), p, 1) for i, p in enumerate([10, 18, 12, 20])]
     panel = panel_of({"X": rows}, indexes=indexes)
-    s = sats(panel)["X"]
-    result = antifragility(s, perturb_vix(panel))
-    assert result.global_a == pytest.approx(
+    s = sats(panel)
+    result = antifragility_scores(s, perturb_vix(panel))
+    assert result.global_a[0] == pytest.approx(
         0.5 * math.fsum(s.values.tolist()) / len(s.values), abs=1e-15
     )
 
@@ -188,9 +214,9 @@ def test_constant_vix_gives_half_mean_satisfaction():
 def test_vix_missing_period_excluded_from_join():
     indexes = {"VIX": [(day(0), 10), (day(2), 30)]}
     panel = panel_of({"X": [(day(i), 10 + i, 1) for i in range(3)]}, indexes=indexes)
-    result = antifragility(sats(panel)["X"], perturb_vix(panel))
+    result = antifragility_scores(sats(panel), perturb_vix(panel))
     assert to_dates(result.days) == (day(2),)
-    assert result.n_used == 1
+    assert result.counts.tolist() == [1]
 
 
 def test_missing_vix_data_is_an_error():
@@ -225,27 +251,46 @@ def test_perturb_three_indexes_requires_all_three():
 
 
 def test_antifragility_exact_product_and_mean():
-    s = SatisfactionSeries("X", ordinals(day(1), day(2)), np.array([1.0, -0.5]))
+    s = Ragged(np.array([0, 2]), ordinals(day(1), day(2)), np.array([1.0, -0.5]))
     p = PerturbationSeries("afp", TimeScale.DAILY, ordinals(day(1), day(2)),
                            np.array([0.5, 0.5]))
-    result = antifragility(s, p)
-    assert result.instants.tolist() == [0.5, -0.25]
-    assert result.global_a == 0.125
-    assert result.n_used == 2
+    result = antifragility_scores(s, p)
+    assert result.values.tolist() == [0.5, -0.25]
+    assert result.global_a.tolist() == [0.125]
+    assert result.counts.tolist() == [2]
 
 
 def test_antifragility_zero_satisfaction_is_exactly_zero():
-    s = SatisfactionSeries("X", ordinals(day(1), day(2)), np.array([0.0, 0.0]))
+    s = Ragged(np.array([0, 2]), ordinals(day(1), day(2)), np.array([0.0, 0.0]))
     p = PerturbationSeries("afp", TimeScale.DAILY, ordinals(day(1), day(2)),
                            np.array([0.3, 0.9]))
-    result = antifragility(s, p)
-    assert result.global_a == 0.0
+    result = antifragility_scores(s, p)
+    assert result.global_a.tolist() == [0.0]
 
 
 def test_antifragility_empty_intersection_returns_none():
-    s = SatisfactionSeries("X", ordinals(day(1)), np.array([1.0]))
+    s = Ragged(np.array([0, 1]), ordinals(day(1)), np.array([1.0]))
     p = PerturbationSeries("afp", TimeScale.DAILY, ordinals(day(2)), np.array([0.5]))
-    assert antifragility(s, p) is None
+    result = antifragility_scores(s, p)
+    assert result.counts.tolist() == [0]
+    assert len(result.values) == 0
+    assert math.isnan(result.global_a[0])
+
+
+def test_excluded_agents_are_one_info_line_per_measure(caplog):
+    indexes = {"VIX": [(day(i), 10 + i) for i in range(3)]}
+    panel = panel_of({
+        "Z": [(day(i), 10 + i, 1) for i in range(4, 7)],
+        "X": [(day(i), 10 + i, 1) for i in range(3)],
+        "Y": [(day(i), 20 - i, 1) for i in range(4, 7)],
+    }, indexes=indexes)
+    with caplog.at_level(logging.INFO, logger="antifrag.measures"):
+        ws = compute_measures(panel, ["afp", "afx"])
+    assert [r.getMessage() for r in caplog.records] == [
+        "afx at scale 0 in window w: 2 agents excluded, no overlapping periods: Y, Z"
+    ]
+    assert sorted(ws.results["afx"]) == ["X"]
+    assert sorted(ws.results["afp"]) == ["X", "Y", "Z"]
 
 
 def test_compute_measures_rejects_wrong_kind():
@@ -319,3 +364,56 @@ def test_crypto_fixture_monthly_is_three_agents_five_periods():
     assert len(panel.agents) == 3
     for channels in panel.agents.values():
         assert len(channels["price"]) == 5
+
+
+def calls_into(packages, fn) -> list[str]:
+    """The names of the Python and C functions of ``packages`` (modules) that
+    ``fn()`` calls, counted with ``sys.setprofile``; a C method of an ndarray
+    counts as numpy's."""
+    dirs = tuple(os.path.dirname(p.__file__) for p in packages)
+    names = tuple(p.__name__ for p in packages)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(dirs):
+            calls.append(frame.f_code.co_name)
+        elif event == "c_call" and (
+            (getattr(arg, "__module__", None) or "").startswith(names)
+            or isinstance(getattr(arg, "__self__", None), np.ndarray)
+        ):
+            calls.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["stock", "crypto"])
+def test_case_makes_the_same_calls_for_any_agent_count(kind):
+    # every agent has the same dates, gaps and blank caps; only values differ
+    kept = [i for i in range(60) if i % 7 != 3]
+    indexes = {iid: [(day(i), 10 + (i * 3) % 7) for i in range(60)]
+               for iid in ("VIX", "NASDAQ", "DJI", "SPX")} if kind == "stock" else {}
+
+    def case(n_agents):
+        rows = {
+            f"A{k:02d}": [(day(i), 10 + k + (i * 5) % 11, 1 + (i * k) % 13,
+                           None if kind == "stock" or i % 9 == 0 else 100 + i * k)
+                          for i in kept]
+            for k in range(n_agents)
+        }
+        agents = [make_agent(aid, kind, r) for aid, r in rows.items()]
+        index_series = plain_to_indexes(indexes)
+        return lambda: compute_measures(
+            build_panel(agents, index_series, WINDOW, TimeScale.WEEKLY),
+            MEASURES_BY_KIND[kind],
+        )
+
+    few, many = case(5), case(50)
+    few()  # the first run may import numpy submodules
+    few, many = calls_into((np, antifrag), few), calls_into((np, antifrag), many)
+    assert few == many
+    assert len(few) > 50

@@ -18,9 +18,6 @@ from .errors import ComputeError
 
 logger = logging.getLogger(__name__)
 
-CaseKey = tuple[str, str, int]  # (window label, measure, scale code)
-
-
 def pearson(xs, ys) -> float | None:
     """Pearson correlation; None when a side is constant or pairs are scarce.
 
@@ -94,15 +91,12 @@ def quantile_bin_summary(
 class Distribution:
     """A histogram normalized so the densities integrate to one."""
 
-    variable: str
     edges: np.ndarray
     densities: np.ndarray
     sample_count: int
 
 
-def distribution(
-    values, n_bins: int = 50, variable: str = "A", edges=None
-) -> Distribution:
+def distribution(values, n_bins: int = 50, edges=None) -> Distribution:
     """Equal-width histogram over [min, max], normalized to unit integral.
 
     Passing ``edges`` reuses another distribution's binning (for comparing a
@@ -111,7 +105,7 @@ def distribution(
     """
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
-        raise ComputeError(f"distribution of {variable}: no values")
+        raise ComputeError("distribution: no values")
     if edges is None:
         lo = float(arr.min())
         hi = float(arr.max())
@@ -125,7 +119,7 @@ def distribution(
     in_range = int(counts.sum())
     widths = np.diff(edges)
     densities = counts / (in_range * widths)
-    return Distribution(variable, edges, densities, int(arr.size))
+    return Distribution(edges, densities, int(arr.size))
 
 
 @dataclass(frozen=True)
@@ -141,33 +135,30 @@ class ComparisonStats:
 
 
 def top_comparison(
-    case_values: dict[CaseKey, dict[str, float]],
+    case_values: dict[tuple[str, str, int], dict[str, float]],
     top_ids_by_window: dict[str, frozenset[str]],
 ) -> ComparisonStats:
     """Compare mean antifragility of top performers against everyone.
 
     ``case_values`` maps each case to its per-agent global antifragility.
     Cases where no top performer is alive are skipped (logged). The ratio is
-    None when the non-greater cases contribute zero absolute difference.
+    None when the non-greater cases contribute zero absolute difference. Every
+    mean and sum is a ``math.fsum``, so no result depends on the order of
+    cases or agents.
     """
     total = 0
     greater = 0
     diff_greater = []
     diff_otherwise = []
-    for key in sorted(case_values):
-        window, measure, scale = key
-        values = case_values[key]
-        if not values:
-            continue
-        top = [values[a] for a in sorted(values) if a in top_ids_by_window.get(window, ())]
+    for (window, measure, scale), values in case_values.items():
+        top = [a for aid, a in values.items() if aid in top_ids_by_window.get(window, ())]
         if not top:
             logger.warning(
                 "comparison case skipped (no top performer alive): %s/%s/%d",
                 window, measure, scale,
             )
             continue
-        everyone = [values[a] for a in sorted(values)]
-        mean_all = math.fsum(everyone) / len(everyone)
+        mean_all = math.fsum(values.values()) / len(values)
         mean_top = math.fsum(top) / len(top)
         total += 1
         if mean_top > mean_all:

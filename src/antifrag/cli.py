@@ -94,10 +94,7 @@ def main(argv=None) -> int:
         from . import pipeline
 
         pipeline.run(config, dump_panels=args.dump_panels)
-    except AntifragError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (AntifragError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -19,9 +19,9 @@ names report rows and ``--dump-panels`` files, so it may only contain
 letters, digits, ``.``, ``_`` and ``-``.
 Relative paths are resolved against the config file's directory.
 
-The names a config refers to (market kinds, measure ids, time scales, safe
-names, dates, windows) are defined here, and this module imports no numpy,
-so ``antifrag validate`` never pays for importing it.
+The names a config refers to (market kinds, measures and their indexes, time
+scales, safe names, dates, windows) are defined here, and this module imports
+no numpy, so ``antifrag validate`` never pays for importing it.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ MEASURES_BY_KIND = {
     STOCK: ("af3m", "afp", "afv", "afx"),
     CRYPTO: ("afm", "afn", "afp", "afv"),
 }
+
+# the reference indexes (by index id) each measure reads; the others read none
+INDEXES_BY_MEASURE = {"afx": ("VIX",), "af3m": ("NASDAQ", "DJI", "SPX")}
 
 
 class TimeScale(IntEnum):
@@ -233,7 +236,7 @@ def build_config(raw: dict[str, str], base_dir: Path):
     measures = tuple(sorted(set(measures)))
 
     index_dir = resolve("index_dir")
-    needs_indexes = market_kind == STOCK and bool({"afx", "af3m"} & set(measures))
+    needs_indexes = market_kind == STOCK and bool(INDEXES_BY_MEASURE.keys() & measures)
     if needs_indexes:
         if index_dir is None:
             errors.append("index_dir is required for stock measures afx/af3m")

@@ -27,6 +27,7 @@ import numpy as np
 
 from .config import (
     CRYPTO,
+    INDEXES_BY_MEASURE,
     MARKET_KINDS,
     SAFE_NAME_RULE,
     STOCK,
@@ -36,7 +37,11 @@ from .config import (
 )
 from .errors import IngestionError
 
-INDEX_IDS = ("VIX", "NASDAQ", "DJI", "SPX")
+INDEX_IDS = sum(INDEXES_BY_MEASURE.values(), ())
+
+# A larger value is an ingestion error. Up to it, every square and sum of
+# squares the reports take (pr_std, pearson) stays finite; no market value nears it.
+MAX_VALUE = 1e100
 
 
 def to_dates(days: np.ndarray) -> tuple[dt.date, ...]:
@@ -50,11 +55,13 @@ def _built_days(who: str, rows) -> np.ndarray:
     return np.array([r[0].toordinal() for r in rows], dtype=np.int64)
 
 
-def _check_built(who: str, days: np.ndarray, checks) -> None:
-    """Raise on the first of the (bad-row mask, problem) checks that fails,
-    after checking that the days strictly increase."""
+def _check_built(who: str, days: np.ndarray, columns, checks) -> None:
+    """Raise on the first failing check: strictly increasing days, the
+    (bad-row mask, problem) ``checks``, then no value of ``columns`` above MAX_VALUE."""
     increasing = np.diff(days, prepend=days[0] - 1) > 0
-    for bad, problem in ((~increasing, "dates not strictly increasing"), *checks):
+    too_large = np.any([c > MAX_VALUE for c in columns], axis=0)
+    for bad, problem in ((~increasing, "dates not strictly increasing"), *checks,
+                         (too_large, f"value above {MAX_VALUE:g}")):
         if bad.any():
             at = dt.date.fromordinal(int(days[bad.argmax()]))
             raise IngestionError(f"{who}: {problem} at {at}")
@@ -97,7 +104,7 @@ class AgentSeries:
                        dtype=np.float64)
         if market_kind == STOCK and not np.isnan(cap).all():
             raise IngestionError(f"agent {agent_id}: market_cap not allowed for stocks")
-        _check_built(f"agent {agent_id}", days, (
+        _check_built(f"agent {agent_id}", days, (open_, volume, cap), (
             ((open_ < 0) | (volume < 0), "negative value"),
             (cap < 0, "negative market_cap"),
         ))
@@ -127,7 +134,8 @@ class IndexSeries:
             raise IngestionError(f"unknown index id {index_id!r}")
         days = _built_days(f"index {index_id}", rows)
         levels = np.array([r[1] for r in rows], dtype=np.float64)
-        _check_built(f"index {index_id}", days, ((levels < 0, "negative level"),))
+        _check_built(f"index {index_id}", days, (levels,),
+                     ((levels < 0, "negative level"),))
         return cls(index_id, days, levels)
 
 
@@ -162,6 +170,8 @@ def _parse_real(text: str, path: Path, line: int, field: str) -> float:
         raise IngestionError(f"{path}: line {line}: non-finite {field} value")
     if value < 0:
         raise IngestionError(f"{path}: line {line}: negative {field} value {text!r}")
+    if value > MAX_VALUE:
+        raise IngestionError(f"{path}: line {line}: {field} value above {MAX_VALUE:g}")
     return value
 
 
@@ -183,7 +193,8 @@ def _parse_columns(body, width: int, blank_last: bool):
     Each cell is parsed once, with the same calls the row-by-row check uses.
     A blank cell in the last column becomes NaN when ``blank_last``; any other
     NaN fails the finiteness count. Returns None when a row has the wrong
-    field count, a cell does not parse, or a value is non-finite or negative.
+    field count, a cell does not parse, or a value is non-finite, negative or
+    above MAX_VALUE.
     """
     if set(map(len, body)) != {width}:
         return None
@@ -209,7 +220,7 @@ def _parse_columns(body, width: int, blank_last: bool):
     columns = [np.array(v, dtype=np.float64) for v in values]
     if sum(np.count_nonzero(~np.isfinite(c)) for c in columns) != blanks:
         return None
-    if any((c < 0).any() for c in columns):
+    if any(((c < 0) | (c > MAX_VALUE)).any() for c in columns):
         return None
     return days, columns
 

@@ -39,7 +39,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .config import MEASURES_BY_KIND, STOCK, TimeScale
+from .config import INDEXES_BY_MEASURE, MEASURES_BY_KIND, STOCK
 from .errors import ComputeError
 from .ingestion import to_dates
 from .resampling import (
@@ -69,8 +69,6 @@ class SatisfactionSeries:
 class PerturbationSeries:
     """System-wide perturbation magnitudes, one value per defined period."""
 
-    measure: str
-    scale: TimeScale
     days: np.ndarray
     values: np.ndarray
 
@@ -142,7 +140,7 @@ def perturb_price(panel: NormalizedPanel) -> PerturbationSeries:
     else:
         days, means = _system_mean("afp", _abs_changes(price, price.raw))
         values = minmax_normalize(means)
-    return PerturbationSeries("afp", panel.scale, days, values)
+    return PerturbationSeries(days, values)
 
 
 def perturb_volume_stock(sat: Ragged, panel: NormalizedPanel) -> PerturbationSeries:
@@ -151,14 +149,14 @@ def perturb_volume_stock(sat: Ragged, panel: NormalizedPanel) -> PerturbationSer
     # price and volume share each agent's period grid, so sat aligns with dv
     dv = volume.differences(volume.values)
     days, means = _system_mean("afv", [(dv.days, np.abs(sat.values + dv.values) / 2.0)])
-    return PerturbationSeries("afv", panel.scale, days, means)
+    return PerturbationSeries(days, means)
 
 
 def perturb_volume_crypto(panel: NormalizedPanel) -> PerturbationSeries:
     """Crypto volume perturbation: absolute normalized-volume changes."""
     volume = panel.channels[VOLUME]
     days, means = _system_mean("afv", _abs_changes(volume, volume.values))
-    return PerturbationSeries("afv", panel.scale, days, means)
+    return PerturbationSeries(days, means)
 
 
 def perturb_marketcap(panel: NormalizedPanel) -> PerturbationSeries:
@@ -169,30 +167,31 @@ def perturb_marketcap(panel: NormalizedPanel) -> PerturbationSeries:
     """
     cap = panel.channels[MARKET_CAP]
     days, means = _system_mean("afm", _abs_changes(cap, cap.values))
-    return PerturbationSeries("afm", panel.scale, days, means)
+    return PerturbationSeries(days, means)
 
 
-def perturb_normalized_price(sat: Ragged, panel: NormalizedPanel) -> PerturbationSeries:
+def perturb_normalized_price(sat: Ragged) -> PerturbationSeries:
     """Lagged-satisfaction perturbation (afn): |S| one observed period later."""
     later = sat.later_rows()
     lagged = [(sat.days[later], np.abs(sat.values[:-1][later[1:]]))]
     days, means = _system_mean("afn", lagged)
-    return PerturbationSeries("afn", panel.scale, days, means)
+    return PerturbationSeries(days, means)
 
 
 def perturb_vix(panel: NormalizedPanel) -> PerturbationSeries:
     """VIX perturbation (afx): the normalized level itself, not a change."""
-    vix = panel.indexes.get("VIX")
+    (iid,) = INDEXES_BY_MEASURE["afx"]
+    vix = panel.indexes.get(iid)
     if vix is None or len(vix) == 0:
-        raise ComputeError("afx: no VIX data inside the window")
-    return PerturbationSeries("afx", panel.scale, vix.days, vix.values.copy())
+        raise ComputeError(f"afx: no {iid} data inside the window")
+    return PerturbationSeries(vix.days, vix.values.copy())
 
 
 def perturb_three_indexes(panel: NormalizedPanel) -> PerturbationSeries:
     """Three-index perturbation (af3m): mean absolute normalized change of
     NASDAQ, DJI, and SPX; periods missing from any of the three are excluded."""
     parts = []
-    for iid in ("NASDAQ", "DJI", "SPX"):
+    for iid in INDEXES_BY_MEASURE["af3m"]:
         index = panel.indexes.get(iid)
         if index is None or len(index) < 2:
             raise ComputeError(f"af3m: insufficient {iid} data inside the window")
@@ -201,8 +200,8 @@ def perturb_three_indexes(panel: NormalizedPanel) -> PerturbationSeries:
     if not len(common):
         raise ComputeError("af3m: indexes share no differenced period")
     columns = [diffs[np.searchsorted(days, common)].tolist() for days, diffs in parts]
-    values = np.array([math.fsum(t) / 3.0 for t in zip(*columns)])
-    return PerturbationSeries("af3m", panel.scale, common, values)
+    values = np.array([math.fsum(t) / len(parts) for t in zip(*columns)])
+    return PerturbationSeries(common, values)
 
 
 def antifragility_scores(sat: Ragged, p: PerturbationSeries) -> Scores:
@@ -278,7 +277,7 @@ def compute_measures(panel: NormalizedPanel, measures) -> WindowScaleResults:
         elif m == "afm":
             perturbations[m] = perturb_marketcap(panel)
         elif m == "afn":
-            perturbations[m] = perturb_normalized_price(sat, panel)
+            perturbations[m] = perturb_normalized_price(sat)
         elif m == "afx":
             perturbations[m] = perturb_vix(panel)
         elif m == "af3m":

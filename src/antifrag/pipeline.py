@@ -1,12 +1,12 @@
 """End-to-end run: load inputs, compute all cases, render the reports.
 
 A run covers every configured (window, scale) pair in one serial loop. Each
-case builds its panel once, keeps only what the reports read (every agent's
-global antifragility and periods used, and the alive count) and drops the
-rest. Every report row is sorted, which keeps output bytes identical for any
-input-file ordering. Reals are serialized with 17 significant digits (every
-agent's A and performance values once, for all the per-agent reports) and
-lines end with \\n.
+case builds its panel once and keeps only what the reports read: the alive
+count, and its included agents' ids (in id order), A and periods used. The
+cases form one list, sorted once by (window, measure, scale), that every
+report iterates, so report rows come out sorted and identical for any
+input-file ordering. Reals are serialized with 17 significant digits (each A
+and performance value once, for all reports) and lines end with \\n.
 
 Report files: antifragility.csv, performance.csv, scatter.csv, bins.csv,
 distributions.csv, correlations.csv, comparison.json (when top-performer
@@ -26,10 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .config import RunConfig
+from .config import INDEXES_BY_MEASURE, RunConfig
 from .errors import IngestionError
 from .ingestion import (
-    STOCK,
     AgentSeries,
     IndexSeries,
     load_agent_series,
@@ -40,28 +39,17 @@ from .ingestion import (
 )
 from .measures import compute_measures
 from .performance import PERF_VARIABLES, compute_performance, top_ids_for
-from .resampling import INDEX, MARKET_CAP, PRICE, VOLUME, build_panel
+from .resampling import INDEX, build_panel
 
 logger = logging.getLogger(__name__)
 
 
 def fmt(value) -> str:
-    """Canonical field serialization: 17 significant digits for reals."""
+    """Canonical field serialization: 17 significant digits for reals, an
+    empty field for None."""
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return format(float(value), ".17g")
-
-
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    return _text(lines)
 
 
 def _text(lines: list[str]) -> str:
@@ -80,22 +68,15 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
     agent_files = sorted(config.data_dir.glob("*.csv"))
     if not agent_files:
         raise IngestionError(f"no agent CSV files in {config.data_dir}")
-    agents = sorted(
-        (load_agent_series(p, config.market_kind) for p in agent_files),
-        key=lambda s: s.agent_id,
-    )
+    agents = [load_agent_series(p, config.market_kind) for p in agent_files]
 
     index_files: dict[str, Path] = {}
-    if config.market_kind == STOCK:
-        needed = {"afx": ("VIX",), "af3m": ("NASDAQ", "DJI", "SPX")}
-        for iid in sorted({i for m in config.measures for i in needed.get(m, ())}):
-            path = config.index_dir / f"{iid.lower()}.csv"
-            if not path.is_file():
-                raise IngestionError(f"missing index file {path}")
-            index_files[iid] = path
-    indexes: list[IndexSeries] = [
-        load_index_series(path, iid) for iid, path in sorted(index_files.items())
-    ]
+    for iid in sorted({i for m in config.measures for i in INDEXES_BY_MEASURE.get(m, ())}):
+        path = config.index_dir / f"{iid.lower()}.csv"
+        if not path.is_file():
+            raise IngestionError(f"missing index file {path}")
+        index_files[iid] = path
+    indexes: list[IndexSeries] = [load_index_series(p, i) for i, p in index_files.items()]
 
     digests = {f"agents/{p.name}": _digest(p) for p in agent_files}
     digests.update({f"indexes/{p.name}": _digest(p) for p in index_files.values()})
@@ -112,8 +93,7 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
         for w in config.windows
     }
 
-    case_values: dict[analysis.CaseKey, dict[str, float]] = {}
-    n_used: dict[analysis.CaseKey, dict[str, int]] = {}
+    scored = []
     alive: dict[str, dict[str, int]] = {}
     panel_dumps: dict[str, str] = {}
     for window in config.windows:
@@ -121,17 +101,13 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
             panel = build_panel(sliced_by_window[window.label], indexes, window, scale)
             ws = compute_measures(panel, config.measures)
             alive.setdefault(window.label, {})[str(int(scale))] = len(ws.alive_agents)
-            for measure, scores in ws.scores.items():
-                key = (window.label, measure, int(scale))
-                used = scores.counts.tolist()
-                case_values[key] = {
-                    aid: a
-                    for aid, a, n in zip(ws.alive_agents, scores.global_a.tolist(), used)
-                    if n
-                }
-                n_used[key] = {aid: n for aid, n in zip(ws.alive_agents, used) if n}
+            scored.extend(
+                (window.label, m, int(scale), ws.alive_agents, sc.global_a, sc.counts)
+                for m, sc in ws.scores.items()
+            )
             if dump_panels:
                 panel_dumps.update(_panel_dumps(panel))
+    cases = _case_list(scored)
 
     # performance per window, only for agents alive in that window
     perf_variables: dict[tuple[str, str], dict[str, float | None]] = {
@@ -139,84 +115,77 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
         for w in config.windows
         for s in sliced_by_window[w.label]
     }
+    perf_text = {
+        key: {name: None if v is None else fmt(v) for name, v in variables.items()}
+        for key, variables in perf_variables.items()
+    }
 
-    a_text, perf_text = _format_values(case_values, perf_variables)
     outputs: dict[str, str] = {}
-    antifragility = ["agent_id,measure,scale,window,global_A,n_used"]
-    for (window, measure, scale), texts in sorted(a_text.items()):
-        used = n_used[(window, measure, scale)]
-        antifragility.extend(
-            f"{aid},{measure},{scale},{window},{a},{used[aid]}"
-            for aid, a in sorted(texts.items())
-        )
-    outputs["antifragility.csv"] = _text(antifragility)
-    outputs["scatter.csv"] = _render_scatter(a_text, perf_text)
+    outputs["antifragility.csv"], outputs["scatter.csv"] = (
+        _render_antifragility_and_scatter(cases, perf_text)
+    )
     outputs["performance.csv"] = _render_performance(perf_text, top_by_window)
     outputs["bins.csv"], outputs["correlations.csv"] = _render_bins_and_correlations(
-        case_values, perf_variables
+        cases, perf_variables
     )
     outputs["distributions.csv"] = _render_distributions(
-        case_values, top_by_window, config.n_hist_bins
+        cases, top_by_window, config.n_hist_bins
     )
     if top_lists is not None:
-        stats = analysis.top_comparison(case_values, top_by_window)
+        stats = analysis.top_comparison(
+            {(w, m, s): dict(zip(ids, a)) for w, m, s, ids, a, _, _ in cases},
+            top_by_window,
+        )
         outputs["comparison.json"] = _comparison_json(stats)
     outputs["run_manifest.json"] = _manifest_json(config, digests, alive)
     outputs.update(panel_dumps)
     return outputs
 
 
-def _format_values(case_values, perf_variables):
-    """Each A and performance value formatted once, for every per-agent
-    report: (case -> agent -> A text, (window label, agent id) -> variable
-    -> text, None when undefined). ``age_days``, a float here, renders as
-    the int it is."""
-    a_text = {
-        key: {aid: fmt(a) for aid, a in values.items()}
-        for key, values in case_values.items()
-    }
-    perf_text = {
-        key: {name: None if v is None else fmt(v) for name, v in variables.items()}
-        for key, variables in perf_variables.items()
-    }
-    return a_text, perf_text
+def _case_list(scored) -> list:
+    """The cases sorted by (window, measure, scale), each one (window,
+    measure, scale, ids, A, A texts, n_used) over the agents with n_used > 0,
+    in ``ids`` order. ``scored`` holds (window, measure, scale, ids, global A
+    array, n_used array). Each A is formatted here, once, for every report."""
+    cases = []
+    for window, measure, scale, ids, global_a, counts in scored:
+        used = np.flatnonzero(counts)
+        a = global_a[used].tolist()
+        cases.append((window, measure, scale, [ids[k] for k in used.tolist()], a,
+                      [fmt(v) for v in a], counts[used].tolist()))
+    return sorted(cases, key=lambda case: case[:3])
 
 
-def _render_scatter(a_text, perf_text) -> str:
-    """Every agent's A next to each of its defined performance variables,
-    sorted by window, measure, scale, agent and variable name; an agent
-    without performance in the window has no rows. Takes the text maps of
-    ``_format_values``."""
+def _render_antifragility_and_scatter(cases, perf_text) -> tuple[str, str]:
+    """antifragility.csv and scatter.csv, which sets every agent's A next to
+    each of its defined performance variables (sorted by name); an agent
+    without performance in the window has no scatter rows."""
     cells = {
         key: [f"{name},{t}" for name, t in sorted(texts.items()) if t is not None]
         for key, texts in perf_text.items()
     }
-    lines = ["window,measure,scale,agent_id,A,perf_variable,perf_value"]
-    for (window, measure, scale), texts in sorted(a_text.items()):
-        for aid, a in sorted(texts.items()):
+    antifragility = ["agent_id,measure,scale,window,global_A,n_used"]
+    scatter = ["window,measure,scale,agent_id,A,perf_variable,perf_value"]
+    for window, measure, scale, ids, _, a_text, used in cases:
+        for aid, a, n in zip(ids, a_text, used):
+            antifragility.append(f"{aid},{measure},{scale},{window},{a},{n}")
             agent_cells = cells.get((window, aid))
             if agent_cells:
                 prefix = f"{window},{measure},{scale},{aid},{a},"
-                lines.extend(map(prefix.__add__, agent_cells))
-    return _text(lines)
+                scatter.extend(map(prefix.__add__, agent_cells))
+    return _text(antifragility), _text(scatter)
 
 
 def _render_performance(perf_text, top_by_window) -> str:
     lines = [",".join(["agent_id", "window", *PERF_VARIABLES, "is_top_performer"])]
     for (window, aid), texts in sorted(perf_text.items()):
         values = ",".join(texts[name] or "" for name in PERF_VARIABLES)
-        lines.append(f"{aid},{window},{values},{fmt(aid in top_by_window[window])}")
+        top = "true" if aid in top_by_window[window] else "false"
+        lines.append(f"{aid},{window},{values},{top}")
     return _text(lines)
 
 
-def _defined(agents, name) -> list[tuple[str, float, float]]:
-    """(agent, A, variable) for every agent of ``agents`` whose performance
-    variable ``name`` is defined; ``agents`` holds (agent, A, variables)."""
-    return [(aid, a, variables[name]) for aid, a, variables in agents
-            if variables[name] is not None]
-
-
-def _render_bins_and_correlations(case_values, perf_variables) -> tuple[str, str]:
+def _render_bins_and_correlations(cases, perf_variables) -> tuple[str, str]:
     """bins.csv and correlations.csv, from one join per case and performance
     variable: its Pearson r, and both binning directions when at least five
     agents have the variable defined."""
@@ -224,16 +193,16 @@ def _render_bins_and_correlations(case_values, perf_variables) -> tuple[str, str
     correlations = ["window,measure,scale,perf_variable,r,n_pairs"]
     skipped_cases = 0
     skipped_names: set[str] = set()
-    for (window, measure, scale), values in sorted(case_values.items()):
+    for window, measure, scale, ids, a_values, _, _ in cases:
         case = f"{window},{measure},{scale},"
         agents = [
             (aid, a, perf_variables[(window, aid)])
-            for aid, a in sorted(values.items())
+            for aid, a in zip(ids, a_values)
             if (window, aid) in perf_variables
         ]
         skipped = []
         for name in PERF_VARIABLES:
-            entries = _defined(agents, name)
+            entries = [(aid, a, v[name]) for aid, a, v in agents if v[name] is not None]
             r = analysis.pearson([e[1] for e in entries], [e[2] for e in entries])
             correlations.append(f"{case}{name},{fmt(r)},{len(entries)}")
             if len(entries) < 5:
@@ -251,20 +220,19 @@ def _render_bins_and_correlations(case_values, perf_variables) -> tuple[str, str
     if skipped_cases:
         logger.warning(
             "bins skipped in %d of %d cases (fewer than 5 agents defined): %s",
-            skipped_cases, len(case_values),
+            skipped_cases, len(cases),
             ", ".join(n for n in PERF_VARIABLES if n in skipped_names),
         )
     return _text(bins), _text(correlations)
 
 
-def _render_distributions(case_values, top_by_window, n_bins) -> str:
+def _render_distributions(cases, top_by_window, n_bins) -> str:
     lines = ["window,measure,scale,population,bin_index,"
              "bin_left,bin_right,density,sample_count"]
-    for (window, measure, scale), values in sorted(case_values.items()):
-        ordered = sorted(values)
-        dist = analysis.distribution([values[aid] for aid in ordered], n_bins=n_bins)
+    for window, measure, scale, ids, a_values, _, _ in cases:
+        dist = analysis.distribution(a_values, n_bins=n_bins)
         populations = [("all", dist)]
-        top_values = [values[aid] for aid in ordered if aid in top_by_window[window]]
+        top_values = [a for aid, a in zip(ids, a_values) if aid in top_by_window[window]]
         if top_values:
             top = analysis.distribution(top_values, edges=dist.edges)
             populations.append(("top", top))
@@ -279,17 +247,14 @@ def _render_distributions(case_values, top_by_window, n_bins) -> str:
 
 
 def _comparison_json(stats) -> str:
-    def real(x):
-        return "null" if x is None else format(float(x), ".17g")
-
     return (
         "{\n"
         f'  "cases_total": {stats.cases_total},\n'
         f'  "cases_top_greater": {stats.cases_top_greater},\n'
-        f'  "fraction_top_greater": {real(stats.fraction_top_greater)},\n'
-        f'  "sum_diff_when_greater": {real(stats.sum_diff_when_greater)},\n'
-        f'  "sum_diff_otherwise": {real(stats.sum_diff_otherwise)},\n'
-        f'  "ratio": {real(stats.ratio)}\n'
+        f'  "fraction_top_greater": {fmt(stats.fraction_top_greater)},\n'
+        f'  "sum_diff_when_greater": {fmt(stats.sum_diff_when_greater)},\n'
+        f'  "sum_diff_otherwise": {fmt(stats.sum_diff_otherwise)},\n'
+        f'  "ratio": {fmt(stats.ratio) or "null"}\n'
         "}\n"
     )
 
@@ -321,27 +286,28 @@ def _manifest_json(config: RunConfig, digests, alive) -> str:
 
 
 def _panel_dumps(panel) -> dict[str, str]:
-    """Debug export of one panel: one CSV per channel (period x agent)."""
+    """Debug export of one panel, read from its tables: one CSV per channel
+    with rows (period x agent with rows). Agents share the panel's period
+    axis; the indexes, one column each, span their own periods."""
+    tables = [
+        (name, panel.period_axis,
+         [(aid, ch.days[s], ch.values[s]) for aid, s in ch.split(panel.ids).items()])
+        for name, ch in panel.channels.items()
+    ]
+    index = [(iid, ch.days, ch.values) for iid, ch in sorted(panel.indexes.items())]
+    if index:
+        tables.append((INDEX, np.unique(np.concatenate([c[1] for c in index])), index))
     out = {}
     prefix = f"panels/{panel.window.label}_s{int(panel.scale)}"
-    channels = [PRICE, VOLUME] + ([] if panel.market_kind == STOCK else [MARKET_CAP])
-    tables = [
-        (c, {aid: ch[c] for aid, ch in panel.agents.items() if c in ch}) for c in channels
-    ]
-    for name, series in tables + [(INDEX, panel.indexes)]:
-        if not series:
+    for name, axis, columns in tables:
+        if not columns:
             continue
-        ids = sorted(series)
-        # agents share the panel's period axis; indexes span their own periods
-        axis = panel.period_axis
-        if name == INDEX:
-            axis = np.unique(np.concatenate([series[i].days for i in ids]))
-        rows = [[d.isoformat()] + [None] * len(ids) for d in to_dates(axis)]
-        for column, i in enumerate(ids, 1):
-            at = np.searchsorted(axis, series[i].days).tolist()
-            for row, value in zip(at, series[i].values.tolist()):
-                rows[row][column] = value
-        out[f"{prefix}_{name}.csv"] = _csv(["period"] + ids, rows)
+        rows = [[d.isoformat()] + [""] * len(columns) for d in to_dates(axis)]
+        for column, (_, days, values) in enumerate(columns, 1):
+            for row, value in zip(axis.searchsorted(days).tolist(), values.tolist()):
+                rows[row][column] = fmt(value)
+        header = ["period"] + [c[0] for c in columns]
+        out[f"{prefix}_{name}.csv"] = _text([",".join(r) for r in [header, *rows]])
     return out
 
 

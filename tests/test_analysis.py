@@ -10,7 +10,7 @@ from antifrag.analysis import (
     top_comparison,
 )
 from antifrag.errors import ComputeError
-from antifrag.pipeline import _format_values, _render_scatter
+from antifrag.pipeline import _case_list, _render_antifragility_and_scatter, fmt
 
 
 def test_pearson_perfect_positive():
@@ -190,7 +190,18 @@ def test_top_comparison_ratio():
 
 
 def scatter_lines(cases, perf) -> list[str]:
-    text = _render_scatter(*_format_values(cases, perf))
+    """scatter.csv rows of {case: {agent: A}} and {(window, agent): {name:
+    value}}; each case's agents come in id order, as a panel gives them."""
+    scored = [
+        (*key, sorted(values), np.array([values[a] for a in sorted(values)]),
+         np.ones(len(values), dtype=int))
+        for key, values in cases.items()
+    ]
+    perf_text = {
+        key: {name: None if v is None else fmt(v) for name, v in values.items()}
+        for key, values in perf.items()
+    }
+    _, text = _render_antifragility_and_scatter(_case_list(scored), perf_text)
     assert text.endswith("\n")
     lines = text.split("\n")[:-1]
     assert lines[0] == "window,measure,scale,agent_id,A,perf_variable,perf_value"

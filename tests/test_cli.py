@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import antifrag.cli as cli
-from antifrag import measures, pipeline
+from antifrag import measures, pipeline, resampling
 from antifrag.config import load_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -256,10 +256,17 @@ def test_execute_builds_no_per_agent_objects(fixture_tree, monkeypatch, market):
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
+
+    def view(self, rows, _view=resampling.Channel.view):
+        built.append("Channel.view")
+        return _view(self, rows)
+
+    monkeypatch.setattr(resampling.Channel, "view", view)
     config, _, _ = load_config(fixture_tree / market / "config.cfg")
     assert "antifragility.csv" in pipeline.execute(config)
     assert built == []
-    pipeline.execute(config, dump_panels=True)
+    dumped = pipeline.execute(config, dump_panels=True)
+    assert any(name.startswith("panels/") for name in dumped)
     assert built == []
     measures.SatisfactionSeries("X", None, None)
     assert built == ["SatisfactionSeries"]
@@ -421,7 +428,7 @@ def test_skipped_bins_are_one_warning_per_run(fixture_tree, caplog):
 def test_scatter_formats_each_value_once(fixture_tree, monkeypatch):
     calls = []
     real_fmt = pipeline.fmt
-    real_render = pipeline._render_scatter
+    real_render = pipeline._render_antifragility_and_scatter
     calls_at_scatter_end = []
 
     def counted_fmt(value):
@@ -434,7 +441,7 @@ def test_scatter_formats_each_value_once(fixture_tree, monkeypatch):
         return text
 
     monkeypatch.setattr(pipeline, "fmt", counted_fmt)
-    monkeypatch.setattr(pipeline, "_render_scatter", render)
+    monkeypatch.setattr(pipeline, "_render_antifragility_and_scatter", render)
     config = fixture_tree / "crypto" / "config.cfg"
     assert cli.main(["run", "--config", str(config), "--workers", "1"]) == 0
     out = fixture_tree / "crypto" / "output"
@@ -448,6 +455,47 @@ def test_scatter_formats_each_value_once(fixture_tree, monkeypatch):
     assert len((out / "scatter.csv").read_text().splitlines()) > a_values
     assert len(calls_at_scatter_end) == 1
     assert calls_at_scatter_end[0] <= a_values + defined
+
+
+def set_column(path: Path, name: str, values: list[str]) -> None:
+    """Give column ``name`` of a fixture CSV the ``values``, cycled over its rows."""
+    header, *rows = path.read_text().splitlines()
+    k = header.split(",").index(name)
+    lines = [header]
+    for i, row in enumerate(rows):
+        cells = row.split(",")
+        cells[k] = values[i % len(values)]
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("market, agent, column, values", [
+    ("crypto", "XCOIN", "market_cap", ["1e308"]),
+    ("stocks", "AAA", "open", ["1e160", "0.0"]),
+])
+def test_value_above_1e100_is_one_error_line(fixture_tree, market, agent, column, values):
+    path = fixture_tree / market / "agents" / f"{agent}.csv"
+    set_column(path, column, values)
+    config = fixture_tree / market / "config.cfg"
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "antifrag.cli", "run", "--config", str(config)],
+        capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        f"error: {path}: line 2: {column} value above 1e+100"
+    ]
+
+
+def test_values_of_1e100_run_cleanly(fixture_tree):
+    agent = fixture_tree / "crypto" / "agents" / "XCOIN.csv"
+    for column in ("open", "volume", "market_cap"):
+        set_column(agent, column, ["1e100", "0.0"])
+    set_column(fixture_tree / "stocks" / "agents" / "AAA.csv", "open", ["1e100", "0.0"])
+    for market in ("crypto", "stocks"):
+        config = fixture_tree / market / "config.cfg"
+        assert cli.main(["run", "--config", str(config), "--workers", "1"]) == 0
 
 
 def test_rerun_without_dump_panels_removes_stale_panels(fixture_tree):

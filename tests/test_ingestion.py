@@ -7,6 +7,7 @@ from antifrag.errors import IngestionError
 from antifrag.ingestion import (
     AgentSeries,
     AnalysisWindow,
+    IndexSeries,
     agent_csv_text,
     load_agent_series,
     load_index_series,
@@ -289,6 +290,30 @@ def test_observation_dates_strictly_increasing_enforced():
             (dt.date(2014, 1, 3), 10.0, 100.0, None),
             (dt.date(2014, 1, 2), 11.0, 100.0, None),
         ])
+
+
+def test_values_above_1e100_rejected_1e100_accepted(tmp_path):
+    header = "date,open,volume,market_cap\n"
+    path = write(tmp_path, "X.csv", header + "2014-01-02,1e100,1e100,1e100\n")
+    assert load_agent_series(path, "crypto").cap.tolist() == [1e100]
+    for field, cells in (("open", "1.0000000000000002e100,1,1"), ("volume", "1,1e101,"),
+                         ("market_cap", "1,1,1e308")):
+        path = write(tmp_path, "Y.csv", f"{header}2014-01-02,{cells}\n")
+        with pytest.raises(IngestionError, match=f"line 2: {field} value above 1e\\+100"):
+            load_agent_series(path, "crypto")
+    path = write(tmp_path, "vix.csv", "date,level\n2014-01-02,1\n2014-01-03,1e101\n")
+    with pytest.raises(IngestionError, match="line 3: level value above 1e\\+100"):
+        load_index_series(path, "VIX")
+
+
+def test_from_rows_rejects_values_above_1e100():
+    rows = [(dt.date(2014, 1, 2), 1e100, 1e100, 1e100),
+            (dt.date(2014, 1, 3), 1.0, 1.0, 1e101)]
+    with pytest.raises(IngestionError, match=r"agent X: value above 1e\+100 at 2014-01-03"):
+        AgentSeries.from_rows("X", "crypto", rows)
+    with pytest.raises(IngestionError, match=r"index VIX: value above 1e\+100 at 2014-01-02"):
+        IndexSeries.from_rows("VIX", [(dt.date(2014, 1, 2), float("inf"))])
+    assert len(AgentSeries.from_rows("X", "crypto", rows[:1])) == 1
 
 
 def test_window_start_after_end_rejected():

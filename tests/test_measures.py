@@ -181,7 +181,7 @@ def test_perturb_normalized_price_lags_satisfaction():
     # normalized prices 0, 0.4, 1, 0.2 -> S = 0.4, 0.6, -0.8
     panel = panel_of({"X": [(day(i), p, 1, 100) for i, p in enumerate([10, 14, 20, 12])]},
                      kind="crypto")
-    p = perturb_normalized_price(sats(panel), panel)
+    p = perturb_normalized_price(sats(panel))
     assert p.periods == (day(2), day(3))
     assert p.values[0] == pytest.approx(0.4, abs=1e-15)
     assert p.values[1] == pytest.approx(0.6, abs=1e-15)
@@ -189,7 +189,7 @@ def test_perturb_normalized_price_lags_satisfaction():
 
 def test_perturb_normalized_price_zero_for_constant():
     panel = panel_of({"X": [(day(i), 9, 1, 100) for i in range(4)]}, kind="crypto")
-    assert perturb_normalized_price(sats(panel), panel).values.tolist() == [0.0, 0.0]
+    assert perturb_normalized_price(sats(panel)).values.tolist() == [0.0, 0.0]
 
 
 def test_perturb_vix_is_level_not_difference():
@@ -252,8 +252,7 @@ def test_perturb_three_indexes_requires_all_three():
 
 def test_antifragility_exact_product_and_mean():
     s = Ragged(np.array([0, 2]), ordinals(day(1), day(2)), np.array([1.0, -0.5]))
-    p = PerturbationSeries("afp", TimeScale.DAILY, ordinals(day(1), day(2)),
-                           np.array([0.5, 0.5]))
+    p = PerturbationSeries(ordinals(day(1), day(2)), np.array([0.5, 0.5]))
     result = antifragility_scores(s, p)
     assert result.values.tolist() == [0.5, -0.25]
     assert result.global_a.tolist() == [0.125]
@@ -262,15 +261,14 @@ def test_antifragility_exact_product_and_mean():
 
 def test_antifragility_zero_satisfaction_is_exactly_zero():
     s = Ragged(np.array([0, 2]), ordinals(day(1), day(2)), np.array([0.0, 0.0]))
-    p = PerturbationSeries("afp", TimeScale.DAILY, ordinals(day(1), day(2)),
-                           np.array([0.3, 0.9]))
+    p = PerturbationSeries(ordinals(day(1), day(2)), np.array([0.3, 0.9]))
     result = antifragility_scores(s, p)
     assert result.global_a.tolist() == [0.0]
 
 
 def test_antifragility_empty_intersection_returns_none():
     s = Ragged(np.array([0, 1]), ordinals(day(1)), np.array([1.0]))
-    p = PerturbationSeries("afp", TimeScale.DAILY, ordinals(day(2)), np.array([0.5]))
+    p = PerturbationSeries(ordinals(day(2)), np.array([0.5]))
     result = antifragility_scores(s, p)
     assert result.counts.tolist() == [0]
     assert len(result.values) == 0

@@ -4,7 +4,7 @@ import pytest
 
 from antifrag.ingestion import AnalysisWindow, TopPerformerList
 from antifrag.performance import compute_performance, top_ids_for
-from antifrag.pipeline import _format_values, _render_performance
+from antifrag.pipeline import _render_performance, fmt
 
 from conftest import day, make_agent
 
@@ -90,7 +90,8 @@ def test_metrics_use_raw_not_normalized_values():
 
 def test_top_performer_flag_exact_match():
     rows = [(day(0), 10, 1), (day(1), 11, 2)]
-    _, perf_text = _format_values({}, {("w", "X"): record_for(rows)})
+    perf_text = {("w", "X"): {n: None if v is None else fmt(v)
+                              for n, v in record_for(rows).items()}}
 
     def flag(top):
         text = _render_performance(perf_text, {"w": top})

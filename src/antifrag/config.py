@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import datetime as dt
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from pathlib import Path
 
@@ -96,20 +96,6 @@ class AnalysisWindow:
         return cls(dt.date(year, 1, 1), dt.date(year, 12, 31), str(year))
 
 
-_KEYS = (
-    "market_kind",
-    "data_dir",
-    "index_dir",
-    "top_performers_path",
-    "windows",
-    "scales",
-    "measures",
-    "output_dir",
-    "n_hist_bins",
-    "worker_count",
-)
-
-
 @dataclass
 class RunConfig:
     market_kind: str
@@ -122,6 +108,10 @@ class RunConfig:
     top_performers_path: Path | None = None
     n_hist_bins: int = 50
     worker_count: int = 0
+
+
+# the keys a config file may set: one per RunConfig field
+_KEYS = frozenset(f.name for f in fields(RunConfig))
 
 
 def read_config_file(path: Path) -> dict[str, str]:

@@ -9,8 +9,9 @@ lines.
 
 A loaded series is a record of numpy columns: dates as int64 day ordinals
 (``date.toordinal()``), values as float64, and NaN for a missing market cap.
-Every invariant is checked once, when a series is loaded or built with
-``from_rows``; slicing returns views of columns that are already checked.
+Its invariants are written once, in ``_column_fault``, for series loaded from
+a file and built with ``from_rows`` alike; slicing returns views of columns
+that are already checked.
 """
 
 from __future__ import annotations
@@ -49,22 +50,36 @@ def to_dates(days: np.ndarray) -> tuple[dt.date, ...]:
     return tuple(map(dt.date.fromordinal, days.tolist()))
 
 
-def _built_days(who: str, rows) -> np.ndarray:
+def _column_fault(days: np.ndarray, values, cap=None) -> tuple[str, int] | None:
+    """The first failing check of a series and the first row it fails at, or
+    None: days strictly increasing, then no value of the ``values`` columns or
+    of ``cap`` negative, none above MAX_VALUE, and none NaN except in ``cap``,
+    where NaN is a missing cap."""
+    every = np.array([*values] if cap is None else [*values, cap])
+    unordered = np.concatenate(([False], days[1:] <= days[:-1]))
+    for bad, problem in (
+        (unordered, "dates not strictly increasing"),
+        ((every < 0).any(axis=0), "negative value"),
+        ((every > MAX_VALUE).any(axis=0), f"value above {MAX_VALUE:g}"),
+        (np.isnan(every[: len(values)]).any(axis=0), "NaN value"),
+    ):
+        if bad.any():
+            return problem, int(bad.argmax())
+    return None
+
+
+def _built_columns(who: str, rows, has_cap: bool):
+    """Checked day ordinals and float64 columns of (date, value, ...) rows,
+    the last column a cap when ``has_cap`` (None becomes NaN)."""
     if not rows:
         raise IngestionError(f"{who}: no observations")
-    return np.array([r[0].toordinal() for r in rows], dtype=np.int64)
-
-
-def _check_built(who: str, days: np.ndarray, columns, checks) -> None:
-    """Raise on the first failing check: strictly increasing days, the
-    (bad-row mask, problem) ``checks``, then no value of ``columns`` above MAX_VALUE."""
-    increasing = np.diff(days, prepend=days[0] - 1) > 0
-    too_large = np.any([c > MAX_VALUE for c in columns], axis=0)
-    for bad, problem in ((~increasing, "dates not strictly increasing"), *checks,
-                         (too_large, f"value above {MAX_VALUE:g}")):
-        if bad.any():
-            at = dt.date.fromordinal(int(days[bad.argmax()]))
-            raise IngestionError(f"{who}: {problem} at {at}")
+    days = np.array([r[0].toordinal() for r in rows], dtype=np.int64)
+    columns = [np.array(c, dtype=np.float64) for c in list(zip(*rows))[1:]]
+    values, cap = (columns[:-1], columns[-1]) if has_cap else (columns, None)
+    if fault := _column_fault(days, values, cap):
+        problem, row = fault
+        raise IngestionError(f"{who}: {problem} at {dt.date.fromordinal(int(days[row]))}")
+    return days, columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,21 +108,15 @@ class AgentSeries:
     @classmethod
     def from_rows(cls, agent_id: str, market_kind: str, rows) -> "AgentSeries":
         """Build from (date, open, volume, cap_or_None) rows in date order."""
+        if not is_safe_name(agent_id):
+            raise IngestionError(f"agent id {agent_id!r} {SAFE_NAME_RULE}")
         if market_kind not in MARKET_KINDS:
             raise IngestionError(
                 f"agent {agent_id}: unknown market kind {market_kind!r}"
             )
-        days = _built_days(f"agent {agent_id}", rows)
-        open_ = np.array([r[1] for r in rows], dtype=np.float64)
-        volume = np.array([r[2] for r in rows], dtype=np.float64)
-        cap = np.array([math.nan if r[3] is None else r[3] for r in rows],
-                       dtype=np.float64)
+        days, (open_, volume, cap) = _built_columns(f"agent {agent_id}", rows, True)
         if market_kind == STOCK and not np.isnan(cap).all():
             raise IngestionError(f"agent {agent_id}: market_cap not allowed for stocks")
-        _check_built(f"agent {agent_id}", days, (open_, volume, cap), (
-            ((open_ < 0) | (volume < 0), "negative value"),
-            (cap < 0, "negative market_cap"),
-        ))
         return cls(agent_id, market_kind, days, open_, volume, cap)
 
 
@@ -132,24 +141,8 @@ class IndexSeries:
         """Build from (date, level) rows in date order."""
         if index_id not in INDEX_IDS:
             raise IngestionError(f"unknown index id {index_id!r}")
-        days = _built_days(f"index {index_id}", rows)
-        levels = np.array([r[1] for r in rows], dtype=np.float64)
-        _check_built(f"index {index_id}", days, (levels,),
-                     ((levels < 0, "negative level"),))
+        days, (levels,) = _built_columns(f"index {index_id}", rows, False)
         return cls(index_id, days, levels)
-
-
-@dataclass(frozen=True)
-class TopPerformerList:
-    """Agents singled out as the best performers of one year."""
-
-    year: int
-    agent_ids: frozenset[str]
-    source_label: str
-
-    def __post_init__(self):
-        if not self.agent_ids:
-            raise IngestionError(f"empty top-performer list for year {self.year}")
 
 
 def _parse_date(text: str, path: Path, line: int) -> dt.date:
@@ -191,10 +184,10 @@ def _parse_columns(body, width: int, blank_last: bool):
     """Day ordinals and float64 value columns of the data rows.
 
     Each cell is parsed once, with the same calls the row-by-row check uses.
-    A blank cell in the last column becomes NaN when ``blank_last``; any other
-    NaN fails the finiteness count. Returns None when a row has the wrong
-    field count, a cell does not parse, or a value is non-finite, negative or
-    above MAX_VALUE.
+    A blank cell in the last column becomes NaN when ``blank_last``, and a NaN
+    there that is not blank (a ``nan`` cell) fails the blank count. Returns
+    None when a row has the wrong field count, a cell does not parse, or the
+    blank count fails; the values themselves are checked by ``_column_fault``.
     """
     if set(map(len, body)) != {width}:
         return None
@@ -218,9 +211,7 @@ def _parse_columns(body, width: int, blank_last: bool):
     except ValueError:
         return None
     columns = [np.array(v, dtype=np.float64) for v in values]
-    if sum(np.count_nonzero(~np.isfinite(c)) for c in columns) != blanks:
-        return None
-    if any(((c < 0) | (c > MAX_VALUE)).any() for c in columns):
+    if blank_last and np.count_nonzero(np.isnan(columns[-1])) != blanks:
         return None
     return days, columns
 
@@ -283,11 +274,10 @@ def load_agent_series(path: Path, market_kind: str) -> AgentSeries:
         _raise_first_bad_row(path, header, body, in_order=False)
     days, columns = parsed
     order = np.argsort(days, kind="stable")
-    days = days[order]
-    if (days[1:] == days[:-1]).any():
-        _raise_first_bad_row(path, header, body, in_order=False)
-    open_, volume = columns[0][order], columns[1][order]
+    days, open_, volume = days[order], columns[0][order], columns[1][order]
     cap = columns[2][order] if has_cap else np.full(len(days), np.nan)
+    if _column_fault(days, (open_, volume), cap):
+        _raise_first_bad_row(path, header, body, in_order=False)
     return AgentSeries(path.stem, market_kind, days, open_, volume, cap)
 
 
@@ -305,16 +295,17 @@ def load_index_series(path: Path, index_id: str) -> IndexSeries:
         raise IngestionError(f"index {index_id}: no observations")
 
     parsed = _parse_columns(body, 2, blank_last=False)
-    if parsed is None or (np.diff(parsed[0]) <= 0).any():
+    if parsed is None or _column_fault(*parsed):
         _raise_first_bad_row(path, header, body, in_order=True)
     days, (levels,) = parsed
     return IndexSeries(index_id, days, levels)
 
 
-def load_top_performers(path: Path) -> list[TopPerformerList]:
-    """Read a top-performer JSON file, one list per year, sorted by year.
+def load_top_performers(path: Path) -> dict[int, frozenset[str]]:
+    """Read a top-performer JSON file as a map from year to agent ids.
 
-    A year listed more than once has its id lists unioned.
+    A year listed more than once, under one key or under keys that ``int``
+    reads as one year (``"2014"``, ``" 2014"``), has its id lists unioned.
     """
     path = Path(path)
 
@@ -337,7 +328,7 @@ def load_top_performers(path: Path) -> list[TopPerformerList]:
     if not isinstance(data, dict):
         raise IngestionError(f"{path}: expected an object mapping year to id list")
 
-    lists = []
+    top: dict[int, frozenset[str]] = {}
     for key, ids in data.items():
         try:
             year = int(key)
@@ -347,9 +338,8 @@ def load_top_performers(path: Path) -> list[TopPerformerList]:
             raise IngestionError(f"{path}: year {key}: expected a list of ids")
         if not ids:
             raise IngestionError(f"{path}: empty top-performer list for year {year}")
-        lists.append(TopPerformerList(year, frozenset(ids), path.name))
-    lists.sort(key=lambda t: t.year)
-    return lists
+        top[year] = top.get(year, frozenset()).union(ids)
+    return top
 
 
 def slice_window(series: AgentSeries, window: AnalysisWindow) -> AgentSeries | None:

@@ -103,27 +103,26 @@ def satisfaction_table(prices: Channel) -> Ragged:
     return prices.differences(prices.values)
 
 
-def _system_mean(measure: str, contributions) -> tuple[np.ndarray, np.ndarray]:
-    """Average per-agent (days, values) contributions period by period.
+def _system_mean(measure: str, days, values) -> PerturbationSeries:
+    """Average the per-agent contributions ``values`` at ``days``, period by period.
 
     Within each period the divisor is the count of agents contributing
     there. Raises when no agent contributes at any period.
     """
-    days = np.concatenate([d for d, _ in contributions])
     if not len(days):
         raise ComputeError(f"{measure}: no agent defined at any period")
     order = np.argsort(days, kind="stable")
     periods, first = np.unique(days[order], return_index=True)
-    values = np.concatenate([v for _, v in contributions])[order].tolist()
+    values = values[order].tolist()
     bounds = first.tolist() + [len(values)]
     means = [math.fsum(values[a:b]) / (b - a) for a, b in zip(bounds, bounds[1:])]
-    return periods, np.array(means)
+    return PerturbationSeries(periods, np.array(means))
 
 
-def _abs_changes(channel: Channel, column: np.ndarray):
-    """Every agent's absolute changes of ``column``, as one contribution."""
+def _abs_changes(measure: str, channel: Channel, column: np.ndarray) -> PerturbationSeries:
+    """The system mean of every agent's absolute changes of ``column``."""
     changes = channel.differences(column)
-    return [(changes.days, np.abs(changes.values))]
+    return _system_mean(measure, changes.days, np.abs(changes.values))
 
 
 def perturb_price(panel: NormalizedPanel) -> PerturbationSeries:
@@ -135,12 +134,9 @@ def perturb_price(panel: NormalizedPanel) -> PerturbationSeries:
     """
     price = panel.channels[PRICE]
     if panel.market_kind == STOCK:
-        days, means = _system_mean("afp", _abs_changes(price, price.values))
-        values = np.clip(means, 0.0, 1.0)
-    else:
-        days, means = _system_mean("afp", _abs_changes(price, price.raw))
-        values = minmax_normalize(means)
-    return PerturbationSeries(days, values)
+        return _abs_changes("afp", price, price.values)
+    p = _abs_changes("afp", price, price.raw)
+    return PerturbationSeries(p.days, minmax_normalize(p.values))
 
 
 def perturb_volume_stock(sat: Ragged, panel: NormalizedPanel) -> PerturbationSeries:
@@ -148,15 +144,13 @@ def perturb_volume_stock(sat: Ragged, panel: NormalizedPanel) -> PerturbationSer
     volume = panel.channels[VOLUME]
     # price and volume share each agent's period grid, so sat aligns with dv
     dv = volume.differences(volume.values)
-    days, means = _system_mean("afv", [(dv.days, np.abs(sat.values + dv.values) / 2.0)])
-    return PerturbationSeries(days, means)
+    return _system_mean("afv", dv.days, np.abs(sat.values + dv.values) / 2.0)
 
 
 def perturb_volume_crypto(panel: NormalizedPanel) -> PerturbationSeries:
     """Crypto volume perturbation: absolute normalized-volume changes."""
     volume = panel.channels[VOLUME]
-    days, means = _system_mean("afv", _abs_changes(volume, volume.values))
-    return PerturbationSeries(days, means)
+    return _abs_changes("afv", volume, volume.values)
 
 
 def perturb_marketcap(panel: NormalizedPanel) -> PerturbationSeries:
@@ -166,16 +160,13 @@ def perturb_marketcap(panel: NormalizedPanel) -> PerturbationSeries:
     either side of a gap are differenced against each other.
     """
     cap = panel.channels[MARKET_CAP]
-    days, means = _system_mean("afm", _abs_changes(cap, cap.values))
-    return PerturbationSeries(days, means)
+    return _abs_changes("afm", cap, cap.values)
 
 
 def perturb_normalized_price(sat: Ragged) -> PerturbationSeries:
     """Lagged-satisfaction perturbation (afn): |S| one observed period later."""
     later = sat.later_rows()
-    lagged = [(sat.days[later], np.abs(sat.values[:-1][later[1:]]))]
-    days, means = _system_mean("afn", lagged)
-    return PerturbationSeries(days, means)
+    return _system_mean("afn", sat.days[later], np.abs(sat.values[:-1][later[1:]]))
 
 
 def perturb_vix(panel: NormalizedPanel) -> PerturbationSeries:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .ingestion import AgentSeries, AnalysisWindow, TopPerformerList
+from .ingestion import AgentSeries, AnalysisWindow
 
 logger = logging.getLogger(__name__)
 
@@ -48,23 +48,21 @@ def _channel_metrics(values: list[float]):
 
 
 def top_ids_for(
-    window: AnalysisWindow, top_lists: list[TopPerformerList] | None
+    window: AnalysisWindow, top: dict[int, frozenset[str]] | None
 ) -> frozenset[str]:
     """Top performers matching a window, keyed by the window's end year.
 
     A missing year is only worth a warning; the window then simply has no
     top performers.
     """
-    if not top_lists:
+    if not top:
         return frozenset()
     year = window.end.year
-    for entry in top_lists:
-        if entry.year == year:
-            return entry.agent_ids
-    logger.warning(
-        "no top-performer list for year %d (window %s)", year, window.label
-    )
-    return frozenset()
+    if year not in top:
+        logger.warning(
+            "no top-performer list for year %d (window %s)", year, window.label
+        )
+    return top.get(year, frozenset())
 
 
 def compute_performance(

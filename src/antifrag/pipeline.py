@@ -80,13 +80,13 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
 
     digests = {f"agents/{p.name}": _digest(p) for p in agent_files}
     digests.update({f"indexes/{p.name}": _digest(p) for p in index_files.values()})
-    top_lists = None
+    top = None
     if (top_path := config.top_performers_path) is not None:
-        top_lists = load_top_performers(top_path)
+        top = load_top_performers(top_path)
         digests[f"top/{top_path.name}"] = _digest(top_path)
 
     full_start = {a.agent_id: a.first_date for a in agents}
-    top_by_window = {w.label: top_ids_for(w, top_lists) for w in config.windows}
+    top_by_window = {w.label: top_ids_for(w, top) for w in config.windows}
 
     sliced_by_window: dict[str, list[AgentSeries]] = {
         w.label: [s for s in (slice_window(a, w) for a in agents) if s is not None]
@@ -131,7 +131,7 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
     outputs["distributions.csv"] = _render_distributions(
         cases, top_by_window, config.n_hist_bins
     )
-    if top_lists is not None:
+    if top is not None:
         stats = analysis.top_comparison(
             {(w, m, s): dict(zip(ids, a)) for w, m, s, ids, a, _, _ in cases},
             top_by_window,

@@ -1,6 +1,12 @@
 import datetime as dt
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antifrag import fixture
 from antifrag.errors import IngestionError
@@ -127,18 +133,18 @@ def test_index_negative_level_rejected(tmp_path):
 
 def test_load_top_performers(tmp_path):
     path = write(tmp_path, "top.json", '{"2014": ["AAPL", "NFLX"]}')
-    lists = load_top_performers(path)
-    assert len(lists) == 1
-    assert lists[0].year == 2014
-    assert lists[0].agent_ids == frozenset({"AAPL", "NFLX"})
-    assert lists[0].source_label == "top.json"
+    assert load_top_performers(path) == {2014: frozenset({"AAPL", "NFLX"})}
 
 
 def test_top_performers_duplicate_year_unioned(tmp_path):
     path = write(tmp_path, "top.json", '{"2014": ["A"], "2014": ["B"]}')
-    lists = load_top_performers(path)
-    assert len(lists) == 1
-    assert lists[0].agent_ids == frozenset({"A", "B"})
+    assert load_top_performers(path) == {2014: frozenset({"A", "B"})}
+
+
+def test_top_performers_year_spelled_twice_unioned(tmp_path):
+    path = write(tmp_path, "top.json", '{"2014": ["A"], " 2014": ["B"], "2015": ["C"]}')
+    assert load_top_performers(path) == {2014: frozenset({"A", "B"}),
+                                         2015: frozenset({"C"})}
 
 
 def test_top_performers_empty_list_rejected(tmp_path):
@@ -314,6 +320,85 @@ def test_from_rows_rejects_values_above_1e100():
     with pytest.raises(IngestionError, match=r"index VIX: value above 1e\+100 at 2014-01-02"):
         IndexSeries.from_rows("VIX", [(dt.date(2014, 1, 2), float("inf"))])
     assert len(AgentSeries.from_rows("X", "crypto", rows[:1])) == 1
+
+
+def test_from_rows_rejects_nan_values_as_the_loaders_do():
+    d1, d2 = dt.date(2014, 1, 2), dt.date(2014, 1, 3)
+    with pytest.raises(IngestionError, match="agent X: NaN value at 2014-01-02"):
+        AgentSeries.from_rows("X", "stock", [(d1, math.nan, 1.0, None),
+                                             (d2, 1.0, math.nan, None)])
+    with pytest.raises(IngestionError, match="index VIX: NaN value at 2014-01-02"):
+        IndexSeries.from_rows("VIX", [(d1, math.nan)])
+
+
+def test_from_rows_rejects_unsafe_agent_id():
+    with pytest.raises(IngestionError, match=re.escape("agent id '../X,Y'")):
+        AgentSeries.from_rows("../X,Y", "stock", [(dt.date(2014, 1, 2), 1.0, 1.0, None)])
+
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+FINITE = st.floats(0.0, 1e6)
+# values at and beyond the edges of the accepted range
+EDGES = st.one_of(
+    st.sampled_from([0.0, 1e100, math.nextafter(1e100, math.inf),
+                     math.inf, -math.inf, math.nan]),
+    st.floats(max_value=-math.ulp(0.0), allow_infinity=False),
+)
+HEADERS = {"index": "date,level", "stock": "date,open,volume",
+           "crypto": "date,open,volume,market_cap"}
+
+
+@st.composite
+def built_rows(draw, kind):
+    """from_rows input for an index or an agent of ``kind``: rows in date
+    order with duplicate dates allowed, at most one value cell an edge value,
+    and crypto caps sometimes blank (None)."""
+    width = 1 if kind == "index" else 3
+    rows = [[day(d)] + [draw(FINITE) for _ in range(width)]
+            for d in sorted(draw(st.lists(st.integers(0, 30), max_size=6)))]
+    if rows and draw(st.booleans()):
+        read = {"index": 1, "stock": 2, "crypto": 3}[kind]  # value cells a file holds
+        draw(st.sampled_from(rows))[draw(st.integers(1, read))] = draw(EDGES)
+    for r in rows:
+        if kind == "stock" or kind == "crypto" and draw(st.booleans()):
+            r[3] = None
+    return [tuple(r) for r in rows]
+
+
+def as_csv(kind, rows) -> str:
+    """The rows as a loader's file; a None or NaN cap is a blank cell."""
+    lines = [HEADERS[kind]]
+    for d, *values in rows:
+        cells = [d.isoformat()] + [repr(v) for v in values[: 1 if kind == "index" else 2]]
+        if kind == "crypto":
+            cells.append("" if values[2] is None or math.isnan(values[2]) else repr(values[2]))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def accepted(build):
+    """The series a constructor returns, as plain rows; None when it raises."""
+    try:
+        series = build()
+    except IngestionError:
+        return None
+    return series.values if isinstance(series, IndexSeries) else series_to_rows(series)
+
+
+@SETTINGS
+@given(st.sampled_from(["stock", "crypto", "index"]), st.data())
+def test_from_rows_accepts_exactly_what_the_loaders_accept(kind, data):
+    rows = data.draw(built_rows(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "X.csv"
+        path.write_text(as_csv(kind, rows))
+        if kind == "index":
+            loaded = accepted(lambda: load_index_series(path, "VIX"))
+            built = accepted(lambda: IndexSeries.from_rows("VIX", rows))
+        else:
+            loaded = accepted(lambda: load_agent_series(path, kind))
+            built = accepted(lambda: AgentSeries.from_rows("X", kind, rows))
+    assert loaded == built
 
 
 def test_window_start_after_end_rejected():

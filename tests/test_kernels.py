@@ -161,9 +161,9 @@ def test_joins_equal_dict_per_period_reference_bit_for_bit(market, data):
     means = []
     real_system_mean = measures._system_mean
 
-    def recorded(measure, contributions):
-        out = real_system_mean(measure, contributions)
-        means.append((contributions, out))
+    def recorded(measure, days, values):
+        out = real_system_mean(measure, days, values)
+        means.append(((days, values), out))
         return out
 
     with mock.patch.object(measures, "_system_mean", recorded):
@@ -172,14 +172,11 @@ def test_joins_equal_dict_per_period_reference_bit_for_bit(market, data):
             [m for m in MEASURES_BY_KIND[kind] if ref["perturbation"][m]],
         )
 
-    for contributions, (days, values) in means:
-        buckets = {}
-        for agent_days, agent_values in contributions:
-            for t, v in by_period(agent_days, agent_values).items():
-                buckets.setdefault(t, []).extend(v)
-        assert days.tolist() == sorted(buckets)
-        assert values.tolist() == [math.fsum(buckets[t]) / len(buckets[t])
-                                   for t in sorted(buckets)]
+    for (agent_days, agent_values), out in means:
+        buckets = by_period(agent_days, agent_values)
+        assert out.days.tolist() == sorted(buckets)
+        assert out.values.tolist() == [math.fsum(buckets[t]) / len(buckets[t])
+                                       for t in sorted(buckets)]
 
     if "af3m" in ws.perturbations:
         diffs = [by_period(index.days[1:], np.abs(np.diff(index.values)))

@@ -2,7 +2,7 @@ import datetime as dt
 
 import pytest
 
-from antifrag.ingestion import AnalysisWindow, TopPerformerList
+from antifrag.ingestion import AnalysisWindow
 from antifrag.performance import compute_performance, top_ids_for
 from antifrag.pipeline import _render_performance, fmt
 
@@ -103,19 +103,16 @@ def test_top_performer_flag_exact_match():
 
 
 def test_top_ids_for_matches_end_year():
-    lists = [
-        TopPerformerList(2014, frozenset({"A"}), "t"),
-        TopPerformerList(2015, frozenset({"B"}), "t"),
-    ]
+    top = {2014: frozenset({"A"}), 2015: frozenset({"B"})}
     window = AnalysisWindow(dt.date(2015, 1, 1), dt.date(2015, 11, 30), "2015")
-    assert top_ids_for(window, lists) == frozenset({"B"})
+    assert top_ids_for(window, top) == frozenset({"B"})
 
 
 def test_top_ids_for_missing_year_warns_not_raises(caplog):
-    lists = [TopPerformerList(2014, frozenset({"A"}), "t")]
+    top = {2014: frozenset({"A"})}
     window = AnalysisWindow(dt.date(2016, 1, 1), dt.date(2016, 12, 31), "2016")
     with caplog.at_level("WARNING"):
-        assert top_ids_for(window, lists) == frozenset()
+        assert top_ids_for(window, top) == frozenset()
     assert any("2016" in r.message for r in caplog.records)
 
 

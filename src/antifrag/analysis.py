@@ -10,7 +10,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import accumulate, repeat
+from operator import itemgetter, mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,25 +20,59 @@ from .errors import ComputeError
 
 logger = logging.getLogger(__name__)
 
-def pearson(xs, ys) -> float | None:
-    """Pearson correlation; None when a side is constant or pairs are scarce.
 
-    Pairs with an undefined (None or non-finite) member are dropped first.
-    """
+def deviations(values: list[float]) -> tuple[list[float], float]:
+    """Deviations from the ``fsum`` mean and the sum of their squares, each
+    ``pow(d, 2)``: libm's ``pow`` differs from ``d * d`` and ``np.square`` in
+    the last bit for some doubles. Every sum of squares in the reports is this."""
+    mean = math.fsum(values) / len(values)
+    dev = [v - mean for v in values]
+    return dev, math.fsum(map(pow, dev, repeat(2)))
+
+
+class Column(NamedTuple):
+    """One column's reductions, computed once and shared by every pairing."""
+
+    values: list[float]
+    dev: list[float]
+    ss: float
+    order: list[int]  # ascending, equal values (-0.0 and 0.0 too) in input order
+
+
+def column(values: np.ndarray) -> Column:
+    """The reductions of a float64 column holding at least one value."""
+    as_list = values.tolist()
+    return Column(as_list, *deviations(as_list), np.argsort(values, kind="stable").tolist())
+
+
+def correlation(x: Column, y: Column) -> float | None:
+    """Pearson's r of two aligned columns; None when a side is constant."""
+    if x.ss == 0.0 or y.ss == 0.0:
+        return None
+    return math.fsum(map(mul, x.dev, y.dev)) / math.sqrt(x.ss * y.ss)
+
+
+def bin_stats(order, stats, n_bins: int = 5) -> list[tuple[int, float, float, float]]:
+    """(count, min, mean, max) of ``stats`` taken in ``order`` and split into
+    ``n_bins`` contiguous groups whose sizes differ by at most one, the lowest
+    bins taking any remainder. ``min``/``max`` keep the first of equal values,
+    so of -0.0 and 0.0 a bin reports the one ranked first."""
+    ranked = [stats[i] for i in order]
+    base, remainder = divmod(len(ranked), n_bins)
+    sizes = [base + (index < remainder) for index in range(n_bins)]
+    chunks = [ranked[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
+    return [(size, min(c), math.fsum(c) / size, max(c)) for size, c in zip(sizes, chunks)]
+
+
+def pearson(xs, ys) -> float | None:
+    """Pearson correlation, None when a side is constant or pairs are scarce;
+    pairs with an undefined (None or non-finite) member are dropped first."""
     pairs = [(float(x), float(y)) for x, y in zip(xs, ys)
              if x is not None and y is not None]
     pairs = [(x, y) for x, y in pairs if math.isfinite(x) and math.isfinite(y)]
     if len(pairs) < 2:
         return None
-    n = len(pairs)
-    mx = math.fsum(p[0] for p in pairs) / n
-    my = math.fsum(p[1] for p in pairs) / n
-    sxx = math.fsum((p[0] - mx) ** 2 for p in pairs)
-    syy = math.fsum((p[1] - my) ** 2 for p in pairs)
-    if sxx == 0.0 or syy == 0.0:
-        return None
-    sxy = math.fsum((p[0] - mx) * (p[1] - my) for p in pairs)
-    return sxy / math.sqrt(sxx * syy)
+    return correlation(*(column(np.array(side)) for side in zip(*pairs)))
 
 
 @dataclass(frozen=True)
@@ -55,36 +91,14 @@ def quantile_bin_summary(
 ) -> list[BinSummary]:
     """Split agents into equal-count bins and summarize a second variable.
 
-    ``entries`` are (agent_id, bin_by_value, stat_value) triples. Agents are
-    sorted by bin value (agent id breaks ties) and split into ``n_bins``
-    contiguous groups whose sizes differ by at most one, any remainder going
-    to the lowest bins. Each summary reports count, min, mean, and max of the
-    stat values inside the bin.
-    """
-    rows = sorted(entries, key=itemgetter(1, 0))
+    ``entries`` are (agent_id, bin_by_value, stat_value) triples, sorted by
+    bin value (agent id breaks ties) and summarized by ``bin_stats``."""
+    rows = sorted(entries, key=itemgetter(0))
     if len(rows) < n_bins:
-        raise ComputeError(
-            f"need at least {n_bins} agents to bin, got {len(rows)}"
-        )
-    base, remainder = divmod(len(rows), n_bins)
-    summaries = []
-    cursor = 0
-    for index in range(n_bins):
-        size = base + (1 if index < remainder else 0)
-        chunk = [row[2] for row in rows[cursor : cursor + size]]
-        cursor += size
-        summaries.append(
-            BinSummary(
-                bin_index=index,
-                bin_by=bin_by,
-                stat_of=stat_of,
-                count=size,
-                min=min(chunk),
-                mean=math.fsum(chunk) / size,
-                max=max(chunk),
-            )
-        )
-    return summaries
+        raise ComputeError(f"need at least {n_bins} agents to bin, got {len(rows)}")
+    order = np.argsort([row[1] for row in rows], kind="stable").tolist()
+    stats = bin_stats(order, [row[2] for row in rows], n_bins)
+    return [BinSummary(index, bin_by, stat_of, *s) for index, s in enumerate(stats)]
 
 
 @dataclass(frozen=True)

@@ -69,10 +69,14 @@ def _column_fault(days: np.ndarray, values, cap=None) -> tuple[str, int] | None:
 
 
 def _built_columns(who: str, rows, has_cap: bool):
-    """Checked day ordinals and float64 columns of (date, value, ...) rows,
-    the last column a cap when ``has_cap`` (None becomes NaN)."""
+    """Checked day ordinals and float64 columns of (date, open, volume, cap)
+    rows (a None cap becomes NaN) when ``has_cap``, else of (date, level) rows."""
     if not rows:
         raise IngestionError(f"{who}: no observations")
+    width = 4 if has_cap else 2
+    for number, row in enumerate(rows, 1):
+        if len(row) != width:
+            raise IngestionError(f"{who}: row {number} has {len(row)} fields, expected {width}")
     days = np.array([r[0].toordinal() for r in rows], dtype=np.int64)
     columns = [np.array(c, dtype=np.float64) for c in list(zip(*rows))[1:]]
     values, cap = (columns[:-1], columns[-1]) if has_cap else (columns, None)

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .analysis import deviations
 from .ingestion import AgentSeries, AnalysisWindow
 
 logger = logging.getLogger(__name__)
@@ -82,8 +83,7 @@ def compute_performance(
     pct_dlt_vl, pct_vl_f_i, vl_mea = _channel_metrics(volumes)
     pct_dlt_mk, pct_mk_f_i, mk_mea = _channel_metrics(caps)
 
-    mean = math.fsum(prices) / len(prices)
-    pr_std = float(np.sqrt(math.fsum((p - mean) ** 2 for p in prices) / len(prices)))
+    pr_std = float(np.sqrt(deviations(prices)[1] / len(prices)))
 
     return {
         "age_days": float((window.end - full_history_start).days),

@@ -186,35 +186,49 @@ def _render_performance(perf_text, top_by_window) -> str:
 
 
 def _render_bins_and_correlations(cases, perf_variables) -> tuple[str, str]:
-    """bins.csv and correlations.csv, from one join per case and performance
-    variable: its Pearson r, and both binning directions when at least five
-    agents have the variable defined."""
+    """bins.csv and correlations.csv: per case and performance variable, the
+    Pearson r over the case's agents that have the variable defined, and both
+    binning directions when at least five have. Each column is reduced once:
+    a case's A column per defined-mask, shared by the variables, and a
+    performance column per variable and rows, shared by the window's cases."""
     bins = ["window,measure,scale,bin_by,stat_of,bin_index,count,min,mean,max"]
     correlations = ["window,measure,scale,perf_variable,r,n_pairs"]
     skipped_cases = 0
     skipped_names: set[str] = set()
+    # a row per (window, agent) with performance, then one of NaN for the others
+    row_of = {key: row for row, key in enumerate(perf_variables)}
+    table = np.array([*([v[n] for n in PERF_VARIABLES] for v in perf_variables.values()),
+                      [None] * len(PERF_VARIABLES)], dtype=float)
+    current = None
     for window, measure, scale, ids, a_values, _, _ in cases:
+        if window != current:
+            current, perf_columns = window, {}
         case = f"{window},{measure},{scale},"
-        agents = [
-            (aid, a, perf_variables[(window, aid)])
-            for aid, a in zip(ids, a_values)
-            if (window, aid) in perf_variables
-        ]
+        rows = np.array([row_of.get((window, aid), -1) for aid in ids], dtype=np.intp)
+        a_all = np.array(a_values, dtype=float)
+        defined = ~np.isnan(table[rows])
+        a_columns: dict[bytes, analysis.Column] = {}
         skipped = []
-        for name in PERF_VARIABLES:
-            entries = [(aid, a, v[name]) for aid, a, v in agents if v[name] is not None]
-            r = analysis.pearson([e[1] for e in entries], [e[2] for e in entries])
-            correlations.append(f"{case}{name},{fmt(r)},{len(entries)}")
-            if len(entries) < 5:
+        for j, name in enumerate(PERF_VARIABLES):
+            mask = defined[:, j]
+            n = int(np.count_nonzero(mask))
+            if n:
+                if (x := a_columns.get(key := mask.tobytes())) is None:
+                    x = a_columns[key] = analysis.column(a_all[mask])
+                used = rows[mask]
+                if (y := perf_columns.get(key := (j, used.tobytes()))) is None:
+                    y = perf_columns[key] = analysis.column(table[used, j])
+            r = analysis.correlation(x, y) if n else None
+            correlations.append(f"{case}{name},{fmt(r)},{n}")
+            if n < 5:
                 skipped.append(name)
                 continue
-            flipped = [(aid, var, a) for aid, a, var in entries]
-            for bin_by, stat_of, triples in (("A", name, entries), (name, "A", flipped)):
-                bins.extend(
-                    f"{case}{s.bin_by},{s.stat_of},{s.bin_index},{s.count},"
-                    f"{fmt(s.min)},{fmt(s.mean)},{fmt(s.max)}"
-                    for s in analysis.quantile_bin_summary(triples, bin_by, stat_of)
-                )
+            for bin_by, stat_of, order, stats in (("A", name, x.order, y.values),
+                                                  (name, "A", y.order, x.values)):
+                head = f"{case}{bin_by},{stat_of},"
+                bins += [f"{head}{index},{size},{lo:.17g},{mean:.17g},{hi:.17g}"
+                         for index, (size, lo, mean, hi)
+                         in enumerate(analysis.bin_stats(order, stats))]
         skipped_cases += bool(skipped)
         skipped_names.update(skipped)
     if skipped_cases:

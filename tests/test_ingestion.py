@@ -331,6 +331,31 @@ def test_from_rows_rejects_nan_values_as_the_loaders_do():
         IndexSeries.from_rows("VIX", [(d1, math.nan)])
 
 
+def agent_from(rows):
+    return AgentSeries.from_rows("X", "crypto", rows)
+
+
+def index_from(rows):
+    return IndexSeries.from_rows("VIX", rows)
+
+
+@pytest.mark.parametrize("build, rows, problem", [
+    (agent_from, [(day(0), 1.0, 1.0)], "agent X: row 1 has 3 fields, expected 4"),
+    (agent_from, [(day(0), 1.0, 1.0, None, 5.0)], "agent X: row 1 has 5 fields, expected 4"),
+    # zip(*rows) would cut this mix to 4 columns without a word
+    (agent_from, [(day(0), 1.0, 1.0, None), (day(1), 1.0, 1.0, None, 5.0)],
+     "agent X: row 2 has 5 fields, expected 4"),
+    (agent_from, [(day(0), 1.0, 1.0, None), (day(1), 1.0, 1.0)],
+     "agent X: row 2 has 3 fields, expected 4"),
+    (index_from, [(day(0),)], "index VIX: row 1 has 1 fields, expected 2"),
+    (index_from, [(day(0), 1.0), (day(1), 1.0, 2.0)], "index VIX: row 2 has 3 fields, expected 2"),
+], ids=["agent-short", "agent-long", "agent-mixed-long", "agent-mixed-short",
+        "index-short", "index-mixed-long"])
+def test_from_rows_rejects_rows_of_the_wrong_width(build, rows, problem):
+    with pytest.raises(IngestionError, match=f"^{problem}$"):
+        build(rows)
+
+
 def test_from_rows_rejects_unsafe_agent_id():
     with pytest.raises(IngestionError, match=re.escape("agent id '../X,Y'")):
         AgentSeries.from_rows("../X,Y", "stock", [(dt.date(2014, 1, 2), 1.0, 1.0, None)])

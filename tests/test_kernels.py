@@ -4,7 +4,8 @@ Random agents with random gap patterns and blank market caps go through the
 CSV loader and the panel builder. Resampled volumes must equal a per-period
 ``np.sum`` loop bit for bit, and every panel must match the brute-force
 oracle. The measures' array joins must equal a dict-per-period reference
-bit for bit.
+bit for bit, and the bins and correlations rendered from shared column
+reductions must equal the text of the per-case reference loop.
 """
 
 import datetime as dt
@@ -15,7 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from antifrag.ingestion import (
@@ -28,6 +29,8 @@ from antifrag.ingestion import (
 )
 from antifrag import measures
 from antifrag.measures import MEASURES_BY_KIND
+from antifrag.performance import PERF_VARIABLES
+from antifrag.pipeline import _render_bins_and_correlations, fmt
 from antifrag.resampling import VOLUME, TimeScale, build_panel
 
 from conftest import (
@@ -38,6 +41,7 @@ from conftest import (
     plain_to_indexes,
     series_to_rows,
 )
+from bins_reference import render_bins_and_correlations
 from oracle import oracle_compute, period_of
 
 START = dt.date(2015, 12, 21)  # a Monday, so weeks and months straddle a year end
@@ -202,3 +206,70 @@ def test_joins_equal_dict_per_period_reference_bit_for_bit(market, data):
             assert result.instants.tolist() == instants
             assert result.n_used == len(instants)
             assert result.global_a == math.fsum(instants) / len(instants)
+
+
+# pow(d, 2) != d * d for this double with glibc's libm: a sum of squares
+# taken with `*` or np.square changes the last bit of the r below
+POW_NOT_MUL = 7.2249061795510094
+# ties, signed zeros, that double and values whose plain sum is not their
+# fsum, next to arbitrary values; none so small that a product of two sums
+# of squares underflows
+REPORT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 0.2, 0.3, 1e16,
+                     POW_NOT_MUL, -POW_NOT_MUL]),
+    st.floats(-1e6, 1e6, allow_subnormal=False).filter(lambda v: v == 0.0 or abs(v) > 1e-50),
+)
+REPORT_IDS = [f"a{k:02d}" for k in range(16)]
+
+
+def report_case(window, measure, scale, agents):
+    ids = sorted(agents)
+    a = [agents[aid] for aid in ids]
+    return (window, measure, scale, ids, a, [fmt(v) for v in a], [1] * len(ids))
+
+
+@st.composite
+def report_inputs(draw):
+    """(cases, perf_variables) as ``pipeline.execute`` hands them over: cases
+    sorted by (window, measure, scale), each over agents in id order, some
+    without performance in the window and some variables never defined."""
+    cases = []
+    perf_variables = {}
+    for window in ("2014", "2015")[: draw(st.integers(1, 2))]:
+        undefined = draw(st.sets(st.sampled_from(PERF_VARIABLES)))
+        for aid in draw(st.sets(st.sampled_from(REPORT_IDS))):
+            perf_variables[(window, aid)] = {
+                name: None if name in undefined else draw(st.one_of(st.none(), REPORT_VALUES))
+                for name in PERF_VARIABLES
+            }
+        keys = draw(st.sets(st.tuples(st.sampled_from(["afp", "afv"]), st.integers(0, 2)),
+                            min_size=1, max_size=3))
+        for measure, scale in keys:
+            agents = draw(st.dictionaries(st.sampled_from(REPORT_IDS), REPORT_VALUES))
+            cases.append(report_case(window, measure, scale, agents))
+    return sorted(cases, key=lambda case: case[:3]), perf_variables
+
+
+def edge_inputs():
+    """One case of 15 agents: the A column has mean 0 and deviations
+    +-POW_NOT_MUL, the first bin by A holds 0.1, 0.2 and 0.3 of ``pr_mea``
+    (whose plain sum is not their fsum), and two performance columns are
+    constant, one of them at -0.0."""
+    ids = REPORT_IDS[:15]
+    a = dict(zip(ids, [POW_NOT_MUL, -POW_NOT_MUL, 0.0, -0.0] + [0.0] * 11))
+    pr_mea = [0.5, 0.1, 0.2, 0.3] + [float(k * k) for k in range(11)]
+    perf = {
+        ("2014", aid): {**dict.fromkeys(PERF_VARIABLES), "age_days": -0.0,
+                        "pr_mea": v, "pr_std": 3.0}
+        for aid, v in zip(ids, pr_mea)
+    }
+    return [report_case("2014", "afp", 0, a)], perf
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(report_inputs())
+@example(edge_inputs())
+def test_bins_and_correlations_equal_per_case_reference_bit_for_bit(inputs):
+    cases, perf_variables = inputs
+    assert (_render_bins_and_correlations(cases, perf_variables)
+            == render_bins_and_correlations(cases, perf_variables))

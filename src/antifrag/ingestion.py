@@ -4,8 +4,8 @@ Agent files are CSV with header ``date,open,volume`` plus an optional
 ``market_cap`` column (cryptocurrencies only). Index files are CSV with header
 ``date,level``. Top-performer files are JSON objects mapping a year to a list
 of agent ids. All dates are ISO ``YYYY-MM-DD``, the only date form accepted.
-CSV files are UTF-8 and may start with a byte-order mark and end with empty
-lines.
+CSV files are UTF-8, have no quoting, and may start with a byte-order mark and
+end with empty lines.
 
 A loaded series is a record of numpy columns: dates as int64 day ordinals
 (``date.toordinal()``), values as float64, and NaN for a missing market cap.
@@ -16,11 +16,11 @@ that are already checked.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import NoReturn
 
@@ -172,30 +172,40 @@ def _parse_real(text: str, path: Path, line: int, field: str) -> float:
     return value
 
 
-def _read_rows(path: Path) -> list[list[str]]:
-    """The rows of a UTF-8 CSV file, without a byte-order mark or empty lines
-    at the end; an empty line before a row stays (and fails the field count)."""
+def _read_lines(path: Path) -> list[str]:
+    """The lines (ended by \\n, \\r\\n or \\r) of a UTF-8 CSV file, less a
+    byte-order mark and empty lines at the end; an empty line before a row stays."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-    while rows and not rows[-1]:
-        rows.pop()
-    if not rows:
+        text = fh.read()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    while lines and not lines[-1]:
+        lines.pop()
+    if not lines:
         raise IngestionError(f"{path}: empty file")
-    return rows
+    return lines
 
 
-def _parse_columns(body, width: int, blank_last: bool):
-    """Day ordinals and float64 value columns of the data rows.
+def _fields(line: str) -> list[str]:
+    """The fields of one line; an empty line has none."""
+    return line.split(",") if line else []
 
-    Each cell is parsed once, with the same calls the row-by-row check uses.
+
+def _parse_columns(body: list[str], width: int, blank_last: bool):
+    """Day ordinals and float64 value columns of the data lines.
+
+    The lines are split as one text, each column a stride of its fields, and
+    each cell is parsed once, with the same calls the row-by-row check uses.
     A blank cell in the last column becomes NaN when ``blank_last``, and a NaN
     there that is not blank (a ``nan`` cell) fails the blank count. Returns
-    None when a row has the wrong field count, a cell does not parse, or the
+    None when a line has the wrong field count, a cell does not parse, or the
     blank count fails; the values themselves are checked by ``_column_fault``.
     """
-    if set(map(len, body)) != {width}:
+    if set(map(str.count, body, repeat(","))) != {width - 1}:
         return None
-    cells = list(zip(*body))
+    flat = ",".join(body).split(",")
+    cells = [flat[j::width] for j in range(width)]
     dates = list(map(str.strip, cells[0]))
     # parse_date's YYYY-MM-DD shape, checked without a call per date
     joined, dashes = "".join(dates), "-" * len(dates)
@@ -221,14 +231,14 @@ def _parse_columns(body, width: int, blank_last: bool):
 
 
 def _raise_first_bad_row(path: Path, header: list[str], body, in_order: bool) -> NoReturn:
-    """Check the rows one by one and raise on the first offending line.
+    """Check the lines one by one and raise on the first offending one.
 
     Only called once the column checks have failed, so that every message
     names the line a row-by-row reader would stop at.
     """
     seen: dict[dt.date, int] = {}
     prev = None
-    for lineno, row in enumerate(body, start=2):
+    for lineno, row in enumerate(map(_fields, body), start=2):
         if len(row) != len(header):
             raise IngestionError(
                 f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
@@ -259,17 +269,14 @@ def load_agent_series(path: Path, market_kind: str) -> AgentSeries:
     path = Path(path)
     if not is_safe_name(path.stem):
         raise IngestionError(f"{path}: agent id {path.stem!r} {SAFE_NAME_RULE}")
-    rows = _read_rows(path)
-    header = [h.strip() for h in rows[0]]
-    if header == ["date", "open", "volume"]:
-        has_cap = False
-    elif header == ["date", "open", "volume", "market_cap"]:
-        if market_kind == STOCK:
-            raise IngestionError(f"{path}: market_cap not allowed for stocks")
-        has_cap = True
-    else:
+    lines = _read_lines(path)
+    header = [h.strip() for h in _fields(lines[0])]
+    if header not in (["date", "open", "volume"], ["date", "open", "volume", "market_cap"]):
         raise IngestionError(f"{path}: bad header {header!r}")
-    body = rows[1:]
+    has_cap = len(header) == 4
+    if has_cap and market_kind == STOCK:
+        raise IngestionError(f"{path}: market_cap not allowed for stocks")
+    body = lines[1:]
     if not body:
         raise IngestionError(f"{path}: no data rows")
 
@@ -290,11 +297,11 @@ def load_index_series(path: Path, index_id: str) -> IndexSeries:
     path = Path(path)
     if index_id not in INDEX_IDS:
         raise IngestionError(f"{path}: unknown index id {index_id!r}")
-    rows = _read_rows(path)
-    header = [h.strip() for h in rows[0]]
+    lines = _read_lines(path)
+    header = [h.strip() for h in _fields(lines[0])]
     if header != ["date", "level"]:
-        raise IngestionError(f"{path}: bad header {rows[0]!r}")
-    body = rows[1:]
+        raise IngestionError(f"{path}: bad header {_fields(lines[0])!r}")
+    body = lines[1:]
     if not body:
         raise IngestionError(f"index {index_id}: no observations")
 

@@ -21,6 +21,7 @@ import logging
 import os
 import shutil
 import tempfile
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -146,13 +147,13 @@ def _case_list(scored) -> list:
     """The cases sorted by (window, measure, scale), each one (window,
     measure, scale, ids, A, A texts, n_used) over the agents with n_used > 0,
     in ``ids`` order. ``scored`` holds (window, measure, scale, ids, global A
-    array, n_used array). Each A is formatted here, once, for every report."""
+    array, n_used array). Each A, a float, is formatted here once, as by fmt."""
     cases = []
     for window, measure, scale, ids, global_a, counts in scored:
         used = np.flatnonzero(counts)
         a = global_a[used].tolist()
         cases.append((window, measure, scale, [ids[k] for k in used.tolist()], a,
-                      [fmt(v) for v in a], counts[used].tolist()))
+                      list(map(format, a, repeat(".17g"))), counts[used].tolist()))
     return sorted(cases, key=lambda case: case[:3])
 
 
@@ -252,9 +253,9 @@ def _render_distributions(cases, top_by_window, n_bins) -> str:
             populations.append(("top", top))
         for population, d in populations:
             prefix = f"{window},{measure},{scale},{population},"
-            edges = [fmt(e) for e in d.edges.tolist()]
+            edges = list(map(format, d.edges.tolist(), repeat(".17g")))
             lines.extend(
-                f"{prefix}{i},{edges[i]},{edges[i + 1]},{fmt(density)},{d.sample_count}"
+                f"{prefix}{i},{edges[i]},{edges[i + 1]},{density:.17g},{d.sample_count}"
                 for i, density in enumerate(d.densities.tolist())
             )
     return _text(lines)

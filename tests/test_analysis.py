@@ -34,6 +34,12 @@ def test_pearson_drops_undefined_pairs():
     assert r == pytest.approx(1.0, abs=1e-12)
 
 
+def test_pearson_survives_an_underflowing_product_of_sums_of_squares():
+    # each sum of squares is 5e-321; their product underflows to 0
+    assert pearson([1e-160, 0.0], [1e-160, 0.0]) == 1.0
+    assert pearson([1e-160, 0.0], [0.0, 1e-160]) == -1.0
+
+
 def test_pearson_symmetry_and_range():
     rng = np.random.default_rng(13)
     xs = rng.normal(size=40).tolist()

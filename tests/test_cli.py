@@ -469,6 +469,15 @@ def set_column(path: Path, name: str, values: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def run_in_subprocess(config: Path) -> subprocess.CompletedProcess:
+    """``antifrag run --config config`` in a fresh interpreter, as a user runs it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "antifrag.cli", "run", "--config", str(config)],
+        capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+    )
+
+
 @pytest.mark.parametrize("market, agent, column, values", [
     ("crypto", "XCOIN", "market_cap", ["1e308"]),
     ("stocks", "AAA", "open", ["1e160", "0.0"]),
@@ -476,16 +485,20 @@ def set_column(path: Path, name: str, values: list[str]) -> None:
 def test_value_above_1e100_is_one_error_line(fixture_tree, market, agent, column, values):
     path = fixture_tree / market / "agents" / f"{agent}.csv"
     set_column(path, column, values)
-    config = fixture_tree / market / "config.cfg"
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-m", "antifrag.cli", "run", "--config", str(config)],
-        capture_output=True, text=True, env={"PYTHONPATH": str(src)},
-    )
+    done = run_in_subprocess(fixture_tree / market / "config.cfg")
     assert done.returncode == 1
     assert done.stderr.splitlines() == [
         f"error: {path}: line 2: {column} value above 1e+100"
     ]
+
+
+def test_oversized_cell_is_one_error_line(fixture_tree):
+    # longer than csv.reader's default field limit of 131,072 characters
+    path = fixture_tree / "stocks" / "agents" / "AAA.csv"
+    set_column(path, "volume", ["1000.0", "1" * 140_000])
+    done = run_in_subprocess(fixture_tree / "stocks" / "config.cfg")
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [f"error: {path}: line 3: non-finite volume value"]
 
 
 def test_values_of_1e100_run_cleanly(fixture_tree):

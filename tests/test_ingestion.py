@@ -22,6 +22,7 @@ from antifrag.ingestion import (
     write_agent_csv,
 )
 
+import csv_reference
 from conftest import day, make_agent, series_to_rows
 
 
@@ -281,6 +282,15 @@ def test_empty_line_before_a_row_rejected(tmp_path):
         load_agent_series(path, "stock")
 
 
+def test_quotes_are_part_of_the_cell(tmp_path):
+    path = write(tmp_path, "Q.csv", 'date,open,volume\n2014-01-02,"10",100\n')
+    with pytest.raises(IngestionError, match=re.escape("""line 2: bad open value '"10"'""")):
+        load_agent_series(path, "stock")
+    path = write(tmp_path, "H.csv", '"date","open","volume"\n2014-01-02,10,100\n')
+    with pytest.raises(IngestionError, match="bad header"):
+        load_agent_series(path, "stock")
+
+
 def test_loading_is_order_independent(tmp_path):
     a = write(tmp_path, "A.csv", "date,open,volume\n2014-01-02,10,100\n2014-01-03,11,90\n")
     b = write(tmp_path, "B.csv", "date,open,volume\n2014-01-02,20,200\n2014-01-03,21,190\n")
@@ -433,3 +443,116 @@ def test_window_start_after_end_rejected():
 
 def test_day_helper_is_monday():
     assert day(0).weekday() == 0
+
+
+# cells of a generated file; none holds a '"' or a line end, where csv.reader
+# would differ, or a cell too long for it (\x0b, \x1c and \u2028 end a line
+# only for str.splitlines)
+GOOD_VALUES = ["10", "1.5", " 2.25 ", "0", "0.0", "-0.0", "1e100", "7e-3", "123456.789"]
+BLANK_CAPS = ["", " ", "\t"]
+BAD_VALUES = ["-1", "-0.5", "1e101", "nan", "NaN", "inf", "-inf", "abc", "", " ", "1x"]
+CELL_TEXT = st.text(alphabet="0123456789.-+eE nai\t\x0b\x1c\u2028", max_size=6)
+BAD_HEADERS = ["", "date, open", "date,open,volume,cap", "date,level,volume", "level,date"]
+DATE_TEXT = ["2014-13-01", "20140102", "2014-1-3", "2014-01-03T00", "", " ", "x"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+FAULTS = ["header", "date", "value", "text", "fields", "empty line", "duplicate", "unsorted"]
+
+
+@st.composite
+def file_texts(draw, kind):
+    """A loader's file as text: a header, data rows of day(0..12) dates and
+    GOOD_VALUES cells (padded, and for agents in any order), and at most one
+    fault of FAULTS. Each line ends with \\n, \\r\\n or \\r; the file may
+    start with a byte-order mark and end with empty lines or an unended line."""
+    width = len(HEADERS[kind].split(","))
+    header = HEADERS[kind]
+    days = draw(st.lists(st.integers(0, 12), min_size=1, max_size=8, unique=True))
+    days = sorted(days) if kind == "index" else draw(st.permutations(days))
+    good_cap = st.sampled_from(GOOD_VALUES + BLANK_CAPS)
+    rows = []
+    for d in days:
+        date = day(d).isoformat()
+        cells = [f" {date}\t" if draw(st.booleans()) else date]
+        cells += [draw(st.sampled_from(GOOD_VALUES)) for _ in range(width - 1)]
+        if kind == "crypto":
+            cells[-1] = draw(good_cap)
+        rows.append(cells)
+    fault = draw(st.sampled_from([None, None] + FAULTS))
+    row = draw(st.sampled_from(rows))
+    if fault == "header":
+        header = draw(st.sampled_from(BAD_HEADERS + list(HEADERS.values())))
+    elif fault == "date":
+        row[0] = draw(st.sampled_from(DATE_TEXT))
+    elif fault in ("value", "text"):
+        bad = st.sampled_from(BAD_VALUES) if fault == "value" else CELL_TEXT
+        row[draw(st.integers(1, width - 1))] = draw(bad)
+    elif fault == "fields":
+        row[:] = row[:-1] if draw(st.booleans()) else row + ["1"]
+    elif fault == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), list(row))
+    elif fault == "unsorted":
+        rows.reverse()
+    if draw(st.booleans()):
+        header = ",".join(f" {h} " for h in header.split(","))
+    lines = [header] + [",".join(cells) for cells in rows]
+    if fault == "empty line":
+        lines.insert(draw(st.integers(1, len(lines) - 1)), "")
+    lines += [""] * draw(st.integers(0, 2))
+    text = "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
+    if draw(st.booleans()):
+        text = text[:-1]  # the last line unended, or its \r\n cut to \r
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def outcome(load):
+    """A loader's columns, or the message of the IngestionError it raises."""
+    try:
+        series = load()
+    except IngestionError as exc:
+        return str(exc)
+    if isinstance(series, IndexSeries):
+        return series.index_id, series.days.tobytes(), series.levels.tobytes()
+    columns = (series.days, series.open, series.volume, series.cap)
+    return (series.agent_id, series.market_kind, *(c.tobytes() for c in columns))
+
+
+def assert_loads_as_the_csv_reader_reference(kind, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "X.csv"
+        path.write_bytes(text.encode())
+        if kind == "index":
+            loaded = outcome(lambda: load_index_series(path, "VIX"))
+            reference = outcome(lambda: csv_reference.load_index_series(path, "VIX"))
+        else:
+            loaded = outcome(lambda: load_agent_series(path, kind))
+            reference = outcome(lambda: csv_reference.load_agent_series(path, kind))
+    assert loaded == reference
+
+
+@SETTINGS
+@given(st.sampled_from(["stock", "crypto", "index"]), st.data())
+def test_loaders_match_the_csv_reader_reference(kind, data):
+    assert_loads_as_the_csv_reader_reference(kind, data.draw(file_texts(kind)))
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("stock", "\ufeffdate,open,volume\r\n2014-01-03,1,2\r2014-01-02,3,4\n\r\n\r\n"),
+    ("stock", "date,open,volume\r\n2014-01-02,1,2\r\r\n2014-01-03,3,4\n"),
+    ("stock", " date , open ,volume\n 2014-01-02\t, 1 ,2\n2014-01-03,-1,4\n"),
+    ("stock", "date,open,volume\n2014-01-02,1,2\n2014-01-03,1e101,4\n"),
+    ("stock", "date,open,volume\n2014-01-02,1,2\n2014-01-02,3,4\n"),
+    ("stock", "date,open,volume\n2014-01-02,1,2\n2014-01-03,3\n"),
+    ("crypto", "date,open,volume,market_cap\n2014-01-02,1,2,\n2014-01-03,3,4, \n"),
+    ("crypto", "date,open,volume,market_cap\n2014-01-02,1,2,\n2014-01-03,3,4,nan\n"),
+    ("crypto", "date,open,volume,market_cap\n2014-01-02,1,2,-5\n"),
+    ("index", "date,level\r2014-01-03,1\r2014-01-02,2\r"),
+    ("index", "date,level\n2014-01-02,1\n2014-01-03, 1e100 \n\n"),
+    ("index", "date,level\n\n2014-01-02,1\n"),
+    ("index", "\ndate,level\n2014-01-02,1\n"),
+    ("index", "date,level\n2014-02-30,1\n"),
+], ids=["line-ends-and-bom", "lone-cr-is-an-empty-line", "padded-and-negative", "above-1e100",
+        "duplicate-date", "short-row", "blank-and-space-caps", "nan-cap", "negative-cap",
+        "index-unsorted", "index-padded-1e100", "index-empty-line", "index-empty-header",
+        "index-bad-date"])
+def test_loaders_match_the_csv_reader_reference_on_each_edge(kind, text):
+    assert_loads_as_the_csv_reader_reference(kind, text)

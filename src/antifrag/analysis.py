@@ -47,10 +47,12 @@ def column(values: np.ndarray) -> Column:
 
 def correlation(x: Column, y: Column) -> float | None:
     """Pearson's r of two aligned columns; None when a side is constant. Where
-    the product of the sums of squares underflows to 0, their roots multiply."""
+    the product of the sums of squares underflows to 0 or overflows to inf,
+    their roots multiply."""
     if x.ss == 0.0 or y.ss == 0.0:
         return None
-    scale = math.sqrt(x.ss * y.ss) or math.sqrt(x.ss) * math.sqrt(y.ss)
+    product = x.ss * y.ss
+    scale = math.sqrt(product) if 0.0 < product < math.inf else math.sqrt(x.ss) * math.sqrt(y.ss)
     return math.fsum(map(mul, x.dev, y.dev)) / scale
 
 

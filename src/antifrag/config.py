@@ -114,11 +114,22 @@ class RunConfig:
 _KEYS = frozenset(f.name for f in fields(RunConfig))
 
 
+def read_text(path: Path, encoding: str = "utf-8", error=ConfigError) -> str:
+    """A file's text; a byte that does not decode is an ``error`` naming the
+    file and the line (ended by \\n, \\r\\n or \\r) it is on."""
+    try:
+        return Path(path).read_bytes().decode(encoding)
+    except UnicodeDecodeError as exc:
+        head = exc.object[: exc.start]  # a byte-order mark holds no line end
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise error(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
+
+
 def read_config_file(path: Path) -> dict[str, str]:
     """Parse the raw key = value lines; no semantic checks yet."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     raw: dict[str, str] = {}

@@ -35,6 +35,7 @@ from .config import (
     AnalysisWindow,
     is_safe_name,
     parse_date,
+    read_text,
 )
 from .errors import IngestionError
 
@@ -175,8 +176,7 @@ def _parse_real(text: str, path: Path, line: int, field: str) -> float:
 def _read_lines(path: Path) -> list[str]:
     """The lines (ended by \\n, \\r\\n or \\r) of a UTF-8 CSV file, less a
     byte-order mark and empty lines at the end; an empty line before a row stays."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        text = fh.read()
+    text = read_text(path, "utf-8-sig", IngestionError)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
@@ -331,11 +331,11 @@ def load_top_performers(path: Path) -> dict[int, frozenset[str]]:
                 merged[key] = value
         return merged
 
-    with open(path) as fh:
-        try:
-            data = json.load(fh, object_pairs_hook=merge_pairs)
-        except json.JSONDecodeError as exc:
-            raise IngestionError(f"{path}: invalid JSON: {exc}") from None
+    try:
+        data = json.loads(read_text(path, "utf-8", IngestionError),
+                          object_pairs_hook=merge_pairs)
+    except json.JSONDecodeError as exc:
+        raise IngestionError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise IngestionError(f"{path}: expected an object mapping year to id list")
 

@@ -5,8 +5,10 @@ case builds its panel once and keeps only what the reports read: the alive
 count, and its included agents' ids (in id order), A and periods used. The
 cases form one list, sorted once by (window, measure, scale), that every
 report iterates, so report rows come out sorted and identical for any
-input-file ordering. Reals are serialized with 17 significant digits (each A
-and performance value once, for all reports) and lines end with \\n.
+input-file ordering; the performance metrics are one table per window
+(``performance.PerformanceTable``), read by every report that shows them.
+Reals are serialized with 17 significant digits (each A and performance
+value once, for all reports) and lines end with \\n.
 
 Report files: antifragility.csv, performance.csv, scatter.csv, bins.csv,
 distributions.csv, correlations.csv, comparison.json (when top-performer
@@ -22,6 +24,7 @@ import os
 import shutil
 import tempfile
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -110,24 +113,17 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
                 panel_dumps.update(_panel_dumps(panel))
     cases = _case_list(scored)
 
-    # performance per window, only for agents alive in that window
-    perf_variables: dict[tuple[str, str], dict[str, float | None]] = {
-        (w.label, s.agent_id): compute_performance(s, full_start[s.agent_id], w)
-        for w in config.windows
-        for s in sliced_by_window[w.label]
-    }
-    perf_text = {
-        key: {name: None if v is None else fmt(v) for name, v in variables.items()}
-        for key, variables in perf_variables.items()
-    }
+    # one performance table per window, over the agents alive in that window
+    tables = {w.label: compute_performance(sliced_by_window[w.label], full_start, w)
+              for w in config.windows}
 
     outputs: dict[str, str] = {}
     outputs["antifragility.csv"], outputs["scatter.csv"] = (
-        _render_antifragility_and_scatter(cases, perf_text)
+        _render_antifragility_and_scatter(cases, tables)
     )
-    outputs["performance.csv"] = _render_performance(perf_text, top_by_window)
+    outputs["performance.csv"] = _render_performance(tables, top_by_window)
     outputs["bins.csv"], outputs["correlations.csv"] = _render_bins_and_correlations(
-        cases, perf_variables
+        cases, tables
     )
     outputs["distributions.csv"] = _render_distributions(
         cases, top_by_window, config.n_hist_bins
@@ -157,36 +153,33 @@ def _case_list(scored) -> list:
     return sorted(cases, key=lambda case: case[:3])
 
 
-def _render_antifragility_and_scatter(cases, perf_text) -> tuple[str, str]:
+def _render_antifragility_and_scatter(cases, tables) -> tuple[str, str]:
     """antifragility.csv and scatter.csv, which sets every agent's A next to
     each of its defined performance variables (sorted by name); an agent
     without performance in the window has no scatter rows."""
-    cells = {
-        key: [f"{name},{t}" for name, t in sorted(texts.items()) if t is not None]
-        for key, texts in perf_text.items()
-    }
     antifragility = ["agent_id,measure,scale,window,global_A,n_used"]
     scatter = ["window,measure,scale,agent_id,A,perf_variable,perf_value"]
+    by_name = sorted(enumerate(PERF_VARIABLES), key=itemgetter(1))  # (column, name)
     for window, measure, scale, ids, _, a_text, used in cases:
+        row_of, text = tables[window].row_of, tables[window].text
         for aid, a, n in zip(ids, a_text, used):
             antifragility.append(f"{aid},{measure},{scale},{window},{a},{n}")
-            agent_cells = cells.get((window, aid))
-            if agent_cells:
-                prefix = f"{window},{measure},{scale},{aid},{a},"
-                scatter.extend(map(prefix.__add__, agent_cells))
+            t = text[row_of.get(aid, -1)]
+            prefix = f"{window},{measure},{scale},{aid},{a},"
+            scatter += [f"{prefix}{name},{t[j]}" for j, name in by_name if t[j]]
     return _text(antifragility), _text(scatter)
 
 
-def _render_performance(perf_text, top_by_window) -> str:
+def _render_performance(tables, top_by_window) -> str:
     lines = [",".join(["agent_id", "window", *PERF_VARIABLES, "is_top_performer"])]
-    for (window, aid), texts in sorted(perf_text.items()):
-        values = ",".join(texts[name] or "" for name in PERF_VARIABLES)
-        top = "true" if aid in top_by_window[window] else "false"
-        lines.append(f"{aid},{window},{values},{top}")
+    for window, table in sorted(tables.items()):
+        for aid, row in table.row_of.items():
+            top = "true" if aid in top_by_window[window] else "false"
+            lines.append(f"{aid},{window},{','.join(table.text[row])},{top}")
     return _text(lines)
 
 
-def _render_bins_and_correlations(cases, perf_variables) -> tuple[str, str]:
+def _render_bins_and_correlations(cases, tables) -> tuple[str, str]:
     """bins.csv and correlations.csv: per case and performance variable, the
     Pearson r over the case's agents that have the variable defined, and both
     binning directions when at least five have. Each column is reduced once:
@@ -196,16 +189,13 @@ def _render_bins_and_correlations(cases, perf_variables) -> tuple[str, str]:
     correlations = ["window,measure,scale,perf_variable,r,n_pairs"]
     skipped_cases = 0
     skipped_names: set[str] = set()
-    # a row per (window, agent) with performance, then one of NaN for the others
-    row_of = {key: row for row, key in enumerate(perf_variables)}
-    table = np.array([*([v[n] for n in PERF_VARIABLES] for v in perf_variables.values()),
-                      [None] * len(PERF_VARIABLES)], dtype=float)
     current = None
     for window, measure, scale, ids, a_values, _, _ in cases:
         if window != current:
             current, perf_columns = window, {}
+            row_of, table = tables[window].row_of, tables[window].values
         case = f"{window},{measure},{scale},"
-        rows = np.array([row_of.get((window, aid), -1) for aid in ids], dtype=np.intp)
+        rows = np.array([row_of.get(aid, -1) for aid in ids], dtype=np.intp)
         a_all = np.array(a_values, dtype=float)
         defined = ~np.isnan(table[rows])
         a_columns: dict[bytes, analysis.Column] = {}

@@ -17,6 +17,7 @@ from antifrag.ingestion import (
     to_dates,
 )
 from antifrag.measures import compute_measures
+from antifrag.performance import PERF_VARIABLES, PerformanceTable
 from antifrag.resampling import TimeScale, build_panel
 
 from oracle import oracle_compute
@@ -47,6 +48,15 @@ def series_to_rows(series: AgentSeries):
     caps = [None if np.isnan(c) else c for c in series.cap.tolist()]
     return list(zip(to_dates(series.days), series.open.tolist(),
                     series.volume.tolist(), caps))
+
+
+def perf_tables(perf: dict, windows) -> dict[str, PerformanceTable]:
+    """Each window's performance table from {(window, agent): {name: value}},
+    where a name left out or a None value is undefined."""
+    rows = {window: {} for window in windows}
+    for (window, aid), values in perf.items():
+        rows.setdefault(window, {})[aid] = [values.get(name) for name in PERF_VARIABLES]
+    return {window: PerformanceTable.from_rows(r) for window, r in rows.items()}
 
 
 def plain_to_agents(plain: dict, kind: str) -> list[AgentSeries]:

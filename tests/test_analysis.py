@@ -10,7 +10,9 @@ from antifrag.analysis import (
     top_comparison,
 )
 from antifrag.errors import ComputeError
-from antifrag.pipeline import _case_list, _render_antifragility_and_scatter, fmt
+from antifrag.pipeline import _case_list, _render_antifragility_and_scatter
+
+from conftest import perf_tables
 
 
 def test_pearson_perfect_positive():
@@ -38,6 +40,12 @@ def test_pearson_survives_an_underflowing_product_of_sums_of_squares():
     # each sum of squares is 5e-321; their product underflows to 0
     assert pearson([1e-160, 0.0], [1e-160, 0.0]) == 1.0
     assert pearson([1e-160, 0.0], [0.0, 1e-160]) == -1.0
+
+
+def test_pearson_survives_an_overflowing_product_of_sums_of_squares():
+    # each sum of squares is 5e199; their product overflows to inf
+    assert pearson([1e100, 0.0], [1e100, 0.0]) == 1.0
+    assert pearson([1e100, 0.0], [0.0, 1e100]) == -1.0
 
 
 def test_pearson_symmetry_and_range():
@@ -203,11 +211,8 @@ def scatter_lines(cases, perf) -> list[str]:
          np.ones(len(values), dtype=int))
         for key, values in cases.items()
     ]
-    perf_text = {
-        key: {name: None if v is None else fmt(v) for name, v in values.items()}
-        for key, values in perf.items()
-    }
-    _, text = _render_antifragility_and_scatter(_case_list(scored), perf_text)
+    tables = perf_tables(perf, [window for window, _, _ in cases])
+    _, text = _render_antifragility_and_scatter(_case_list(scored), tables)
     assert text.endswith("\n")
     lines = text.split("\n")[:-1]
     assert lines[0] == "window,measure,scale,agent_id,A,perf_variable,perf_value"

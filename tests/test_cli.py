@@ -1,5 +1,6 @@
 """End-to-end command line tests built on the synthetic fixture dataset."""
 
+import codecs
 import hashlib
 import logging
 import subprocess
@@ -455,6 +456,11 @@ def test_scatter_formats_each_value_once(fixture_tree, monkeypatch):
     assert len((out / "scatter.csv").read_text().splitlines()) > a_values
     assert len(calls_at_scatter_end) == 1
     assert calls_at_scatter_end[0] <= a_values + defined
+    # fmt is left for each r and comparison.json's four reals (the fraction,
+    # both sums and the ratio); A and performance texts come from their tables
+    assert (out / "comparison.json").is_file()
+    r_values = len((out / "correlations.csv").read_text().splitlines()) - 1
+    assert len(calls) == r_values + 4
 
 
 def set_column(path: Path, name: str, values: list[str]) -> None:
@@ -499,6 +505,40 @@ def test_oversized_cell_is_one_error_line(fixture_tree):
     done = run_in_subprocess(fixture_tree / "stocks" / "config.cfg")
     assert done.returncode == 1
     assert done.stderr.splitlines() == [f"error: {path}: line 3: non-finite volume value"]
+
+
+def put_stray_byte(path: Path, line: int, ending: bytes, bom: bool = False) -> None:
+    """Rewrite ``path`` with ``ending`` line ends, a byte-order mark first when
+    ``bom``, and a \\xff byte, which is not UTF-8, at the end of line ``line``."""
+    lines = path.read_bytes().splitlines()
+    lines[line - 1] += b"\xff"
+    path.write_bytes((codecs.BOM_UTF8 if bom else b"") + ending.join(lines) + ending)
+
+
+@pytest.mark.parametrize("market, name, line, ending, bom", [
+    ("stocks", "agents/BBB.csv", 3, b"\r\n", True),
+    ("stocks", "indexes/vix.csv", 4, b"\r", False),
+    ("crypto", "top_performers.json", 3, b"\n", False),
+    ("crypto", "config.cfg", 2, b"\r\n", False),
+])
+def test_non_utf8_input_is_one_error_line(fixture_tree, market, name, line, ending, bom):
+    path = fixture_tree / market / name
+    put_stray_byte(path, line, ending, bom)
+    done = run_in_subprocess(fixture_tree / market / "config.cfg")
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        f"error: {path}: line {line}: not UTF-8 (invalid start byte)"
+    ]
+
+
+def test_validate_reports_a_non_utf8_config(fixture_tree, capsys):
+    config = fixture_tree / "stocks" / "config.cfg"
+    put_stray_byte(config, 4, b"\r")
+    assert cli.main(["validate", "--config", str(config)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"error: {config}: line 4: not UTF-8 (invalid start byte)",
+        "1 errors",
+    ]
 
 
 def test_values_of_1e100_run_cleanly(fixture_tree):

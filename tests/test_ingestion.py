@@ -282,6 +282,21 @@ def test_empty_line_before_a_row_rejected(tmp_path):
         load_agent_series(path, "stock")
 
 
+@pytest.mark.parametrize("data, line, reason", [
+    # a byte-order mark, then \r\n, \r and \n line ends before the bad byte
+    (b"\xef\xbb\xbfdate,open,volume\r\n2014-01-02,10,100\r2014-01-03,11,90\n"
+     b"2014-01-0\xff4,12,80\n", 4, "invalid start byte"),
+    (b"date,open,volume\r\r\n2014-01-02,10,100\n\n2014-01-03,11,9\xc3", 5,
+     "unexpected end of data"),
+])
+def test_non_utf8_agent_file_names_the_line(tmp_path, data, line, reason):
+    path = tmp_path / "X.csv"
+    path.write_bytes(data)
+    with pytest.raises(IngestionError) as caught:
+        load_agent_series(path, "stock")
+    assert str(caught.value) == f"{path}: line {line}: not UTF-8 ({reason})"
+
+
 def test_quotes_are_part_of_the_cell(tmp_path):
     path = write(tmp_path, "Q.csv", 'date,open,volume\n2014-01-02,"10",100\n')
     with pytest.raises(IngestionError, match=re.escape("""line 2: bad open value '"10"'""")):

@@ -37,6 +37,7 @@ from conftest import (
     assert_engine_matches_oracle,
     engine_case,
     make_agent,
+    perf_tables,
     plain_to_agents,
     plain_to_indexes,
     series_to_rows,
@@ -271,5 +272,6 @@ def edge_inputs():
 @example(edge_inputs())
 def test_bins_and_correlations_equal_per_case_reference_bit_for_bit(inputs):
     cases, perf_variables = inputs
-    assert (_render_bins_and_correlations(cases, perf_variables)
+    tables = perf_tables(perf_variables, [case[0] for case in cases])
+    assert (_render_bins_and_correlations(cases, tables)
             == render_bins_and_correlations(cases, perf_variables))

@@ -125,6 +125,16 @@ def read_text(path: Path, encoding: str = "utf-8", error=ConfigError) -> str:
         raise error(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of a text, each ended by \\n, \\r\\n or \\r and by no other
+    character (``str.splitlines`` also ends one at \\x0c, \\x85, \\u2028 and
+    more); what follows the last line end is the last item, empty when the text
+    ends with a line end."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def read_config_file(path: Path) -> dict[str, str]:
     """Parse the raw key = value lines; no semantic checks yet."""
     path = Path(path)
@@ -133,7 +143,7 @@ def read_config_file(path: Path) -> dict[str, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

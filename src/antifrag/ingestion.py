@@ -19,8 +19,10 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+import re
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import NoReturn
 
@@ -36,6 +38,7 @@ from .config import (
     is_safe_name,
     parse_date,
     read_text,
+    split_lines,
 )
 from .errors import IngestionError
 
@@ -44,6 +47,20 @@ INDEX_IDS = sum(INDEXES_BY_MEASURE.values(), ())
 # A larger value is an ingestion error. Up to it, every square and sum of
 # squares the reports take (pr_std, pearson) stays finite; no market value nears it.
 MAX_VALUE = 1e100
+
+_DATE = itemgetter(slice(0, 10))  # a line's first 10 characters
+
+# A value cell that float() reads as a finite number from 0 to MAX_VALUE: no
+# sign, padding or letter but "e", and an integer part of 2 to 100 digits, or
+# of one digit and then maybe an exponent of at most two digits, or none.
+_NUM = r"(?:[0-9]{2,100}(?:\.[0-9]*)?|[0-9](?:\.[0-9]*)?(?:e[+-]?[0-9]{1,2})?|\.[0-9]+)"
+
+# agent data lines, each ended by \n, of a YYYY-MM-DD-shaped date and _NUM
+# value cells (a market cap may be blank), by field count
+_PLAIN_LINES = {
+    3: re.compile(rf"(?:[0-9-]{{10}},{_NUM},{_NUM}\n)*"),
+    4: re.compile(rf"(?:[0-9-]{{10}},{_NUM},{_NUM},{_NUM}?\n)*"),
+}
 
 
 def to_dates(days: np.ndarray) -> tuple[dt.date, ...]:
@@ -176,10 +193,7 @@ def _parse_real(text: str, path: Path, line: int, field: str) -> float:
 def _read_lines(path: Path) -> list[str]:
     """The lines (ended by \\n, \\r\\n or \\r) of a UTF-8 CSV file, less a
     byte-order mark and empty lines at the end; an empty line before a row stays."""
-    text = read_text(path, "utf-8-sig", IngestionError)
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
+    lines = split_lines(read_text(path, "utf-8-sig", IngestionError))
     while lines and not lines[-1]:
         lines.pop()
     if not lines:
@@ -190,6 +204,20 @@ def _read_lines(path: Path) -> list[str]:
 def _fields(line: str) -> list[str]:
     """The fields of one line; an empty line has none."""
     return line.split(",") if line else []
+
+
+def _day_ordinals(dates: list[str]) -> np.ndarray | None:
+    """The day ordinals of ``YYYY-MM-DD`` dates; None when one is not of that
+    shape or not a day."""
+    # parse_date's YYYY-MM-DD shape, checked without a call per date
+    joined, dashes = "".join(dates), "-" * len(dates)
+    if set(map(len, dates)) != {10} or joined[4::10] != dashes or joined[7::10] != dashes:
+        return None
+    try:
+        return np.array(list(map(dt.date.toordinal, map(dt.date.fromisoformat, dates))),
+                        dtype=np.int64)
+    except ValueError:
+        return None
 
 
 def _parse_columns(body: list[str], width: int, blank_last: bool):
@@ -206,28 +234,58 @@ def _parse_columns(body: list[str], width: int, blank_last: bool):
         return None
     flat = ",".join(body).split(",")
     cells = [flat[j::width] for j in range(width)]
-    dates = list(map(str.strip, cells[0]))
-    # parse_date's YYYY-MM-DD shape, checked without a call per date
-    joined, dashes = "".join(dates), "-" * len(dates)
-    if set(map(len, dates)) != {10} or joined[4::10] != dashes or joined[7::10] != dashes:
+    days = _day_ordinals(list(map(str.strip, cells[0])))
+    if days is None:
         return None
     blanks = 0
     try:
-        days = np.array(
-            list(map(dt.date.toordinal, map(dt.date.fromisoformat, dates))),
-            dtype=np.int64,
-        )
         values = [list(map(float, c)) for c in cells[1 : width - blank_last]]
         if blank_last:
             last = list(map(str.strip, cells[-1]))
             blanks = last.count("")
-            values.append([float(t) if t else math.nan for t in last])
+            values.append([float(t) if t else math.nan for t in last] if blanks
+                          else list(map(float, last)))
     except ValueError:
         return None
     columns = [np.array(v, dtype=np.float64) for v in values]
     if blank_last and np.count_nonzero(np.isnan(columns[-1])) != blanks:
         return None
     return days, columns
+
+
+def _span_rows(days: np.ndarray, span: tuple[dt.date, dt.date]) -> np.ndarray:
+    """Which rows of these day ordinals a span keeps: those from its first
+    day to its last, and the earliest."""
+    rows = (days >= span[0].toordinal()) & (days <= span[1].toordinal())
+    rows[days.argmin()] = True
+    return rows
+
+
+def _window(body: list[str], width: int, span: tuple[dt.date, dt.date]) -> list[str] | None:
+    """The agent data lines a span keeps (``_span_rows``), or None when every
+    line is to be converted: when the first and last lines start inside the
+    span (as every line of a sorted file then does), or when the lines to
+    leave out cannot be told apart or certified without converting them.
+
+    Every line's date is parsed, from its first 10 characters, and no date may
+    repeat. Each line left out must be all ``_PLAIN_LINES`` cells, so it would
+    pass every check. A kept line's date is parsed again, from its stripped
+    first field; when that parses, it is those 10 characters, which start
+    with a digit.
+    """
+    if span[0].isoformat() <= body[0][:10] and body[-1][:10] <= span[1].isoformat():
+        return None
+    days = _day_ordinals(list(map(_DATE, body)))
+    if days is None:
+        return None
+    rows = _span_rows(days, span)
+    if rows.all():
+        return None
+    ordered = np.sort(days)
+    left_out = "\n".join(compress(body, (~rows).tolist())) + "\n"
+    if not (ordered[1:] > ordered[:-1]).all() or not _PLAIN_LINES[width].fullmatch(left_out):
+        return None
+    return [body[i] for i in np.flatnonzero(rows).tolist()]
 
 
 def _raise_first_bad_row(path: Path, header: list[str], body, in_order: bool) -> NoReturn:
@@ -259,12 +317,15 @@ def _raise_first_bad_row(path: Path, header: list[str], body, in_order: bool) ->
     raise AssertionError(f"{path}: column checks failed on rows that pass one by one")
 
 
-def load_agent_series(path: Path, market_kind: str) -> AgentSeries:
+def load_agent_series(path: Path, market_kind: str,
+                      span: tuple[dt.date, dt.date] | None = None) -> AgentSeries:
     """Read one agent CSV. The agent id is the file's stem.
 
     Rows may arrive in any order; they are sorted by date. Duplicate dates,
     malformed fields, a market_cap column in a stock file, and an id outside
-    ``[A-Za-z0-9._-]+`` are errors.
+    ``[A-Za-z0-9._-]+`` are errors. With a ``span`` (a first and last day),
+    the series keeps only the file's earliest row and the rows inside it;
+    every row is still checked, and the same files fail with the same errors.
     """
     path = Path(path)
     if not is_safe_name(path.stem):
@@ -280,7 +341,10 @@ def load_agent_series(path: Path, market_kind: str) -> AgentSeries:
     if not body:
         raise IngestionError(f"{path}: no data rows")
 
-    parsed = _parse_columns(body, len(header), blank_last=has_cap)
+    kept = None if span is None else _window(body, len(header), span)
+    parsed = None if kept is None else _parse_columns(kept, len(header), blank_last=has_cap)
+    if parsed is None:
+        parsed = _parse_columns(body, len(header), blank_last=has_cap)
     if parsed is None:
         _raise_first_bad_row(path, header, body, in_order=False)
     days, columns = parsed
@@ -289,6 +353,8 @@ def load_agent_series(path: Path, market_kind: str) -> AgentSeries:
     cap = columns[2][order] if has_cap else np.full(len(days), np.nan)
     if _column_fault(days, (open_, volume), cap):
         _raise_first_bad_row(path, header, body, in_order=False)
+    if span is not None and not (rows := _span_rows(days, span)).all():
+        days, open_, volume, cap = days[rows], open_[rows], volume[rows], cap[rows]
     return AgentSeries(path.stem, market_kind, days, open_, volume, cap)
 
 

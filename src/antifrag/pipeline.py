@@ -72,7 +72,9 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
     agent_files = sorted(config.data_dir.glob("*.csv"))
     if not agent_files:
         raise IngestionError(f"no agent CSV files in {config.data_dir}")
-    agents = [load_agent_series(p, config.market_kind) for p in agent_files]
+    # each agent's rows in the windows' hull, and its first day (full_start)
+    span = (min(w.start for w in config.windows), max(w.end for w in config.windows))
+    agents = [load_agent_series(p, config.market_kind, span) for p in agent_files]
 
     index_files: dict[str, Path] = {}
     for iid in sorted({i for m in config.measures for i in INDEXES_BY_MEASURE.get(m, ())}):

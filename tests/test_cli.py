@@ -12,7 +12,9 @@ import pytest
 
 import antifrag.cli as cli
 from antifrag import measures, pipeline, resampling
-from antifrag.config import load_config
+from antifrag.config import load_config, read_config_file
+from antifrag.errors import IngestionError
+from antifrag.ingestion import load_agent_series
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -317,6 +319,22 @@ def test_validate_unknown_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().out
 
 
+def test_config_lines_end_only_at_line_ends(tmp_path, capsys):
+    # str.splitlines would also end a line at the form feed
+    config = tmp_path / "c.cfg"
+    config.write_text("market_kind = crypto\x0cdata_dir = .\noutput_dir = out\nbogus = 1\n")
+    assert cli.main(["validate", "--config", str(config)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"error: {config}: line 3: unknown key 'bogus'",
+        "1 errors",
+    ]
+    config.write_text("market_kind = crypto\x0cdata_dir = .\r\noutput_dir = out\r")
+    assert read_config_file(config) == {
+        "market_kind": "crypto\x0cdata_dir = .",
+        "output_dir": "out",
+    }
+
+
 def test_failed_write_removes_partial_outputs(tmp_path, monkeypatch):
     out = tmp_path / "out"
     out.mkdir()
@@ -496,6 +514,31 @@ def test_value_above_1e100_is_one_error_line(fixture_tree, market, agent, column
     assert done.stderr.splitlines() == [
         f"error: {path}: line 2: {column} value above 1e+100"
     ]
+
+
+@pytest.mark.parametrize("column, value", [
+    ("open", "-1"),
+    ("volume", "1e+101"),
+    ("market_cap", "nan"),
+])
+def test_bad_value_before_every_window_is_one_error_line(fixture_tree, column, value):
+    # lines 2 and 3 lie before the window: a load for the window converts
+    # only line 2, the earliest, once every other line checks out
+    config = fixture_tree / "crypto" / "config.cfg"
+    config.write_text(config.read_text().replace("windows = 2014",
+                                                 "windows = spring:2014-03-03:2014-05-30"))
+    path = fixture_tree / "crypto" / "agents" / "XCOIN.csv"
+    header, *rows = path.read_text().splitlines()
+    cells = rows[1].split(",")
+    cells[header.split(",").index(column)] = value
+    rows[1] = ",".join(cells)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(IngestionError) as full_load:
+        load_agent_series(path, "crypto")
+    assert f"{path}: line 3: " in str(full_load.value)
+    done = run_in_subprocess(config)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [f"error: {full_load.value}"]
 
 
 def test_oversized_cell_is_one_error_line(fixture_tree):

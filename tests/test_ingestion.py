@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antifrag import fixture
+from antifrag import fixture, ingestion
 from antifrag.errors import IngestionError
 from antifrag.ingestion import (
     AgentSeries,
@@ -571,3 +571,116 @@ def test_loaders_match_the_csv_reader_reference(kind, data):
         "index-bad-date"])
 def test_loaders_match_the_csv_reader_reference_on_each_edge(kind, text):
     assert_loads_as_the_csv_reader_reference(kind, text)
+
+
+# value cells the span check (ingestion._PLAIN_LINES) takes as they are, and
+# cells it leaves to the conversion of every row, valid or not
+PLAIN_VALUES = ["10", "1.5", "0", "0.0", "123456.789", "7e-3", "2e-08", "1.5e+16", "9.99e99",
+                ".5", "5.", "9" * 100]
+ODD_VALUES = [" 2.25 ", "-0", "-0.0", "1e100", "1e+101", "1E5", "+1", "12e5", "2" + "0" * 100,
+              "1" + "0" * 101, "nan", "inf", "-1", "abc", "", " ", "1_0"]
+ODD_DATES = ["0000-01-01", "2014-02-29", "2015-1-05", "+015-01-05", " {}\t", "{} ", "{}0"]
+
+
+@st.composite
+def spanned_files(draw, kind):
+    """An agent file of day(0..20) rows, sorted or not, with PLAIN_VALUES cells
+    (crypto caps sometimes blank), up to two ODD_VALUES cells, and maybe an
+    ODD_DATES date or a repeated date; and a span of day(-3..23)."""
+    width = len(HEADERS[kind].split(","))
+    days = draw(st.lists(st.integers(0, 20), min_size=1, max_size=10, unique=True))
+    days = draw(st.permutations(days)) if draw(st.booleans()) else sorted(days)
+    plain = st.sampled_from(PLAIN_VALUES)
+    rows = [[day(d).isoformat()] + [draw(plain) for _ in range(width - 1)] for d in days]
+    if kind == "crypto":
+        for row in rows:
+            row[-1] = draw(st.sampled_from(["", row[-1]]))
+    for _ in range(draw(st.integers(0, 2))):
+        draw(st.sampled_from(rows))[draw(st.integers(1, width - 1))] = draw(
+            st.sampled_from(ODD_VALUES))
+    fault = draw(st.sampled_from([None, None, "date", "duplicate"]))
+    row = draw(st.sampled_from(rows))
+    if fault == "date":
+        row[0] = draw(st.sampled_from(ODD_DATES)).format(row[0])
+    elif fault == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), [row[0]] + [draw(plain) for _ in row[1:]])
+    text = "\n".join([HEADERS[kind]] + [",".join(r) for r in rows]) + "\n"
+    first, last = sorted(draw(st.integers(-3, 23)) for _ in range(2))
+    return text, (day(first), day(last))
+
+
+def in_span(series, span):
+    """The series less every row but the earliest and those inside the span."""
+    days = series.days
+    keep = (days >= span[0].toordinal()) & (days <= span[1].toordinal())
+    keep[0] = True
+    return AgentSeries(series.agent_id, series.market_kind, days[keep], series.open[keep],
+                       series.volume[keep], series.cap[keep])
+
+
+def assert_span_load_is_the_reference_in_span(kind, text, span):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "X.csv"
+        path.write_text(text)
+        loaded = outcome(lambda: load_agent_series(path, kind, span))
+        reference = outcome(lambda: in_span(csv_reference.load_agent_series(path, kind), span))
+    assert loaded == reference
+
+
+@SETTINGS
+@given(st.sampled_from(["stock", "crypto"]), st.data())
+def test_span_load_is_the_reference_load_in_span(kind, data):
+    assert_span_load_is_the_reference_in_span(kind, *data.draw(spanned_files(kind)))
+
+
+def span_text(kind, changes=(), days=range(15)):
+    """An agent file with a row per day(d) of ``days``, in that order, each
+    value "1.5" but for ``changes``: (row, column, text), column 0 the date."""
+    width = len(HEADERS[kind].split(","))
+    rows = [[day(d).isoformat()] + ["1.5"] * (width - 1) for d in days]
+    for row, column, text in changes:
+        rows[row][column] = text
+    return "\n".join([HEADERS[kind]] + [",".join(r) for r in rows]) + "\n"
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("stock", span_text("stock", [(2, 1, "-1")])),
+    ("crypto", span_text("crypto", [(12, 2, "abc")])),
+    ("stock", span_text("stock", [(2, 1, "-1"), (7, 1, "-2")])),
+    ("stock", span_text("stock", [(1, 0, "0000-01-01")])),
+    ("stock", span_text("stock", [(13, 0, "2014-02-29")])),
+    ("stock", span_text("stock", [(1, 0, f"{day(1)} "), (13, 0, f"{day(13)}0")])),
+    ("stock", span_text("stock", [(12, 2, "1e+101")])),
+    ("crypto", span_text("crypto", [(3, 3, "2" + "0" * 100)])),
+    ("crypto", span_text("crypto", [(2, 3, "nan")])),
+    ("crypto", span_text("crypto", [(1, 1, "-0"), (2, 2, "1e100"), (3, 3, "9" * 100),
+                                    (11, 1, " 1.5 ")])),
+    ("crypto", span_text("crypto", [(1, 3, ""), (6, 3, ""), (2, 3, "2e-08"),
+                                    (7, 1, "1.5e+16")])),
+    ("stock", span_text("stock", days=[0, 1, 2, 3, 4, 5, 6, 7, 4, 8])),
+    ("stock", span_text("stock", days=[5, 0, 1, 2, 3, 4, 5, 6])),
+    ("stock", span_text("stock", days=range(14, -1, -1))),
+    ("crypto", span_text("crypto", [(0, 1, "-1")])),
+    ("stock", span_text("stock", days=range(10, 15))),
+    ("stock", span_text("stock", days=range(0, 5))),
+], ids=["bad-cell-before", "bad-cell-after", "bad-cells-before-and-in", "year-0000-before",
+        "feb-29-after", "date-suffixes-outside", "1e+101-after", "101-digits-before",
+        "nan-cap-before", "-0-1e100-100-digits-padded", "blank-and-exponent-cells",
+        "duplicate-before", "duplicate-first-day", "unsorted", "bad-earliest-row", "all-after",
+        "all-before"])
+def test_span_load_is_the_reference_load_in_span_on_each_edge(kind, text):
+    assert_span_load_is_the_reference_in_span(kind, text, (day(5), day(9)))
+
+
+@SETTINGS
+@given(st.sampled_from([3, 4]),
+       st.lists(st.one_of(st.sampled_from(PLAIN_VALUES + ODD_VALUES),
+                          st.floats(0, 1e100).map(repr),
+                          st.text(alphabet="0123456789.e+-", max_size=8)),
+                min_size=3, max_size=3))
+def test_plain_lines_take_only_cells_float_reads_within_bounds(width, cells):
+    cells = cells[: width - 1]
+    line = f"2015-01-05,{','.join(cells)}\n"
+    if ingestion._PLAIN_LINES[width].fullmatch(line):
+        values = [float(c) for c in cells if c]
+        assert all(0 <= v <= ingestion.MAX_VALUE for v in values)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import itemgetter, mul
 from typing import NamedTuple
@@ -79,8 +78,7 @@ def pearson(xs, ys) -> float | None:
     return correlation(*(column(np.array(side)) for side in zip(*pairs)))
 
 
-@dataclass(frozen=True)
-class BinSummary:
+class BinSummary(NamedTuple):
     bin_index: int
     bin_by: str
     stat_of: str
@@ -105,8 +103,7 @@ def quantile_bin_summary(
     return [BinSummary(index, bin_by, stat_of, *s) for index, s in enumerate(stats)]
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(NamedTuple):
     """A histogram normalized so the densities integrate to one."""
 
     edges: np.ndarray
@@ -140,8 +137,7 @@ def distribution(values, n_bins: int = 50, edges=None) -> Distribution:
     return Distribution(edges, densities, int(arr.size))
 
 
-@dataclass(frozen=True)
-class ComparisonStats:
+class ComparisonStats(NamedTuple):
     """How often top performers beat the population mean antifragility."""
 
     cases_total: int

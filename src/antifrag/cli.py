@@ -9,14 +9,19 @@
 ``--workers`` is accepted but has no effect. ``validate``
 checks a config without touching any data files. ``fixture`` writes the
 built-in synthetic dataset (stocks/ and crypto/ trees, each with a ready
-config) for smoke testing. ``pipeline`` and ``fixture`` are imported only
-by the commands that use them, so ``validate`` never imports numpy.
+config) for smoke testing.
+
+Each command imports only what it runs. ``pipeline`` and ``fixture`` (and
+with them numpy) are imported by the commands that use them, and ``logging``
+is imported and configured only by ``run``, the one command that logs. So
+``validate`` imports neither numpy nor ``logging``, and no module of the
+package generates class code at import (no ``dataclasses``, which would also
+import ``inspect``).
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 
@@ -52,12 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
-
     if args.command == "fixture":
         from .fixture import write_fixture_tree
 
@@ -78,7 +77,14 @@ def main(argv=None) -> int:
         print(f"{len(errors)} errors")
         return 0 if not errors else 1
 
-    # run
+    # run: the one command that logs
+    import logging
+
+    logging.basicConfig(
+        level=logging.INFO if args.verbose else logging.WARNING,
+        format="%(levelname)s %(name)s: %(message)s",
+        stream=sys.stderr,
+    )
     try:
         config, errors, notes = load_config(args.config)
         for note in notes:

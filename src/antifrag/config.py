@@ -20,15 +20,17 @@ letters, digits, ``.``, ``_`` and ``-``.
 Relative paths are resolved against the config file's directory.
 
 The names a config refers to (market kinds, measures and their indexes, time
-scales, safe names, dates, windows) are defined here, and this module imports
-no numpy, so ``antifrag validate`` never pays for importing it.
+scales, safe names, dates, windows) are defined here. ``antifrag validate``
+runs on this module alone, so it imports no numpy and generates no class code:
+``AnalysisWindow`` is a named tuple and ``RunConfig`` a ``__slots__`` class,
+where ``dataclasses`` would import ``inspect`` and ``exec`` their methods.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import re
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from enum import IntEnum
 from pathlib import Path
 
@@ -71,19 +73,16 @@ def parse_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-@dataclass(frozen=True)
-class AnalysisWindow:
+# collections.namedtuple, not typing.NamedTuple: validate needs no typing
+class AnalysisWindow(namedtuple("_Window", ("start", "end", "label"))):
     """A closed date interval the pipeline analyzes as one unit."""
 
-    start: dt.date
-    end: dt.date
-    label: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.start > self.end:
-            raise IngestionError(
-                f"window {self.label}: start {self.start} after end {self.end}"
-            )
+    def __new__(cls, start: dt.date, end: dt.date, label: str):
+        if start > end:
+            raise IngestionError(f"window {label}: start {start} after end {end}")
+        return super().__new__(cls, start, end, label)
 
     def span(self, days) -> slice:
         """The part of a sorted numpy array of day ordinals that falls inside
@@ -96,22 +95,32 @@ class AnalysisWindow:
         return cls(dt.date(year, 1, 1), dt.date(year, 12, 31), str(year))
 
 
-@dataclass
 class RunConfig:
-    market_kind: str
-    data_dir: Path
-    output_dir: Path
-    windows: tuple[AnalysisWindow, ...]
-    scales: tuple[TimeScale, ...]
-    measures: tuple[str, ...]
-    index_dir: Path | None = None
-    top_performers_path: Path | None = None
-    n_hist_bins: int = 50
-    worker_count: int = 0
+    """A checked configuration; ``--workers`` and ``--out`` override two of
+    its fields after loading."""
+
+    __slots__ = ("market_kind", "data_dir", "output_dir", "windows", "scales", "measures",
+                 "index_dir", "top_performers_path", "n_hist_bins", "worker_count")
+
+    def __init__(self, market_kind: str, data_dir: Path, output_dir: Path,
+                 windows: tuple[AnalysisWindow, ...], scales: tuple[TimeScale, ...],
+                 measures: tuple[str, ...], index_dir: Path | None = None,
+                 top_performers_path: Path | None = None, n_hist_bins: int = 50,
+                 worker_count: int = 0):
+        self.market_kind = market_kind
+        self.data_dir = data_dir
+        self.output_dir = output_dir
+        self.windows = windows
+        self.scales = scales
+        self.measures = measures
+        self.index_dir = index_dir
+        self.top_performers_path = top_performers_path
+        self.n_hist_bins = n_hist_bins
+        self.worker_count = worker_count
 
 
 # the keys a config file may set: one per RunConfig field
-_KEYS = frozenset(f.name for f in fields(RunConfig))
+_KEYS = frozenset(RunConfig.__slots__)
 
 
 def read_text(path: Path, encoding: str = "utf-8", error=ConfigError) -> str:

@@ -20,7 +20,6 @@ import datetime as dt
 import json
 import math
 import re
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -55,12 +54,20 @@ _DATE = itemgetter(slice(0, 10))  # a line's first 10 characters
 # of one digit and then maybe an exponent of at most two digits, or none.
 _NUM = r"(?:[0-9]{2,100}(?:\.[0-9]*)?|[0-9](?:\.[0-9]*)?(?:e[+-]?[0-9]{1,2})?|\.[0-9]+)"
 
-# agent data lines, each ended by \n, of a YYYY-MM-DD-shaped date and _NUM
-# value cells (a market cap may be blank), by field count
-_PLAIN_LINES = {
-    3: re.compile(rf"(?:[0-9-]{{10}},{_NUM},{_NUM}\n)*"),
-    4: re.compile(rf"(?:[0-9-]{{10}},{_NUM},{_NUM},{_NUM}?\n)*"),
-}
+
+class _LinePatterns(dict):
+    """Agent data lines, each ended by \\n, of a YYYY-MM-DD-shaped date and
+    _NUM value cells (a market cap may be blank), by field count (3 or 4).
+    Each pattern is compiled on first use: only a window that leaves rows out
+    reads one."""
+
+    def __missing__(self, width: int) -> re.Pattern:
+        cap = {3: "", 4: f",{_NUM}?"}[width]
+        pattern = self[width] = re.compile(rf"(?:[0-9-]{{10}},{_NUM},{_NUM}{cap}\n)*")
+        return pattern
+
+
+_PLAIN_LINES = _LinePatterns()
 
 
 def to_dates(days: np.ndarray) -> tuple[dt.date, ...]:
@@ -104,21 +111,24 @@ def _built_columns(who: str, rows, has_cap: bool):
     return days, columns
 
 
-@dataclass(frozen=True, eq=False)
 class AgentSeries:
     """Full or sliced history for one stock or cryptocurrency.
 
     ``days`` holds strictly increasing day ordinals; ``open``, ``volume`` and
     ``cap`` align with it, ``cap`` being NaN where no market cap was given
-    (always, for stocks).
+    (always, for stocks). Two series are equal only when they are one object.
     """
 
-    agent_id: str
-    market_kind: str
-    days: np.ndarray
-    open: np.ndarray
-    volume: np.ndarray
-    cap: np.ndarray
+    __slots__ = ("agent_id", "market_kind", "days", "open", "volume", "cap")
+
+    def __init__(self, agent_id: str, market_kind: str, days: np.ndarray,
+                 open: np.ndarray, volume: np.ndarray, cap: np.ndarray):
+        self.agent_id = agent_id
+        self.market_kind = market_kind
+        self.days = days
+        self.open = open
+        self.volume = volume
+        self.cap = cap
 
     def __len__(self):
         return len(self.days)
@@ -142,13 +152,16 @@ class AgentSeries:
         return cls(agent_id, market_kind, days, open_, volume, cap)
 
 
-@dataclass(frozen=True, eq=False)
 class IndexSeries:
-    """A market index: strictly increasing day ordinals and their levels."""
+    """A market index: strictly increasing day ordinals and their levels.
+    Two series are equal only when they are one object."""
 
-    index_id: str
-    days: np.ndarray
-    levels: np.ndarray
+    __slots__ = ("index_id", "days", "levels")
+
+    def __init__(self, index_id: str, days: np.ndarray, levels: np.ndarray):
+        self.index_id = index_id
+        self.days = days
+        self.levels = levels
 
     def __len__(self):
         return len(self.days)

@@ -34,8 +34,8 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ from .resampling import (
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SatisfactionSeries:
+class SatisfactionSeries(NamedTuple):
     """Signed normalized-price changes of one agent, always within [-1, 1]."""
 
     agent_id: str
@@ -65,8 +64,7 @@ class SatisfactionSeries:
     values: np.ndarray
 
 
-@dataclass(frozen=True)
-class PerturbationSeries:
+class PerturbationSeries(NamedTuple):
     """System-wide perturbation magnitudes, one value per defined period."""
 
     days: np.ndarray
@@ -78,8 +76,7 @@ class PerturbationSeries:
         return to_dates(self.days)
 
 
-@dataclass(frozen=True)
-class AntifragilityResult:
+class AntifragilityResult(NamedTuple):
     """Antifragility of one agent under one measure at one scale."""
 
     days: np.ndarray
@@ -88,13 +85,17 @@ class AntifragilityResult:
     n_used: int
 
 
-@dataclass(frozen=True)
 class Scores(Ragged):
     """One measure's antifragility for every alive agent of a case: the
     instants are ``values``, and ``global_a[k]`` is the mean of agent k's,
     NaN when it has none (it is excluded for the measure)."""
 
-    global_a: np.ndarray
+    __slots__ = ("global_a",)
+
+    def __init__(self, offsets: np.ndarray, days: np.ndarray, values: np.ndarray,
+                 global_a: np.ndarray):
+        super().__init__(offsets, days, values)
+        self.global_a = global_a
 
 
 def satisfaction_table(prices: Channel) -> Ragged:
@@ -214,16 +215,17 @@ def antifragility_scores(sat: Ragged, p: PerturbationSeries) -> Scores:
     return Scores(offsets, sat.days[both], instants, np.array(global_a))
 
 
-@dataclass(frozen=True)
 class WindowScaleResults:
     """Everything one (window, scale) case produced, as case tables: the
     satisfaction of the panel's alive agents (in ``alive_agents`` order) and
     one ``Scores`` table per measure."""
 
-    alive_agents: tuple[str, ...]
-    satisfaction: Ragged
-    perturbations: dict[str, PerturbationSeries]
-    scores: dict[str, Scores]
+    def __init__(self, alive_agents: tuple[str, ...], satisfaction: Ragged,
+                 perturbations: dict[str, PerturbationSeries], scores: dict[str, Scores]):
+        self.alive_agents = alive_agents
+        self.satisfaction = satisfaction
+        self.perturbations = perturbations
+        self.scores = scores
 
     @cached_property
     def satisfactions(self) -> dict[str, SatisfactionSeries]:

@@ -158,17 +158,23 @@ def _case_list(scored) -> list:
 def _render_antifragility_and_scatter(cases, tables) -> tuple[str, str]:
     """antifragility.csv and scatter.csv, which sets every agent's A next to
     each of its defined performance variables (sorted by name); an agent
-    without performance in the window has no scatter rows."""
+    without performance in the window has no scatter rows. Per window, each
+    table row's ``name,value`` pieces are built once; per (case, agent), its
+    scatter rows are one string, those pieces each after the row prefix."""
     antifragility = ["agent_id,measure,scale,window,global_A,n_used"]
     scatter = ["window,measure,scale,agent_id,A,perf_variable,perf_value"]
     by_name = sorted(enumerate(PERF_VARIABLES), key=itemgetter(1))  # (column, name)
+    current = None
     for window, measure, scale, ids, _, a_text, used in cases:
-        row_of, text = tables[window].row_of, tables[window].text
+        if window != current:
+            current, row_of = window, tables[window].row_of
+            pieces = [[f"{name},{t[j]}" for j, name in by_name if t[j]]
+                      for t in tables[window].text]
         for aid, a, n in zip(ids, a_text, used):
             antifragility.append(f"{aid},{measure},{scale},{window},{a},{n}")
-            t = text[row_of.get(aid, -1)]
-            prefix = f"{window},{measure},{scale},{aid},{a},"
-            scatter += [f"{prefix}{name},{t[j]}" for j, name in by_name if t[j]]
+            if defined := pieces[row_of.get(aid, -1)]:
+                prefix = f"{window},{measure},{scale},{aid},{a},"
+                scatter.append(prefix + ("\n" + prefix).join(defined))
     return _text(antifragility), _text(scatter)
 
 
@@ -318,6 +324,22 @@ def _panel_dumps(panel) -> dict[str, str]:
     return out
 
 
+# A report longer than _PIECES_OVER characters is encoded and written
+# _PIECE characters at a time, so no encoded copy of all of it is held; a
+# shorter one is encoded whole, where pieces lowered no peak RSS.
+_PIECES_OVER = 1 << 20
+_PIECE = 1 << 16
+
+
+def _write(path: Path, text: str) -> None:
+    if len(text) <= _PIECES_OVER:
+        path.write_bytes(text.encode("utf-8"))
+        return
+    with path.open("wb") as file:
+        for start in range(0, len(text), _PIECE):
+            file.write(text[start : start + _PIECE].encode("utf-8"))
+
+
 def run(config: RunConfig, dump_panels: bool = False) -> Path:
     """Execute and write all reports; a failed write keeps the previous ones.
 
@@ -337,7 +359,7 @@ def run(config: RunConfig, dump_panels: bool = False) -> Path:
         for name in names:
             path = staging / name
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(outputs[name].encode("utf-8"))
+            _write(path, outputs[name])
         for name in names:
             if (out_dir / name).is_dir():
                 raise IsADirectoryError(f"report path {out_dir / name} is a directory")

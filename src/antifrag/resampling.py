@@ -19,7 +19,6 @@ serves per-agent views of it, built on first access.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
@@ -89,15 +88,17 @@ def offsets_where(offsets: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(mask)))[offsets]
 
 
-@dataclass(frozen=True)
 class Ragged:
     """Rows of many agents, concatenated in agent order: agent k owns rows
     ``offsets[k]:offsets[k + 1]``, possibly none, at increasing period-start
     ordinals ``days``."""
 
-    offsets: np.ndarray
-    days: np.ndarray
-    values: np.ndarray
+    __slots__ = ("offsets", "days", "values")
+
+    def __init__(self, offsets: np.ndarray, days: np.ndarray, values: np.ndarray):
+        self.offsets = offsets
+        self.days = days
+        self.values = values
 
     def __len__(self):
         return len(self.days)
@@ -126,13 +127,17 @@ class Ragged:
         return {aid: slice(a, b) for aid, a, b in zip(ids, bounds, bounds[1:]) if a < b}
 
 
-@dataclass(frozen=True)
 class Channel(Ragged):
     """Agents' (or one index's) series on the resampled period grid: their
     resampled ``raw`` values and the min-max normalization ``values`` of each
     agent's rows over the analysis window."""
 
-    raw: np.ndarray
+    __slots__ = ("raw",)
+
+    def __init__(self, offsets: np.ndarray, days: np.ndarray, values: np.ndarray,
+                 raw: np.ndarray):
+        super().__init__(offsets, days, values)
+        self.raw = raw
 
     def view(self, rows: slice) -> "Channel":
         """The given rows of one agent as a table of their own."""
@@ -145,7 +150,6 @@ def _channel(offsets: np.ndarray, days: np.ndarray, raw: np.ndarray) -> Channel:
     return Channel(offsets, days, minmax_normalize(raw, offsets), raw)
 
 
-@dataclass(frozen=True)
 class NormalizedPanel:
     """All alive agents and indexes of one window at one scale.
 
@@ -153,13 +157,16 @@ class NormalizedPanel:
     follows that order, and an agent may have no ``market_cap`` rows.
     """
 
-    market_kind: str
-    window: AnalysisWindow
-    scale: TimeScale
-    period_axis: np.ndarray
-    ids: tuple[str, ...]
-    channels: dict[str, Channel]
-    indexes: dict[str, Channel]
+    def __init__(self, market_kind: str, window: AnalysisWindow, scale: TimeScale,
+                 period_axis: np.ndarray, ids: tuple[str, ...],
+                 channels: dict[str, Channel], indexes: dict[str, Channel]):
+        self.market_kind = market_kind
+        self.window = window
+        self.scale = scale
+        self.period_axis = period_axis
+        self.ids = ids
+        self.channels = channels
+        self.indexes = indexes
 
     @cached_property
     def agents(self) -> dict[str, dict[str, Channel]]:

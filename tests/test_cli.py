@@ -250,15 +250,81 @@ def test_validate_imports_no_numpy(fixture_tree):
     assert done.stdout.strip().endswith("0 errors")
 
 
+def test_each_command_imports_only_what_it_runs(fixture_tree):
+    # only modules the command loads count: the interpreter's site may load more
+    config = fixture_tree / "stocks" / "config.cfg"
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from antifrag.cli import main\n"
+        f"assert main(['validate', '--config', {str(config)!r}]) == 0\n"
+        "loaded = {'numpy', 'dataclasses', 'inspect', 'logging'} & (set(sys.modules) - before)\n"
+        "assert not loaded, f'validate imported {sorted(loaded)}'\n"
+        "import antifrag.pipeline, antifrag.fixture\n"
+        "assert 'dataclasses' not in set(sys.modules) - before, 'pipeline'\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().endswith("0 errors")
+
+
+def cli_in_subprocess(*argv: str) -> subprocess.CompletedProcess:
+    """``antifrag argv...`` in a fresh interpreter, as a user runs it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-m", "antifrag.cli", *argv],
+                          capture_output=True, text=True, env={"PYTHONPATH": str(src)})
+
+
+def test_stderr_of_each_command_is_its_log_lines(fixture_tree, tmp_path):
+    config = fixture_tree / "stocks" / "config.cfg"
+    done = cli_in_subprocess("fixture", "--out", str(tmp_path / "fx"))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [str(tmp_path / "fx" / m / "config.cfg")
+                                        for m in ("stocks", "crypto")]
+    done = cli_in_subprocess("validate", "--config", str(config))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 errors\n", "")
+    skipped = ("WARNING antifrag.pipeline: bins skipped in 12 of 12 cases (fewer than 5 "
+               "agents defined): age_days, pct_dlt_pr, pct_dlt_mk, pct_dlt_vl, pct_pr_f_i, "
+               "pct_mk_f_i, pct_vl_f_i, pr_mea, pr_std, mk_mea, vl_mea")
+    out = tmp_path / "out"
+    done = cli_in_subprocess("run", "--config", str(config), "--out", str(out))
+    assert (done.returncode, done.stdout, done.stderr.splitlines()) == (0, "", [skipped])
+    config.write_text(config.read_text() + "worker_count = 2\n")
+    done = cli_in_subprocess("--verbose", "run", "--config", str(config), "--out", str(out))
+    assert (done.returncode, done.stdout) == (0, "")
+    assert done.stderr.splitlines() == [
+        # run as ``python -m antifrag.cli``, the cli module's logger is __main__
+        "INFO __main__: worker_count has no effect: cases run in one process",
+        skipped,
+        f"INFO antifrag.pipeline: wrote 8 report files to {out}",
+    ]
+
+
+def test_out_and_workers_override_the_loaded_config(fixture_tree, tmp_path, monkeypatch):
+    runs = []
+    monkeypatch.setattr(pipeline, "run", lambda config, dump_panels: runs.append(config))
+    config = fixture_tree / "crypto" / "config.cfg"
+    loaded, _, _ = load_config(config)
+    assert cli.main(["run", "--config", str(config)]) == 0
+    assert (runs[0].worker_count, runs[0].output_dir) == (0, loaded.output_dir)
+    argv = ["run", "--config", str(config), "--workers", "3", "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 0
+    assert (runs[1].worker_count, runs[1].output_dir) == (3, tmp_path / "x")
+    assert runs[1].windows == loaded.windows
+
+
 @pytest.mark.parametrize("market", ["stocks", "crypto"])
 def test_execute_builds_no_per_agent_objects(fixture_tree, monkeypatch, market):
     built = []
+    # named tuples: every construction goes through __new__
     for cls in (measures.SatisfactionSeries, measures.AntifragilityResult):
-        def counted(self, *args, _init=cls.__init__, **kwargs):
-            built.append(type(self).__name__)
-            _init(self, *args, **kwargs)
+        def counted(cls_, *args, _new=cls.__new__, **kwargs):
+            built.append(cls_.__name__)
+            return _new(cls_, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counted)
+        monkeypatch.setattr(cls, "__new__", staticmethod(counted))
 
     def view(self, rows, _view=resampling.Channel.view):
         built.append("Channel.view")
@@ -333,6 +399,16 @@ def test_config_lines_end_only_at_line_ends(tmp_path, capsys):
         "market_kind": "crypto\x0cdata_dir = .",
         "output_dir": "out",
     }
+
+
+@pytest.mark.parametrize("pieces_over, piece", [(None, None), (10, 7)])
+def test_reports_written_in_pieces_keep_their_bytes(tmp_path, monkeypatch, pieces_over, piece):
+    if pieces_over is not None:
+        monkeypatch.setattr(pipeline, "_PIECES_OVER", pieces_over)
+        monkeypatch.setattr(pipeline, "_PIECE", piece)
+    for text in ("a,1\n" * 300_000, "é,ü\n" * 5, "short\n", ""):
+        pipeline._write(tmp_path / "report.csv", text)
+        assert (tmp_path / "report.csv").read_bytes() == text.encode("utf-8")
 
 
 def test_failed_write_removes_partial_outputs(tmp_path, monkeypatch):
@@ -495,11 +571,7 @@ def set_column(path: Path, name: str, values: list[str]) -> None:
 
 def run_in_subprocess(config: Path) -> subprocess.CompletedProcess:
     """``antifrag run --config config`` in a fresh interpreter, as a user runs it."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    return subprocess.run(
-        [sys.executable, "-m", "antifrag.cli", "run", "--config", str(config)],
-        capture_output=True, text=True, env={"PYTHONPATH": str(src)},
-    )
+    return cli_in_subprocess("run", "--config", str(config))
 
 
 @pytest.mark.parametrize("market, agent, column, values", [

@@ -17,11 +17,23 @@ is imported and configured only by ``run``, the one command that logs. So
 ``validate`` imports neither numpy nor ``logging``, and no module of the
 package generates class code at import (no ``dataclasses``, which would also
 import ``inspect``).
+
+``cli()``, the entry point of ``antifrag`` and ``python -m antifrag.cli``,
+also trims the two ends of the process (README § Start-up and exit). It sets
+``OPENBLAS_NUM_THREADS=1`` unless the caller set it, so the numpy that
+``run`` and ``fixture`` import starts no BLAS worker thread to spin. And once
+``main()`` has returned, every report is written, closed and in place: it
+runs the exit handlers (``logging.shutdown`` among them), flushes stdout and
+stderr and ends the process with ``os._exit``, skipping the interpreter's
+teardown. ``main()`` does neither, and an exception or ``SystemExit`` that
+leaves ``main()`` (``--help``, a usage error, a bug) exits the ordinary way.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import os
 import sys
 from pathlib import Path
 
@@ -107,7 +119,20 @@ def main(argv=None) -> int:
 
 
 def cli() -> None:
-    sys.exit(main())
+    # Nothing in antifrag calls BLAS: src/ has no dot, matmul, @ or linalg
+    # call. OpenBLAS's worker threads would only spin.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    code = main()
+    # Every report is written, closed and in place, and the package starts
+    # no thread: the interpreter's teardown would only free memory.
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None: the descriptor was closed at start
+                stream.flush()
+    except OSError:  # a closed pipe, a full disk: exit as the interpreter would
+        code = 120
+    os._exit(code)
 
 
 if __name__ == "__main__":

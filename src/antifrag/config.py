@@ -10,7 +10,7 @@ Recognized keys (one per line, ``#`` starts a comment):
     top_performers_path  JSON file of per-year top performers        optional
     scales               subset of 0,1,2            default: 0,1,2
     measures             measure ids for the kind   default: all valid
-    n_hist_bins          histogram bin count        default: 50
+    n_hist_bins          histogram bin count, 1..10000  default: 50
     worker_count         accepted, has no effect    default: 0
 
 A window spec is either a plain year (``2014`` covers the calendar year) or
@@ -47,6 +47,8 @@ MEASURES_BY_KIND = {
 
 # the reference indexes (by index id) each measure reads; the others read none
 INDEXES_BY_MEASURE = {"afx": ("VIX",), "af3m": ("NASDAQ", "DJI", "SPX")}
+# a run writes n_hist_bins distributions.csv rows per case and population
+MAX_HIST_BINS = 10_000
 
 
 class TimeScale(IntEnum):
@@ -275,6 +277,8 @@ def build_config(raw: dict[str, str], base_dir: Path):
             errors.append(f"n_hist_bins: bad value {raw['n_hist_bins']!r}")
         if n_hist_bins < 1:
             errors.append("n_hist_bins must be at least 1")
+        elif n_hist_bins > MAX_HIST_BINS:
+            errors.append(f"n_hist_bins must be at most {MAX_HIST_BINS}")
 
     worker_count = 0
     if raw.get("worker_count"):

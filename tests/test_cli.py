@@ -302,6 +302,74 @@ def test_stderr_of_each_command_is_its_log_lines(fixture_tree, tmp_path):
     ]
 
 
+# an exit handler registered before cli() runs; it reports the process's
+# thread count (from /proc, where there is one) and the BLAS thread setting
+CLI_EXIT_SCRIPT = """\
+import atexit, os, sys
+def report():
+    task = "/proc/self/task"
+    print(len(os.listdir(task)) if os.path.isdir(task) else "-")
+    print(os.environ.get("OPENBLAS_NUM_THREADS"))
+atexit.register(report)
+sys.argv = ["antifrag", *sys.argv[1:]]
+from antifrag.cli import cli
+cli()
+"""
+
+
+@pytest.mark.parametrize("blas_threads, threads", [(None, "1"), ("2", None)])
+def test_cli_runs_exit_handlers_and_starts_no_blas_thread(fixture_tree, tmp_path,
+                                                          blas_threads, threads):
+    config = fixture_tree / "crypto" / "config.cfg"
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_EXIT_SCRIPT, "run", "--config", str(config), "--out", str(out)],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    task_count, setting = done.stdout.splitlines()
+    assert setting == (blas_threads or "1")
+    if threads is not None and task_count != "-":
+        assert task_count == threads
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "in_process")]) == 0
+    assert read_all(out) == read_all(tmp_path / "in_process")
+
+
+def test_exits_of_the_module_entry_point(fixture_tree):
+    # argparse's exits leave main() as SystemExit and take the ordinary exit
+    done = cli_in_subprocess("--help")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: antifrag")
+    done = cli_in_subprocess("run")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: antifrag")
+    assert done.stderr.endswith("the following arguments are required: --config\n")
+    # main()'s own codes end the process after a flush of the piped output
+    # (fixture's piped output: test_stderr_of_each_command_is_its_log_lines)
+    config = fixture_tree / "crypto" / "config.cfg"
+    config.write_text(config.read_text() + "worker_count = 2\nn_hist_bins = 10001\n")
+    done = cli_in_subprocess("run", "--config", str(config))
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.splitlines() == ["error: n_hist_bins must be at most 10000"]
+    done = cli_in_subprocess("validate", "--config", str(config))
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout.splitlines() == [
+        "note: worker_count has no effect: cases run in one process",
+        "error: n_hist_bins must be at most 10000",
+        "1 errors",
+    ]
+    # output nobody reads: exit 120, as a failed flush at the interpreter's exit
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen([sys.executable, "-m", "antifrag.cli", "validate", "--config",
+                             str(config)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={"PYTHONPATH": str(src)})
+    proc.stdout.close()
+    assert (proc.wait(), proc.stderr.read()) == (120, b"")
+    proc.stderr.close()
+
+
 def test_out_and_workers_override_the_loaded_config(fixture_tree, tmp_path, monkeypatch):
     runs = []
     monkeypatch.setattr(pipeline, "run", lambda config, dump_panels: runs.append(config))
@@ -376,6 +444,17 @@ def test_validate_worker_count_is_a_note(fixture_tree, capsys):
     out = capsys.readouterr().out
     assert "note: worker_count has no effect: cases run in one process" in out
     assert out.strip().endswith("0 errors")
+
+
+@pytest.mark.parametrize("n_bins, errors", [
+    (10_000, []),
+    (10_001, ["error: n_hist_bins must be at most 10000"]),
+])
+def test_validate_bounds_n_hist_bins(fixture_tree, capsys, n_bins, errors):
+    config = fixture_tree / "crypto" / "config.cfg"
+    config.write_text(config.read_text() + f"n_hist_bins = {n_bins}\n")
+    assert cli.main(["validate", "--config", str(config)]) == (1 if errors else 0)
+    assert capsys.readouterr().out.splitlines() == [*errors, f"{len(errors)} errors"]
 
 
 def test_validate_unknown_key(tmp_path, capsys):

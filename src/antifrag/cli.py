@@ -25,8 +25,9 @@ also trims the two ends of the process (README § Start-up and exit). It sets
 ``main()`` has returned, every report is written, closed and in place: it
 runs the exit handlers (``logging.shutdown`` among them), flushes stdout and
 stderr and ends the process with ``os._exit``, skipping the interpreter's
-teardown. ``main()`` does neither, and an exception or ``SystemExit`` that
-leaves ``main()`` (``--help``, a usage error, a bug) exits the ordinary way.
+teardown. ``main()`` does neither. Output nobody reads exits 120, silently;
+any other exception or ``SystemExit`` that leaves ``main()`` (``--help``, a
+usage error, a bug) exits the ordinary way.
 """
 
 from __future__ import annotations
@@ -122,7 +123,10 @@ def cli() -> None:
     # Nothing in antifrag calls BLAS: src/ has no dot, matmul, @ or linalg
     # call. OpenBLAS's worker threads would only spin.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    code = main()
+    try:
+        code = main()
+    except BrokenPipeError:  # the reader of stdout has gone: as a failed flush below
+        code = 120
     # Every report is written, closed and in place, and the package starts
     # no thread: the interpreter's teardown would only free memory.
     atexit._run_exitfuncs()

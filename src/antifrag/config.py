@@ -34,7 +34,7 @@ from collections import namedtuple
 from enum import IntEnum
 from pathlib import Path
 
-from .errors import ConfigError, IngestionError
+from .errors import AntifragError, ConfigError, IngestionError
 
 STOCK = "stock"
 CRYPTO = "crypto"
@@ -131,8 +131,8 @@ def read_text(path: Path, encoding: str = "utf-8", error=ConfigError) -> str:
     try:
         return Path(path).read_bytes().decode(encoding)
     except UnicodeDecodeError as exc:
-        head = exc.object[: exc.start]  # a byte-order mark holds no line end
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        # the bytes before the bad one decode; a byte-order mark holds no line end
+        line = len(split_lines(exc.object[: exc.start].decode("utf-8")))
         raise error(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
 
 
@@ -180,6 +180,8 @@ def _parse_window(token: str) -> AnalysisWindow:
         if not is_safe_name(label):
             raise ValueError(f"window label {label!r} {SAFE_NAME_RULE}")
         return AnalysisWindow(parse_date(start), parse_date(end), label)
+    if not (token.isdecimal() and dt.MINYEAR <= int(token) <= dt.MAXYEAR):
+        raise ValueError(f"bad window spec {token!r} (want a year or label:start:end)")
     return AnalysisWindow.calendar_year(int(token))
 
 
@@ -222,7 +224,7 @@ def build_config(raw: dict[str, str], base_dir: Path):
         for token in raw["windows"].split(","):
             try:
                 windows.append(_parse_window(token))
-            except Exception as exc:
+            except (ValueError, AntifragError) as exc:
                 errors.append(f"windows: {exc}")
     labels = [w.label for w in windows]
     if len(set(labels)) != len(labels):

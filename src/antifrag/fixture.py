@@ -23,7 +23,7 @@ from .ingestion import (
     AgentSeries,
     AnalysisWindow,
     IndexSeries,
-    write_agent_csv,
+    agent_csv_text,
 )
 
 FIRST_DAY = dt.date(2014, 1, 6)  # a Monday
@@ -134,7 +134,7 @@ def write_fixture_tree(out_dir: Path) -> list[Path]:
     (stocks / "agents").mkdir(parents=True, exist_ok=True)
     (stocks / "indexes").mkdir(parents=True, exist_ok=True)
     for series in stock_agents():
-        write_agent_csv(series, stocks / "agents" / f"{series.agent_id}.csv")
+        (stocks / "agents" / f"{series.agent_id}.csv").write_text(agent_csv_text(series))
     for index in stock_indexes():
         lines = ["date,level"]
         lines += [f"{day.isoformat()},{level!r}" for day, level in index.values]
@@ -146,7 +146,7 @@ def write_fixture_tree(out_dir: Path) -> list[Path]:
     crypto = out_dir / "crypto"
     (crypto / "agents").mkdir(parents=True, exist_ok=True)
     for series in crypto_agents():
-        write_agent_csv(series, crypto / "agents" / f"{series.agent_id}.csv")
+        (crypto / "agents" / f"{series.agent_id}.csv").write_text(agent_csv_text(series))
     _write_json_top(crypto / "top_performers.json", CRYPTO_TOP)
     _write_config(crypto / "config.cfg", CRYPTO, with_indexes=False)
 

@@ -17,6 +17,7 @@ that are already checked.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import json
 import math
 import re
@@ -55,19 +56,14 @@ _DATE = itemgetter(slice(0, 10))  # a line's first 10 characters
 _NUM = r"(?:[0-9]{2,100}(?:\.[0-9]*)?|[0-9](?:\.[0-9]*)?(?:e[+-]?[0-9]{1,2})?|\.[0-9]+)"
 
 
-class _LinePatterns(dict):
+@functools.cache
+def _plain_lines(width: int) -> re.Pattern:
     """Agent data lines, each ended by \\n, of a YYYY-MM-DD-shaped date and
     _NUM value cells (a market cap may be blank), by field count (3 or 4).
     Each pattern is compiled on first use: only a window that leaves rows out
     reads one."""
-
-    def __missing__(self, width: int) -> re.Pattern:
-        cap = {3: "", 4: f",{_NUM}?"}[width]
-        pattern = self[width] = re.compile(rf"(?:[0-9-]{{10}},{_NUM},{_NUM}{cap}\n)*")
-        return pattern
-
-
-_PLAIN_LINES = _LinePatterns()
+    cap = {3: "", 4: f",{_NUM}?"}[width]
+    return re.compile(rf"(?:[0-9-]{{10}},{_NUM},{_NUM}{cap}\n)*")
 
 
 def to_dates(days: np.ndarray) -> tuple[dt.date, ...]:
@@ -233,13 +229,13 @@ def _day_ordinals(dates: list[str]) -> np.ndarray | None:
         return None
 
 
-def _parse_columns(body: list[str], width: int, blank_last: bool):
+def _parse_columns(body: list[str], width: int):
     """Day ordinals and float64 value columns of the data lines.
 
     The lines are split as one text, each column a stride of its fields, and
     each cell is parsed once, with the same calls the row-by-row check uses.
-    A blank cell in the last column becomes NaN when ``blank_last``, and a NaN
-    there that is not blank (a ``nan`` cell) fails the blank count. Returns
+    A fourth column is the market cap: a blank cell there becomes NaN, and a
+    NaN there that is not blank (a ``nan`` cell) fails the blank count. Returns
     None when a line has the wrong field count, a cell does not parse, or the
     blank count fails; the values themselves are checked by ``_column_fault``.
     """
@@ -250,18 +246,15 @@ def _parse_columns(body: list[str], width: int, blank_last: bool):
     days = _day_ordinals(list(map(str.strip, cells[0])))
     if days is None:
         return None
-    blanks = 0
     try:
-        values = [list(map(float, c)) for c in cells[1 : width - blank_last]]
-        if blank_last:
-            last = list(map(str.strip, cells[-1]))
-            blanks = last.count("")
-            values.append([float(t) if t else math.nan for t in last] if blanks
-                          else list(map(float, last)))
+        values = [list(map(float, c)) for c in cells[1:3]]  # level, or open and volume
+        if width == 4:
+            cap = list(map(str.strip, cells[3]))
+            values.append([float(t) if t else math.nan for t in cap])
     except ValueError:
         return None
     columns = [np.array(v, dtype=np.float64) for v in values]
-    if blank_last and np.count_nonzero(np.isnan(columns[-1])) != blanks:
+    if width == 4 and np.count_nonzero(np.isnan(columns[2])) != cap.count(""):
         return None
     return days, columns
 
@@ -274,30 +267,30 @@ def _span_rows(days: np.ndarray, span: tuple[dt.date, dt.date]) -> np.ndarray:
     return rows
 
 
-def _window(body: list[str], width: int, span: tuple[dt.date, dt.date]) -> list[str] | None:
-    """The agent data lines a span keeps (``_span_rows``), or None when every
-    line is to be converted: when the first and last lines start inside the
-    span (as every line of a sorted file then does), or when the lines to
-    leave out cannot be told apart or certified without converting them.
+def _window(body: list[str], width: int, span: tuple[dt.date, dt.date]) -> list[str]:
+    """The agent data lines to convert: those a span keeps (``_span_rows``),
+    or every line when the first and last lines start inside the span (as
+    every line of a sorted file then does), or when the lines to leave out
+    cannot be told apart or certified without converting them.
 
     Every line's date is parsed, from its first 10 characters, and no date may
-    repeat. Each line left out must be all ``_PLAIN_LINES`` cells, so it would
-    pass every check. A kept line's date is parsed again, from its stripped
-    first field; when that parses, it is those 10 characters, which start
-    with a digit.
+    repeat. Each line left out must be all ``_plain_lines`` cells: it would
+    pass every check, so the kept lines fail where all lines would. A kept
+    line's date is parsed again, from its stripped first field; when that
+    parses, it is those 10 characters, which start with a digit.
     """
     if span[0].isoformat() <= body[0][:10] and body[-1][:10] <= span[1].isoformat():
-        return None
+        return body
     days = _day_ordinals(list(map(_DATE, body)))
     if days is None:
-        return None
+        return body
     rows = _span_rows(days, span)
     if rows.all():
-        return None
+        return body
     ordered = np.sort(days)
     left_out = "\n".join(compress(body, (~rows).tolist())) + "\n"
-    if not (ordered[1:] > ordered[:-1]).all() or not _PLAIN_LINES[width].fullmatch(left_out):
-        return None
+    if not (ordered[1:] > ordered[:-1]).all() or not _plain_lines(width).fullmatch(left_out):
+        return body
     return [body[i] for i in np.flatnonzero(rows).tolist()]
 
 
@@ -347,23 +340,20 @@ def load_agent_series(path: Path, market_kind: str,
     header = [h.strip() for h in _fields(lines[0])]
     if header not in (["date", "open", "volume"], ["date", "open", "volume", "market_cap"]):
         raise IngestionError(f"{path}: bad header {header!r}")
-    has_cap = len(header) == 4
-    if has_cap and market_kind == STOCK:
+    width = len(header)
+    if width == 4 and market_kind == STOCK:
         raise IngestionError(f"{path}: market_cap not allowed for stocks")
     body = lines[1:]
     if not body:
         raise IngestionError(f"{path}: no data rows")
 
-    kept = None if span is None else _window(body, len(header), span)
-    parsed = None if kept is None else _parse_columns(kept, len(header), blank_last=has_cap)
-    if parsed is None:
-        parsed = _parse_columns(body, len(header), blank_last=has_cap)
+    parsed = _parse_columns(body if span is None else _window(body, width, span), width)
     if parsed is None:
         _raise_first_bad_row(path, header, body, in_order=False)
     days, columns = parsed
     order = np.argsort(days, kind="stable")
     days, open_, volume = days[order], columns[0][order], columns[1][order]
-    cap = columns[2][order] if has_cap else np.full(len(days), np.nan)
+    cap = columns[2][order] if width == 4 else np.full(len(days), np.nan)
     if _column_fault(days, (open_, volume), cap):
         _raise_first_bad_row(path, header, body, in_order=False)
     if span is not None and not (rows := _span_rows(days, span)).all():
@@ -384,7 +374,7 @@ def load_index_series(path: Path, index_id: str) -> IndexSeries:
     if not body:
         raise IngestionError(f"index {index_id}: no observations")
 
-    parsed = _parse_columns(body, 2, blank_last=False)
+    parsed = _parse_columns(body, 2)
     if parsed is None or _column_fault(*parsed):
         _raise_first_bad_row(path, header, body, in_order=True)
     days, (levels,) = parsed
@@ -395,7 +385,8 @@ def load_top_performers(path: Path) -> dict[int, frozenset[str]]:
     """Read a top-performer JSON file as a map from year to agent ids.
 
     A year listed more than once, under one key or under keys that ``int``
-    reads as one year (``"2014"``, ``" 2014"``), has its id lists unioned.
+    reads as one year (``"2014"``, ``" 2014"``), has its id lists unioned,
+    and only an empty union is an error.
     """
     path = Path(path)
 
@@ -426,9 +417,10 @@ def load_top_performers(path: Path) -> dict[int, frozenset[str]]:
             raise IngestionError(f"{path}: bad year key {key!r}") from None
         if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
             raise IngestionError(f"{path}: year {key}: expected a list of ids")
+        top[year] = top.get(year, frozenset()).union(ids)
+    for year, ids in top.items():
         if not ids:
             raise IngestionError(f"{path}: empty top-performer list for year {year}")
-        top[year] = top.get(year, frozenset()).union(ids)
     return top
 
 
@@ -466,7 +458,3 @@ def agent_csv_text(series: AgentSeries) -> str:
             row += "," if math.isnan(cap) else f",{cap!r}"
         lines.append(row)
     return "\n".join(lines) + "\n"
-
-
-def write_agent_csv(series: AgentSeries, path: Path) -> None:
-    Path(path).write_text(agent_csv_text(series))

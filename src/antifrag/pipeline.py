@@ -345,10 +345,10 @@ def run(config: RunConfig, dump_panels: bool = False) -> Path:
 
     The reports are written into a temporary directory inside ``output_dir``
     (always removed afterwards) and, once all are written and no report path
-    is a directory, moved into place with ``os.replace``, run_manifest.json
-    last. Then the reports of an earlier run that this run does not write
-    (comparison.json, panels/*.csv, then an empty panels/) are removed, so
-    none can sit next to this run's manifest.
+    is a directory, moved into place with ``os.replace``. Then the reports of
+    an earlier run that this run does not write (comparison.json, panels/*.csv,
+    then an empty panels/) are removed, and only then is run_manifest.json
+    moved into place, so none can sit next to this run's manifest.
     """
     outputs = execute(config, dump_panels=dump_panels)
     out_dir = Path(config.output_dir)
@@ -365,18 +365,20 @@ def run(config: RunConfig, dump_panels: bool = False) -> Path:
                 raise IsADirectoryError(f"report path {out_dir / name} is a directory")
         for parent in {(out_dir / name).parent for name in names}:
             parent.mkdir(parents=True, exist_ok=True)
-        for name in names:
+        *reports, manifest = names
+        for name in reports:
             os.replace(staging / name, out_dir / name)
+        if "comparison.json" not in outputs:
+            (out_dir / "comparison.json").unlink(missing_ok=True)
+        panels = out_dir / "panels"
+        if panels.is_dir():
+            for path in panels.glob("*.csv"):
+                if f"panels/{path.name}" not in outputs:
+                    path.unlink()
+            if not any(panels.iterdir()):
+                panels.rmdir()
+        os.replace(staging / manifest, out_dir / manifest)
     finally:
         shutil.rmtree(staging)
-    if "comparison.json" not in outputs:
-        (out_dir / "comparison.json").unlink(missing_ok=True)
-    panels = out_dir / "panels"
-    if panels.is_dir():
-        for path in panels.glob("*.csv"):
-            if f"panels/{path.name}" not in outputs:
-                path.unlink()
-        if not any(panels.iterdir()):
-            panels.rmdir()
     logger.info("wrote %d report files to %s", len(names), out_dir)
     return out_dir

@@ -3,6 +3,7 @@
 import codecs
 import hashlib
 import logging
+import os
 import subprocess
 import sys
 import types
@@ -190,6 +191,27 @@ def test_rerun_without_top_lists_removes_stale_comparison(fixture_tree):
     assert '"top_performers_path": null' in (out / "run_manifest.json").read_text()
 
 
+def test_failed_stale_report_removal_keeps_the_previous_manifest(fixture_tree, capsys,
+                                                                 monkeypatch):
+    config = fixture_tree / "crypto" / "config.cfg"
+    out = fixture_tree / "crypto" / "output"
+    assert cli.main(["run", "--config", str(config)]) == 0
+    manifest = (out / "run_manifest.json").read_bytes()
+    lines = config.read_text().splitlines(keepends=True)
+    config.write_text("".join(x for x in lines if "top_performers_path" not in x))
+
+    def unlink(path, missing_ok=False, _unlink=Path.unlink):
+        if path.name == "comparison.json":
+            raise PermissionError(f"cannot remove {path}")
+        _unlink(path, missing_ok=missing_ok)
+
+    monkeypatch.setattr(Path, "unlink", unlink)
+    assert cli.main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: cannot remove {out / 'comparison.json'}\n"
+    assert (out / "run_manifest.json").read_bytes() == manifest
+    assert report_names(out) == REPORTS
+
+
 def test_invalid_measure_for_kind_fails(fixture_tree, capsys):
     config = fixture_tree / "crypto" / "bad.cfg"
     config.write_text(
@@ -370,6 +392,23 @@ def test_exits_of_the_module_entry_point(fixture_tree):
     proc.stderr.close()
 
 
+@pytest.mark.parametrize("command", ["validate", "fixture"])
+def test_a_print_to_a_closed_pipe_exits_120_quietly(fixture_tree, tmp_path, command):
+    # unbuffered, the first print meets the closed pipe inside main()
+    config = fixture_tree / "crypto" / "config.cfg"
+    argv = ["--config", str(config)] if command == "validate" else ["--out", str(tmp_path)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "antifrag.cli", command, *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env={"PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"})
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (120, b"")
+
+
 def test_out_and_workers_override_the_loaded_config(fixture_tree, tmp_path, monkeypatch):
     runs = []
     monkeypatch.setattr(pipeline, "run", lambda config, dump_panels: runs.append(config))
@@ -462,6 +501,71 @@ def test_validate_unknown_key(tmp_path, capsys):
     config.write_text("market_kind = crypto\nfrobnicate = 3\n")
     assert cli.main(["validate", "--config", str(config)]) == 1
     assert "unknown key" in capsys.readouterr().out
+
+
+def config_lines(**keys) -> list[str]:
+    """A valid crypto config's lines, less each key given as None and with
+    each other key given set to its value."""
+    base = {"market_kind": "crypto", "data_dir": ".", "output_dir": "out", "windows": "2014"}
+    return [f"{key} = {value}" for key, value in {**base, **keys}.items() if value is not None]
+
+
+WORKER_NOTE = "note: worker_count has no effect: cases run in one process"
+
+
+# every message build_config and read_config_file give; {config} is the
+# config file and {dir} its directory
+@pytest.mark.parametrize("lines, output", [
+    (config_lines() + ["windows"], ["error: {config}: line 5: expected key = value"]),
+    (config_lines() + ["data_dir = ."], ["error: {config}: line 5: duplicate key 'data_dir'"]),
+    (None, ["error: cannot read config {config}: "
+            "[Errno 2] No such file or directory: '{config}'"]),
+    (config_lines(windows="2014,"),
+     ["error: windows: bad window spec '' (want a year or label:start:end)"]),
+    (config_lines(windows="abc"),
+     ["error: windows: bad window spec 'abc' (want a year or label:start:end)"]),
+    (config_lines(windows="a:2014-01-01"),
+     ["error: windows: bad window spec 'a:2014-01-01' (want label:start:end)"]),
+    (config_lines(windows="100000000000000000000"),
+     ["error: windows: bad window spec '100000000000000000000' (want a year or label:start:end)"]),
+    (config_lines(windows="0"),
+     ["error: windows: bad window spec '0' (want a year or label:start:end)"]),
+    (config_lines(windows="2014, 2014"),
+     ["note: windows 2014 and 2014 overlap", "error: windows: duplicate labels"]),
+    (config_lines(market_kind="bond"),
+     ["error: market_kind must be one of stock/crypto, got 'bond'"]),
+    (config_lines(data_dir=None), ["error: data_dir is required"]),
+    (config_lines(output_dir=None), ["error: output_dir is required"]),
+    (config_lines(windows=None), ["error: windows is required"]),
+    (config_lines(scales="0,3"), ["error: scales: bad value '3' (valid: 0, 1, 2)"]),
+    (config_lines(scales="1, 1"), ["error: scales: duplicates"]),
+    (config_lines(scales=""),
+     ["error: scales: bad value '' (valid: 0, 1, 2)", "error: scales must not be empty"]),
+    (config_lines(measures=","), ["error: measures must not be empty"]),
+    (config_lines(market_kind="stock"),
+     ["error: index_dir is required for stock measures afx/af3m"]),
+    (config_lines(market_kind="stock", index_dir="nowhere"),
+     ["error: index_dir {dir}/nowhere is not a directory"]),
+    (config_lines(top_performers_path="top.json"),
+     ["error: top_performers_path {dir}/top.json is not a file"]),
+    (config_lines(n_hist_bins="many"), ["error: n_hist_bins: bad value 'many'"]),
+    (config_lines(n_hist_bins="0"), ["error: n_hist_bins must be at least 1"]),
+    (config_lines(worker_count="two"),
+     [WORKER_NOTE, "error: worker_count: bad value 'two'"]),
+    (config_lines(worker_count="-1"), [WORKER_NOTE, "error: worker_count must be >= 0"]),
+], ids=["no-equals", "duplicate-key", "unreadable", "empty-window", "bad-year", "bad-span",
+        "huge-year", "year-0", "duplicate-labels", "market-kind", "no-data-dir", "no-output-dir",
+        "no-windows", "bad-scale", "duplicate-scales", "empty-scales", "empty-measures",
+        "no-index-dir", "index-dir-not-a-dir", "top-path-not-a-file", "bad-n-hist-bins",
+        "zero-n-hist-bins", "bad-worker-count", "negative-worker-count"])
+def test_validate_prints_each_config_error(tmp_path, capsys, lines, output):
+    config = tmp_path / "c.cfg"
+    if lines is not None:
+        config.write_text("\n".join(lines) + "\n")
+    assert cli.main(["validate", "--config", str(config)]) == 1
+    expected = [line.format(config=config, dir=tmp_path.resolve()) for line in output]
+    errors = sum(line.startswith("error: ") for line in expected)
+    assert capsys.readouterr().out.splitlines() == [*expected, f"{errors} errors"]
 
 
 def test_config_lines_end_only_at_line_ends(tmp_path, capsys):

@@ -19,7 +19,6 @@ from antifrag.ingestion import (
     load_index_series,
     load_top_performers,
     slice_window,
-    write_agent_csv,
 )
 
 import csv_reference
@@ -160,6 +159,44 @@ def test_top_performers_bad_year_rejected(tmp_path):
         load_top_performers(path)
 
 
+@pytest.mark.parametrize("text", [
+    '{"2014": ["XCOIN"], "2014": []}',
+    '{"2014": [], " 2014": ["XCOIN"]}',
+    '{" 2014": [], "2014": ["XCOIN"], "2014": []}',
+])
+def test_top_performers_empty_list_joins_its_year_union(tmp_path, text):
+    # one rule for every spelling of a year: only an empty union is an error
+    path = write(tmp_path, "top.json", text)
+    assert load_top_performers(path) == {2014: frozenset({"XCOIN"})}
+
+
+@pytest.mark.parametrize("text", ['{"2014": [], "2014": []}', '{"2014": [], " 2014": []}',
+                                  '{"2015": ["A"], "2014": []}'])
+def test_top_performers_empty_union_rejected(tmp_path, text):
+    path = write(tmp_path, "top.json", text)
+    with pytest.raises(IngestionError) as info:
+        load_top_performers(path)
+    assert str(info.value) == f"{path}: empty top-performer list for year 2014"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"2014": ["A"]', "invalid JSON: Expecting ',' delimiter: line 1 column 15 (char 14)"),
+    ('["A"]', "expected an object mapping year to id list"),
+    ('{"2014": ["A"], "2014": "B"}', "year 2014: expected a list of ids"),
+    ('{"2014": {"A": 1}, "2014": ["B"]}', "year 2014: expected a list of ids"),
+    ('{"2014": ["A"], " 2014": "B"}', "year  2014: expected a list of ids"),
+    ('{"2014": ["A", 1]}', "year 2014: expected a list of ids"),
+    ('{"2014": ["A"], "2014": [null]}', "year 2014: expected a list of ids"),
+], ids=["invalid-json", "not-an-object", "repeated-key-not-a-list",
+        "repeated-key-first-not-a-list", "respelled-key-not-a-list", "id-not-a-string",
+        "repeated-key-id-not-a-string"])
+def test_top_performers_json_errors(tmp_path, text, message):
+    path = write(tmp_path, "top.json", text)
+    with pytest.raises(IngestionError) as info:
+        load_top_performers(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_slice_window_picks_inside_dates():
     rows = [(dt.date(2010 + y, 6, 1 + i), 10 + i, 100) for y in range(8) for i in range(3)]
     series = make_agent("X", "stock", rows)
@@ -192,10 +229,6 @@ def test_round_trip_serialization(tmp_path):
     path = write(tmp_path, "C.csv", text)
     series = load_agent_series(path, "crypto")
     assert agent_csv_text(series) == text
-
-    out = tmp_path / "copy.csv"
-    write_agent_csv(series, out)
-    assert out.read_text() == text
 
 
 def test_fixture_series_round_trip_byte_stable(tmp_path):
@@ -573,7 +606,7 @@ def test_loaders_match_the_csv_reader_reference_on_each_edge(kind, text):
     assert_loads_as_the_csv_reader_reference(kind, text)
 
 
-# value cells the span check (ingestion._PLAIN_LINES) takes as they are, and
+# value cells the span check (ingestion._plain_lines) takes as they are, and
 # cells it leaves to the conversion of every row, valid or not
 PLAIN_VALUES = ["10", "1.5", "0", "0.0", "123456.789", "7e-3", "2e-08", "1.5e+16", "9.99e99",
                 ".5", "5.", "9" * 100]
@@ -681,6 +714,6 @@ def test_span_load_is_the_reference_load_in_span_on_each_edge(kind, text):
 def test_plain_lines_take_only_cells_float_reads_within_bounds(width, cells):
     cells = cells[: width - 1]
     line = f"2015-01-05,{','.join(cells)}\n"
-    if ingestion._PLAIN_LINES[width].fullmatch(line):
+    if ingestion._plain_lines(width).fullmatch(line):
         values = [float(c) for c in cells if c]
         assert all(0 <= v <= ingestion.MAX_VALUE for v in values)

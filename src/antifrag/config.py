@@ -235,7 +235,10 @@ def build_config(raw: dict[str, str], base_dir: Path):
                 notes.append(f"windows {a.label} and {b.label} overlap")
 
     scales: list[TimeScale] = []
-    for token in raw.get("scales", "0,1,2").split(","):
+    text = raw.get("scales", "0,1,2")
+    if not text:
+        errors.append("scales must not be empty")
+    for token in text.split(",") if text else ():
         token = token.strip()
         try:
             scales.append(TimeScale(int(token)))
@@ -244,8 +247,6 @@ def build_config(raw: dict[str, str], base_dir: Path):
     if len(set(scales)) != len(scales):
         errors.append("scales: duplicates")
     scales = sorted(set(scales))
-    if not scales:
-        errors.append("scales must not be empty")
 
     valid_measures = MEASURES_BY_KIND.get(market_kind, ())
     if raw.get("measures"):

@@ -34,7 +34,7 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import math
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -188,7 +188,8 @@ def perturb_three_indexes(panel: NormalizedPanel) -> PerturbationSeries:
         if index is None or len(index) < 2:
             raise ComputeError(f"af3m: insufficient {iid} data inside the window")
         parts.append((index.days[1:], np.abs(np.diff(index.values))))
-    common = reduce(np.intersect1d, [days for days, _ in parts])
+    # each index's period keys are unique already
+    common = reduce(partial(np.intersect1d, assume_unique=True), [d for d, _ in parts])
     if not len(common):
         raise ComputeError("af3m: indexes share no differenced period")
     columns = [diffs[np.searchsorted(days, common)].tolist() for days, diffs in parts]

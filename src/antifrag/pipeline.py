@@ -12,7 +12,9 @@ value once, for all reports) and lines end with \\n.
 
 Report files: antifragility.csv, performance.csv, scatter.csv, bins.csv,
 distributions.csv, correlations.csv, comparison.json (when top-performer
-lists were supplied), and run_manifest.json.
+lists were supplied), and run_manifest.json. Each is a sequence of text
+pieces (one per case or window where it grows with the agents) that ``run``
+writes into its staged file as they are rendered, and ``execute`` joins.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import analysis
 from .config import INDEXES_BY_MEASURE, RunConfig
-from .errors import IngestionError
+from .errors import ComputeError, IngestionError
 from .ingestion import (
     AgentSeries,
     IndexSeries,
@@ -43,7 +45,7 @@ from .ingestion import (
 )
 from .measures import compute_measures
 from .performance import PERF_VARIABLES, compute_performance, top_ids_for
-from .resampling import INDEX, build_panel
+from .resampling import INDEX, build_panel, sorted_unique
 
 logger = logging.getLogger(__name__)
 
@@ -69,6 +71,14 @@ def _digest(path: Path) -> str:
 
 def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
     """Produce every report as text, keyed by file name. Writes nothing."""
+    return {name: "".join(pieces) for name, pieces in _reports(config, dump_panels)}
+
+
+def _reports(config: RunConfig, dump_panels: bool):
+    """Load the inputs and compute the cases, the performance tables and the
+    top comparison: all of a run that can fail. Return every report as (file
+    name, text pieces), run_manifest.json last; a piece is whole lines, and
+    pieces are rendered as they are read, so read the reports in order."""
     agent_files = sorted(config.data_dir.glob("*.csv"))
     if not agent_files:
         raise IngestionError(f"no agent CSV files in {config.data_dir}")
@@ -119,82 +129,89 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
     tables = {w.label: compute_performance(sliced_by_window[w.label], full_start, w)
               for w in config.windows}
 
-    outputs: dict[str, str] = {}
-    outputs["antifragility.csv"], outputs["scatter.csv"] = (
-        _render_antifragility_and_scatter(cases, tables)
-    )
-    outputs["performance.csv"] = _render_performance(tables, top_by_window)
-    outputs["bins.csv"], outputs["correlations.csv"] = _render_bins_and_correlations(
-        cases, tables
-    )
-    outputs["distributions.csv"] = _render_distributions(
-        cases, top_by_window, config.n_hist_bins
-    )
+    correlations: list[str] = []
+    reports = [
+        ("antifragility.csv", _render_antifragility(cases)),
+        ("scatter.csv", _render_scatter(cases, tables)),
+        ("performance.csv", _render_performance(tables, top_by_window)),
+        ("bins.csv", _render_bins(cases, tables, correlations)),
+        ("correlations.csv", map(_text, [correlations])),  # filled as bins.csv is read
+        ("distributions.csv", _render_distributions(cases, top_by_window, config.n_hist_bins)),
+    ]
     if top is not None:
         stats = analysis.top_comparison(
-            {(w, m, s): dict(zip(ids, a)) for w, m, s, ids, a, _, _ in cases},
-            top_by_window,
-        )
-        outputs["comparison.json"] = _comparison_json(stats)
-    outputs["run_manifest.json"] = _manifest_json(config, digests, alive)
-    outputs.update(panel_dumps)
-    return outputs
+            {(w, m, s): dict(zip(ids, a)) for w, m, s, ids, a, _, _ in cases}, top_by_window)
+        reports.append(("comparison.json", [_comparison_json(stats)]))
+    reports += [(name, [text]) for name, text in panel_dumps.items()]
+    return reports + [("run_manifest.json", [_manifest_json(config, digests, alive)])]
 
 
 def _case_list(scored) -> list:
     """The cases sorted by (window, measure, scale), each one (window,
     measure, scale, ids, A, A texts, n_used) over the agents with n_used > 0,
     in ``ids`` order. ``scored`` holds (window, measure, scale, ids, global A
-    array, n_used array). Each A, a float, is formatted here once, as by fmt."""
+    array, n_used array). Each A, a float, is formatted here once, as by fmt.
+    A case without such an agent fails the run here, before any write."""
     cases = []
     for window, measure, scale, ids, global_a, counts in scored:
         used = np.flatnonzero(counts)
+        if not len(used):
+            raise ComputeError(f"no agent has antifragility in case {window}/{measure}/{scale}")
         a = global_a[used].tolist()
         cases.append((window, measure, scale, [ids[k] for k in used.tolist()], a,
                       list(map(format, a, repeat(".17g"))), counts[used].tolist()))
     return sorted(cases, key=lambda case: case[:3])
 
 
-def _render_antifragility_and_scatter(cases, tables) -> tuple[str, str]:
-    """antifragility.csv and scatter.csv, which sets every agent's A next to
-    each of its defined performance variables (sorted by name); an agent
-    without performance in the window has no scatter rows. Per window, each
-    table row's ``name,value`` pieces are built once; per (case, agent), its
-    scatter rows are one string, those pieces each after the row prefix."""
-    antifragility = ["agent_id,measure,scale,window,global_A,n_used"]
-    scatter = ["window,measure,scale,agent_id,A,perf_variable,perf_value"]
+def _render_antifragility(cases):
+    """antifragility.csv, one piece per case."""
+    yield "agent_id,measure,scale,window,global_A,n_used\n"
+    for window, measure, scale, ids, _, a_text, used in cases:
+        yield _text([f"{aid},{measure},{scale},{window},{a},{n}"
+                     for aid, a, n in zip(ids, a_text, used)])
+
+
+def _render_scatter(cases, tables):
+    """scatter.csv, one piece per case: every agent's A next to each of its
+    defined performance variables (sorted by name); an agent without
+    performance in the window has no rows. Per window, each table row's
+    ``name,value`` cells are built once; per (case, agent), its rows are one
+    string, those cells each after the row prefix."""
+    yield "window,measure,scale,agent_id,A,perf_variable,perf_value\n"
     by_name = sorted(enumerate(PERF_VARIABLES), key=itemgetter(1))  # (column, name)
     current = None
-    for window, measure, scale, ids, _, a_text, used in cases:
+    for window, measure, scale, ids, _, a_text, _ in cases:
         if window != current:
             current, row_of = window, tables[window].row_of
-            pieces = [[f"{name},{t[j]}" for j, name in by_name if t[j]]
-                      for t in tables[window].text]
-        for aid, a, n in zip(ids, a_text, used):
-            antifragility.append(f"{aid},{measure},{scale},{window},{a},{n}")
-            if defined := pieces[row_of.get(aid, -1)]:
+            cells = [[f"{name},{t[j]}" for j, name in by_name if t[j]]
+                     for t in tables[window].text]
+        lines = []
+        for aid, a in zip(ids, a_text):
+            if defined := cells[row_of.get(aid, -1)]:
                 prefix = f"{window},{measure},{scale},{aid},{a},"
-                scatter.append(prefix + ("\n" + prefix).join(defined))
-    return _text(antifragility), _text(scatter)
+                lines.append(prefix + ("\n" + prefix).join(defined))
+        yield _text(lines)
 
 
-def _render_performance(tables, top_by_window) -> str:
-    lines = [",".join(["agent_id", "window", *PERF_VARIABLES, "is_top_performer"])]
+def _render_performance(tables, top_by_window):
+    """performance.csv, one piece per window."""
+    yield ",".join(["agent_id", "window", *PERF_VARIABLES, "is_top_performer"]) + "\n"
     for window, table in sorted(tables.items()):
-        for aid, row in table.row_of.items():
-            top = "true" if aid in top_by_window[window] else "false"
-            lines.append(f"{aid},{window},{','.join(table.text[row])},{top}")
-    return _text(lines)
+        top = top_by_window[window]
+        yield _text([f"{aid},{window},{','.join(table.text[row])},"
+                     f"{'true' if aid in top else 'false'}"
+                     for aid, row in table.row_of.items()])
 
 
-def _render_bins_and_correlations(cases, tables) -> tuple[str, str]:
-    """bins.csv and correlations.csv: per case and performance variable, the
-    Pearson r over the case's agents that have the variable defined, and both
-    binning directions when at least five have. Each column is reduced once:
-    a case's A column per defined-mask, shared by the variables, and a
-    performance column per variable and rows, shared by the window's cases."""
-    bins = ["window,measure,scale,bin_by,stat_of,bin_index,count,min,mean,max"]
-    correlations = ["window,measure,scale,perf_variable,r,n_pairs"]
+def _render_bins(cases, tables, correlations: list[str]):
+    """bins.csv, one piece per case; appends correlations.csv's lines to
+    ``correlations``. Per case and performance variable: the Pearson r over
+    the agents that have it defined, and both binning directions when at
+    least five have. Each column is reduced once: a case's A column per
+    defined-mask, shared by the variables, and a performance column per
+    variable and rows, shared by the window's cases."""
+    yield "window,measure,scale,bin_by,stat_of,bin_index,count,min,mean,max\n"
+    correlations.append("window,measure,scale,perf_variable,r,n_pairs")
     skipped_cases = 0
     skipped_names: set[str] = set()
     current = None
@@ -208,6 +225,7 @@ def _render_bins_and_correlations(cases, tables) -> tuple[str, str]:
         defined = ~np.isnan(table[rows])
         a_columns: dict[bytes, analysis.Column] = {}
         skipped = []
+        bins = []
         for j, name in enumerate(PERF_VARIABLES):
             mask = defined[:, j]
             n = int(np.count_nonzero(mask))
@@ -230,19 +248,20 @@ def _render_bins_and_correlations(cases, tables) -> tuple[str, str]:
                          in enumerate(analysis.bin_stats(order, stats))]
         skipped_cases += bool(skipped)
         skipped_names.update(skipped)
+        yield _text(bins)
     if skipped_cases:
         logger.warning(
             "bins skipped in %d of %d cases (fewer than 5 agents defined): %s",
             skipped_cases, len(cases),
             ", ".join(n for n in PERF_VARIABLES if n in skipped_names),
         )
-    return _text(bins), _text(correlations)
 
 
-def _render_distributions(cases, top_by_window, n_bins) -> str:
-    lines = ["window,measure,scale,population,bin_index,"
-             "bin_left,bin_right,density,sample_count"]
+def _render_distributions(cases, top_by_window, n_bins):
+    """distributions.csv, one piece per case."""
+    yield "window,measure,scale,population,bin_index,bin_left,bin_right,density,sample_count\n"
     for window, measure, scale, ids, a_values, _, _ in cases:
+        lines = []
         dist = analysis.distribution(a_values, n_bins=n_bins)
         populations = [("all", dist)]
         top_values = [a for aid, a in zip(ids, a_values) if aid in top_by_window[window]]
@@ -256,7 +275,7 @@ def _render_distributions(cases, top_by_window, n_bins) -> str:
                 f"{prefix}{i},{edges[i]},{edges[i + 1]},{density:.17g},{d.sample_count}"
                 for i, density in enumerate(d.densities.tolist())
             )
-    return _text(lines)
+        yield _text(lines)
 
 
 def _comparison_json(stats) -> str:
@@ -309,7 +328,7 @@ def _panel_dumps(panel) -> dict[str, str]:
     ]
     index = [(iid, ch.days, ch.values) for iid, ch in sorted(panel.indexes.items())]
     if index:
-        tables.append((INDEX, np.unique(np.concatenate([c[1] for c in index])), index))
+        tables.append((INDEX, sorted_unique(np.concatenate([c[1] for c in index])), index))
     out = {}
     prefix = f"panels/{panel.window.label}_s{int(panel.scale)}"
     for name, axis, columns in tables:
@@ -324,56 +343,49 @@ def _panel_dumps(panel) -> dict[str, str]:
     return out
 
 
-# A report longer than _PIECES_OVER characters is encoded and written
-# _PIECE characters at a time, so no encoded copy of all of it is held; a
-# shorter one is encoded whole, where pieces lowered no peak RSS.
-_PIECES_OVER = 1 << 20
-_PIECE = 1 << 16
-
-
-def _write(path: Path, text: str) -> None:
-    if len(text) <= _PIECES_OVER:
-        path.write_bytes(text.encode("utf-8"))
-        return
-    with path.open("wb") as file:
-        for start in range(0, len(text), _PIECE):
-            file.write(text[start : start + _PIECE].encode("utf-8"))
+def _write(path: Path, pieces) -> None:
+    """Write a report piece by piece, UTF-8 encoded, line ends untouched."""
+    with path.open("w", encoding="utf-8", newline="") as file:
+        file.writelines(pieces)
 
 
 def run(config: RunConfig, dump_panels: bool = False) -> Path:
-    """Execute and write all reports; a failed write keeps the previous ones.
+    """Compute and write all reports; a failed run keeps the previous ones.
 
-    The reports are written into a temporary directory inside ``output_dir``
-    (always removed afterwards) and, once all are written and no report path
-    is a directory, moved into place with ``os.replace``. Then the reports of
-    an earlier run that this run does not write (comparison.json, panels/*.csv,
-    then an empty panels/) are removed, and only then is run_manifest.json
-    moved into place, so none can sit next to this run's manifest.
+    What can fail before the writes (``_reports``) runs before ``output_dir``
+    is touched. The reports are written piece by piece into a temporary
+    directory inside ``output_dir`` (always removed afterwards) and, once
+    all are written and no report path is a directory, moved into place with
+    ``os.replace``. Then the reports of an earlier run that this run does not
+    write (comparison.json, panels/*.csv, then an empty panels/) are removed,
+    and only then is run_manifest.json moved into place, so none can sit
+    next to this run's manifest.
     """
-    outputs = execute(config, dump_panels=dump_panels)
+    reports = _reports(config, dump_panels)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = sorted(outputs, key=lambda name: (name == "run_manifest.json", name))
     staging = Path(tempfile.mkdtemp(prefix=".antifrag-", dir=out_dir))
     try:
-        for name in names:
+        names = []
+        for name, pieces in reports:
             path = staging / name
             path.parent.mkdir(parents=True, exist_ok=True)
-            _write(path, outputs[name])
+            _write(path, pieces)
+            names.append(name)
         for name in names:
             if (out_dir / name).is_dir():
                 raise IsADirectoryError(f"report path {out_dir / name} is a directory")
         for parent in {(out_dir / name).parent for name in names}:
             parent.mkdir(parents=True, exist_ok=True)
-        *reports, manifest = names
-        for name in reports:
+        *others, manifest = names
+        for name in others:
             os.replace(staging / name, out_dir / name)
-        if "comparison.json" not in outputs:
+        if "comparison.json" not in names:
             (out_dir / "comparison.json").unlink(missing_ok=True)
         panels = out_dir / "panels"
         if panels.is_dir():
             for path in panels.glob("*.csv"):
-                if f"panels/{path.name}" not in outputs:
+                if f"panels/{path.name}" not in names:
                     path.unlink()
             if not any(panels.iterdir()):
                 panels.rmdir()

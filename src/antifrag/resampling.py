@@ -50,6 +50,13 @@ def period_starts(days: np.ndarray, scale: TimeScale) -> np.ndarray:
     raise ValueError(f"unknown time scale {scale!r}")
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array by a sort and a neighbour compare: numpy
+    2's ``np.unique`` without index outputs imports ``numpy.ma``."""
+    values = np.sort(values)
+    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
+
+
 def _bucket_sums(values: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Sum each run ``values[first[i]:first[i + 1]]``, the last one to the end.
 
@@ -60,7 +67,7 @@ def _bucket_sums(values: np.ndarray, first: np.ndarray) -> np.ndarray:
     """
     lengths = np.diff(first, append=len(values))
     sums = np.empty(len(first))
-    for length in np.unique(lengths).tolist():
+    for length in sorted_unique(lengths).tolist():
         runs = lengths == length
         rows = first[runs][:, None] + np.arange(length)
         sums[runs] = np.add.reduce(values[rows], axis=1)
@@ -241,7 +248,7 @@ def build_panel(
         market_kind=series[0].market_kind,
         window=window,
         scale=scale,
-        period_axis=np.unique(periods),
+        period_axis=sorted_unique(periods),
         ids=tuple([s.agent_id for s, alive in zip(series, keep.tolist()) if alive]),
         channels=channels,
         indexes=panel_indexes,

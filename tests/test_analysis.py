@@ -10,7 +10,7 @@ from antifrag.analysis import (
     top_comparison,
 )
 from antifrag.errors import ComputeError
-from antifrag.pipeline import _case_list, _render_antifragility_and_scatter
+from antifrag.pipeline import _case_list, _render_scatter
 
 from conftest import perf_tables
 
@@ -212,7 +212,7 @@ def scatter_lines(cases, perf) -> list[str]:
         for key, values in cases.items()
     ]
     tables = perf_tables(perf, [window for window, _, _ in cases])
-    _, text = _render_antifragility_and_scatter(_case_list(scored), tables)
+    text = "".join(_render_scatter(_case_list(scored), tables))
     assert text.endswith("\n")
     lines = text.split("\n")[:-1]
     assert lines[0] == "window,measure,scale,agent_id,A,perf_variable,perf_value"

@@ -1,14 +1,17 @@
 """End-to-end command line tests built on the synthetic fixture dataset."""
 
 import codecs
+import datetime as dt
 import hashlib
 import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import antifrag.cli as cli
@@ -284,6 +287,10 @@ def test_each_command_imports_only_what_it_runs(fixture_tree):
         "assert not loaded, f'validate imported {sorted(loaded)}'\n"
         "import antifrag.pipeline, antifrag.fixture\n"
         "assert 'dataclasses' not in set(sys.modules) - before, 'pipeline'\n"
+        # numpy 2's np.unique without index outputs imports numpy.ma
+        f"for config in {[str(fixture_tree / m / 'config.cfg') for m in ('stocks', 'crypto')]!r}:\n"
+        "    assert main(['run', '--config', config]) == 0\n"
+        "    assert 'numpy.ma' not in sys.modules, f'run of {config}'\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -539,8 +546,7 @@ WORKER_NOTE = "note: worker_count has no effect: cases run in one process"
     (config_lines(windows=None), ["error: windows is required"]),
     (config_lines(scales="0,3"), ["error: scales: bad value '3' (valid: 0, 1, 2)"]),
     (config_lines(scales="1, 1"), ["error: scales: duplicates"]),
-    (config_lines(scales=""),
-     ["error: scales: bad value '' (valid: 0, 1, 2)", "error: scales must not be empty"]),
+    (config_lines(scales=""), ["error: scales must not be empty"]),
     (config_lines(measures=","), ["error: measures must not be empty"]),
     (config_lines(market_kind="stock"),
      ["error: index_dir is required for stock measures afx/af3m"]),
@@ -584,13 +590,14 @@ def test_config_lines_end_only_at_line_ends(tmp_path, capsys):
     }
 
 
-@pytest.mark.parametrize("pieces_over, piece", [(None, None), (10, 7)])
-def test_reports_written_in_pieces_keep_their_bytes(tmp_path, monkeypatch, pieces_over, piece):
-    if pieces_over is not None:
-        monkeypatch.setattr(pipeline, "_PIECES_OVER", pieces_over)
-        monkeypatch.setattr(pipeline, "_PIECE", piece)
+@pytest.mark.parametrize("piece", [None, 7])
+def test_reports_written_in_pieces_keep_their_bytes(tmp_path, piece):
+    # each text whole, or cut every 7 characters: mid-line and between the
+    # two-byte characters
     for text in ("a,1\n" * 300_000, "é,ü\n" * 5, "short\n", ""):
-        pipeline._write(tmp_path / "report.csv", text)
+        size = piece or max(len(text), 1)
+        pieces = (text[start : start + size] for start in range(0, len(text), size))
+        pipeline._write(tmp_path / "report.csv", pieces)
         assert (tmp_path / "report.csv").read_bytes() == text.encode("utf-8")
 
 
@@ -600,14 +607,79 @@ def test_failed_write_removes_partial_outputs(tmp_path, monkeypatch):
     (out / "sub").write_text("occupied")  # a file where a directory must go
     monkeypatch.setattr(
         pipeline,
-        "execute",
-        lambda config, dump_panels=False: {"a.csv": "x\n", "sub/b.csv": "y\n"},
+        "_reports",
+        lambda config, dump_panels: [("a.csv", ["x\n"]), ("sub/b.csv", ["y\n"])],
     )
     config = types.SimpleNamespace(output_dir=out)
     with pytest.raises(OSError):
         pipeline.run(config)
     assert not (out / "a.csv").exists()
     assert (out / "sub").is_file()
+
+
+@pytest.mark.parametrize("market", ["stocks", "crypto"])
+def test_run_writes_the_text_execute_gives(fixture_tree, market):
+    config, _, _ = load_config(fixture_tree / market / "config.cfg")
+    texts = pipeline.execute(config, dump_panels=True)
+    out = pipeline.run(config, dump_panels=True)
+    written = {p.relative_to(out).as_posix(): p.read_bytes()
+               for p in out.rglob("*") if p.is_file()}
+    assert written == {name: text.encode("utf-8") for name, text in texts.items()}
+
+
+def write_wide_crypto_tree(root: Path, n_agents: int) -> Path:
+    """Crypto agents quoted every 30 days over 2014-2016 and a config of the
+    three years: few input rows, many report rows. Returns the config path."""
+    rng = np.random.default_rng(0)
+    days = [dt.date(2014, 1, 1) + dt.timedelta(days=d) for d in range(0, 3 * 365, 30)]
+    (root / "agents").mkdir(parents=True)
+    for k in range(n_agents):
+        walks = np.exp(np.cumsum(rng.normal(0, 0.05, (3, len(days))), axis=1))
+        rows = zip(days, (50 * walks[0]).tolist(), (1e5 * walks[1]).tolist(),
+                   (1e8 * walks[2]).tolist())
+        lines = ["date,open,volume,market_cap"]
+        lines += [f"{d.isoformat()},{p!r},{v!r},{c!r}" for d, p, v, c in rows]
+        (root / "agents" / f"C{k:04d}.csv").write_text("\n".join(lines) + "\n")
+    config = root / "config.cfg"
+    config.write_text("market_kind = crypto\ndata_dir = agents\noutput_dir = out\n"
+                      "windows = 2014,2015,2016\n")
+    return config
+
+
+def test_run_holds_no_report_whole(tmp_path):
+    # every report is written piece by piece, so the largest, scatter.csv,
+    # is never in memory whole; holding it once would make the peak larger
+    config, _, _ = load_config(write_wide_crypto_tree(tmp_path, 120))
+    tracemalloc.start()
+    try:
+        pipeline.run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "out" / "scatter.csv").stat().st_size
+    assert size > 3_000_000
+    assert peak < size
+
+
+def test_failed_top_comparison_leaves_no_output(fixture_tree):
+    # the top list names only an agent that is not alive in the window
+    (fixture_tree / "crypto" / "top_performers.json").write_text('{"2014": ["QCOIN"]}\n')
+    done = run_in_subprocess(fixture_tree / "crypto" / "config.cfg")
+    assert (done.returncode, done.stdout) == (1, "")
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+    assert errors == ["error: top comparison: no case has a top performer alive"]
+    assert not (fixture_tree / "crypto" / "output").exists()
+
+
+def test_case_without_scored_agents_leaves_no_output(fixture_tree, capsys):
+    # VIX quoted only in December: no agent shares a period with afx's perturbation
+    december = [dt.date(2014, 12, 1) + dt.timedelta(days=k) for k in range(20)]
+    (fixture_tree / "stocks" / "indexes" / "vix.csv").write_text(
+        "date,level\n" + "".join(f"{d.isoformat()},15.0\n" for d in december))
+    config = fixture_tree / "stocks" / "config.cfg"
+    assert cli.main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: no agent has antifragility in case 2014/afx/0\n"
+    assert not (fixture_tree / "stocks" / "output").exists()
 
 
 def tree_bytes(root: Path) -> dict[str, bytes | None]:
@@ -706,7 +778,7 @@ def test_skipped_bins_are_one_warning_per_run(fixture_tree, caplog):
 def test_scatter_formats_each_value_once(fixture_tree, monkeypatch):
     calls = []
     real_fmt = pipeline.fmt
-    real_render = pipeline._render_antifragility_and_scatter
+    real_render = pipeline._render_scatter
     calls_at_scatter_end = []
 
     def counted_fmt(value):
@@ -714,12 +786,11 @@ def test_scatter_formats_each_value_once(fixture_tree, monkeypatch):
         return real_fmt(value)
 
     def render(*args):
-        text = real_render(*args)
+        yield from real_render(*args)
         calls_at_scatter_end.append(len(calls))
-        return text
 
     monkeypatch.setattr(pipeline, "fmt", counted_fmt)
-    monkeypatch.setattr(pipeline, "_render_antifragility_and_scatter", render)
+    monkeypatch.setattr(pipeline, "_render_scatter", render)
     config = fixture_tree / "crypto" / "config.cfg"
     assert cli.main(["run", "--config", str(config), "--workers", "1"]) == 0
     out = fixture_tree / "crypto" / "output"

@@ -696,11 +696,13 @@ def span_text(kind, changes=(), days=range(15)):
     ("crypto", span_text("crypto", [(0, 1, "-1")])),
     ("stock", span_text("stock", days=range(10, 15))),
     ("stock", span_text("stock", days=range(0, 5))),
+    # the lines left out are certified 64 at a time: this bad cell is the 96th
+    ("stock", span_text("stock", [(100, 1, "-1")], days=range(150))),
 ], ids=["bad-cell-before", "bad-cell-after", "bad-cells-before-and-in", "year-0000-before",
         "feb-29-after", "date-suffixes-outside", "1e+101-after", "101-digits-before",
         "nan-cap-before", "-0-1e100-100-digits-padded", "blank-and-exponent-cells",
         "duplicate-before", "duplicate-first-day", "unsorted", "bad-earliest-row", "all-after",
-        "all-before"])
+        "all-before", "bad-cell-past-the-first-64-left-out"])
 def test_span_load_is_the_reference_load_in_span_on_each_edge(kind, text):
     assert_span_load_is_the_reference_in_span(kind, text, (day(5), day(9)))
 

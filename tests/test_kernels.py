@@ -30,7 +30,7 @@ from antifrag.ingestion import (
 from antifrag import measures
 from antifrag.measures import MEASURES_BY_KIND
 from antifrag.performance import PERF_VARIABLES
-from antifrag.pipeline import _render_bins_and_correlations, fmt
+from antifrag.pipeline import _render_bins, _text, fmt
 from antifrag.resampling import VOLUME, TimeScale, build_panel
 
 from conftest import (
@@ -273,5 +273,6 @@ def edge_inputs():
 def test_bins_and_correlations_equal_per_case_reference_bit_for_bit(inputs):
     cases, perf_variables = inputs
     tables = perf_tables(perf_variables, [case[0] for case in cases])
-    assert (_render_bins_and_correlations(cases, tables)
-            == render_bins_and_correlations(cases, perf_variables))
+    correlations = []
+    bins = "".join(_render_bins(cases, tables, correlations))
+    assert (bins, _text(correlations)) == render_bins_and_correlations(cases, perf_variables)

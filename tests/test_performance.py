@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from antifrag.ingestion import AnalysisWindow, slice_window
 from antifrag.performance import PERF_VARIABLES, compute_performance, top_ids_for
-from antifrag.pipeline import _render_antifragility_and_scatter, _render_performance
+from antifrag.pipeline import _render_performance, _render_scatter
 
 import performance_reference as reference
 from conftest import day, make_agent
@@ -104,7 +104,7 @@ def test_top_performer_flag_exact_match():
     tables = {"w": table_for(rows)}
 
     def flag(top):
-        text = _render_performance(tables, {"w": top})
+        text = "".join(_render_performance(tables, {"w": top}))
         return text.splitlines()[1].split(",")[-1]
 
     assert flag(frozenset({"X"})) == "true"
@@ -218,6 +218,6 @@ def test_performance_and_scatter_equal_reference_bit_for_bit(inputs):
     windows, sliced, full_start, top, cases = inputs
     tables = {w.label: compute_performance(sliced[w.label], full_start, w) for w in windows}
     _, perf_text = reference.perf_texts(windows, sliced, full_start)
-    assert _render_performance(tables, top) == reference.render_performance(perf_text, top)
-    assert (_render_antifragility_and_scatter(cases, tables)[1]
-            == reference.render_scatter(cases, perf_text))
+    assert ("".join(_render_performance(tables, top))
+            == reference.render_performance(perf_text, top))
+    assert "".join(_render_scatter(cases, tables)) == reference.render_scatter(cases, perf_text)

@@ -76,9 +76,10 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
 
 def _reports(config: RunConfig, dump_panels: bool):
     """Load the inputs and compute the cases, the performance tables and the
-    top comparison: all of a run that can fail. Return every report as (file
-    name, text pieces), run_manifest.json last; a piece is whole lines, and
-    pieces are rendered as they are read, so read the reports in order."""
+    top comparison: all of a run that can fail, so a check belongs here and
+    not in a renderer. Return every report as (file name, text pieces),
+    run_manifest.json last; a piece is whole lines, and pieces are rendered
+    as they are read, so read the reports in order."""
     agent_files = sorted(config.data_dir.glob("*.csv"))
     if not agent_files:
         raise IngestionError(f"no agent CSV files in {config.data_dir}")
@@ -135,7 +136,7 @@ def _reports(config: RunConfig, dump_panels: bool):
         ("scatter.csv", _render_scatter(cases, tables)),
         ("performance.csv", _render_performance(tables, top_by_window)),
         ("bins.csv", _render_bins(cases, tables, correlations)),
-        ("correlations.csv", map(_text, [correlations])),  # filled as bins.csv is read
+        ("correlations.csv", _render_correlations(correlations)),
         ("distributions.csv", _render_distributions(cases, top_by_window, config.n_hist_bins)),
     ]
     if top is not None:
@@ -204,14 +205,14 @@ def _render_performance(tables, top_by_window):
 
 
 def _render_bins(cases, tables, correlations: list[str]):
-    """bins.csv, one piece per case; appends correlations.csv's lines to
-    ``correlations``. Per case and performance variable: the Pearson r over
-    the agents that have it defined, and both binning directions when at
-    least five have. Each column is reduced once: a case's A column per
-    defined-mask, shared by the variables, and a performance column per
-    variable and rows, shared by the window's cases."""
+    """bins.csv, one piece per case; once it is read to the end, appends
+    correlations.csv's lines to ``correlations``. Per case and performance
+    variable: the Pearson r over the agents that have it defined, and both
+    binning directions when at least five have. Each column is reduced
+    once: a case's A column per defined-mask, shared by the variables, and a
+    performance column per variable and rows, shared by the window's cases."""
     yield "window,measure,scale,bin_by,stat_of,bin_index,count,min,mean,max\n"
-    correlations.append("window,measure,scale,perf_variable,r,n_pairs")
+    corr_lines = ["window,measure,scale,perf_variable,r,n_pairs"]
     skipped_cases = 0
     skipped_names: set[str] = set()
     current = None
@@ -236,7 +237,7 @@ def _render_bins(cases, tables, correlations: list[str]):
                 if (y := perf_columns.get(key := (j, used.tobytes()))) is None:
                     y = perf_columns[key] = analysis.column(table[used, j])
             r = analysis.correlation(x, y) if n else None
-            correlations.append(f"{case}{name},{fmt(r)},{n}")
+            corr_lines.append(f"{case}{name},{fmt(r)},{n}")
             if n < 5:
                 skipped.append(name)
                 continue
@@ -249,12 +250,20 @@ def _render_bins(cases, tables, correlations: list[str]):
         skipped_cases += bool(skipped)
         skipped_names.update(skipped)
         yield _text(bins)
+    correlations += corr_lines
     if skipped_cases:
         logger.warning(
             "bins skipped in %d of %d cases (fewer than 5 agents defined): %s",
             skipped_cases, len(cases),
             ", ".join(n for n in PERF_VARIABLES if n in skipped_names),
         )
+
+
+def _render_correlations(lines: list[str]):
+    """correlations.csv, one piece: what ``_render_bins`` appends at its end."""
+    if not lines:
+        raise RuntimeError("correlations.csv is read before bins.csv")
+    yield _text(lines)
 
 
 def _render_distributions(cases, top_by_window, n_bins):
@@ -266,8 +275,7 @@ def _render_distributions(cases, top_by_window, n_bins):
         populations = [("all", dist)]
         top_values = [a for aid, a in zip(ids, a_values) if aid in top_by_window[window]]
         if top_values:
-            top = analysis.distribution(top_values, edges=dist.edges)
-            populations.append(("top", top))
+            populations.append(("top", analysis.distribution(top_values, edges=dist.edges)))
         for population, d in populations:
             prefix = f"{window},{measure},{scale},{population},"
             edges = list(map(format, d.edges.tolist(), repeat(".17g")))
@@ -352,8 +360,9 @@ def _write(path: Path, pieces) -> None:
 def run(config: RunConfig, dump_panels: bool = False) -> Path:
     """Compute and write all reports; a failed run keeps the previous ones.
 
-    What can fail before the writes (``_reports``) runs before ``output_dir``
-    is touched. The reports are written piece by piece into a temporary
+    The computations that can fail (``_reports``) run before ``output_dir``
+    is touched, and a failed run removes an ``output_dir`` it made that is
+    still empty. The reports are written piece by piece into a temporary
     directory inside ``output_dir`` (always removed afterwards) and, once
     all are written and no report path is a directory, moved into place with
     ``os.replace``. Then the reports of an earlier run that this run does not
@@ -363,6 +372,7 @@ def run(config: RunConfig, dump_panels: bool = False) -> Path:
     """
     reports = _reports(config, dump_panels)
     out_dir = Path(config.output_dir)
+    made = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".antifrag-", dir=out_dir))
     try:
@@ -392,5 +402,7 @@ def run(config: RunConfig, dump_panels: bool = False) -> Path:
         os.replace(staging / manifest, out_dir / manifest)
     finally:
         shutil.rmtree(staging)
+        if made and not any(out_dir.iterdir()):
+            out_dir.rmdir()
     logger.info("wrote %d report files to %s", len(names), out_dir)
     return out_dir

@@ -55,16 +55,28 @@ def correlation(x: Column, y: Column) -> float | None:
     return math.fsum(map(mul, x.dev, y.dev)) / scale
 
 
-def bin_stats(order, stats, n_bins: int = 5) -> list[tuple[int, float, float, float]]:
-    """(count, min, mean, max) of ``stats`` taken in ``order`` and split into
-    ``n_bins`` contiguous groups whose sizes differ by at most one, the lowest
-    bins taking any remainder. ``min``/``max`` keep the first of equal values,
-    so of -0.0 and 0.0 a bin reports the one ranked first."""
+def bin_bounds(n: int, n_bins: int = 5) -> list[tuple[int, int]]:
+    """(start, end) of ``n_bins`` contiguous groups of ``n`` ranked values,
+    whose sizes differ by at most one, the lowest bins taking any remainder."""
+    base, remainder = divmod(n, n_bins)
+    ends = list(accumulate(base + (index < remainder) for index in range(n_bins)))
+    return list(zip([0, *ends], ends))
+
+
+def bin_stats(order, stats, bounds) -> list[tuple[int, int, float, int]]:
+    """(count, min position, mean, max position) of ``stats`` taken in
+    ``order``, one per (start, end) of ``bounds``; a position indexes
+    ``stats``. Each bin is one slice, reduced by ``min``, ``math.fsum`` and
+    ``max``; ``min``/``max`` keep the first of equal values, so of -0.0 and
+    0.0 a bin reports the one ranked first, and its position is that of the
+    first element equal to the result."""
     ranked = [stats[i] for i in order]
-    base, remainder = divmod(len(ranked), n_bins)
-    sizes = [base + (index < remainder) for index in range(n_bins)]
-    chunks = [ranked[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
-    return [(size, min(c), math.fsum(c) / size, max(c)) for size, c in zip(sizes, chunks)]
+    out = []
+    for start, end in bounds:
+        chunk = ranked[start:end]
+        out.append((end - start, order[start + chunk.index(min(chunk))],
+                    math.fsum(chunk) / (end - start), order[start + chunk.index(max(chunk))]))
+    return out
 
 
 def pearson(xs, ys) -> float | None:
@@ -99,8 +111,10 @@ def quantile_bin_summary(
     if len(rows) < n_bins:
         raise ComputeError(f"need at least {n_bins} agents to bin, got {len(rows)}")
     order = np.argsort([row[1] for row in rows], kind="stable").tolist()
-    stats = bin_stats(order, [row[2] for row in rows], n_bins)
-    return [BinSummary(index, bin_by, stat_of, *s) for index, s in enumerate(stats)]
+    stats = [row[2] for row in rows]
+    return [BinSummary(index, bin_by, stat_of, size, stats[lo], mean, stats[hi])
+            for index, (size, lo, mean, hi)
+            in enumerate(bin_stats(order, stats, bin_bounds(len(rows), n_bins)))]
 
 
 class Distribution(NamedTuple):

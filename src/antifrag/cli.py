@@ -38,7 +38,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import load_config, write_overlap
 from .errors import AntifragError
 
 
@@ -110,6 +110,9 @@ def main(argv=None) -> int:
             config.worker_count = args.workers
         if args.out is not None:
             config.output_dir = args.out
+            error = write_overlap(args.out, config.data_dir, config.index_dir)
+            if error is not None:
+                raise AntifragError(error)
         from . import pipeline
 
         pipeline.run(config, dump_panels=args.dump_panels)

@@ -293,6 +293,10 @@ def build_config(raw: dict[str, str], base_dir: Path):
             errors.append("worker_count must be >= 0")
         notes.append("worker_count has no effect: cases run in one process")
 
+    if output_dir is not None and data_dir is not None:
+        if (error := write_overlap(output_dir, data_dir, index_dir)) is not None:
+            errors.append(error)
+
     if errors:
         return None, errors, notes
     return (
@@ -311,6 +315,28 @@ def build_config(raw: dict[str, str], base_dir: Path):
         errors,
         notes,
     )
+
+
+def write_overlap(output_dir: Path, data_dir: Path, index_dir: Path | None) -> str | None:
+    """Why a run would write where it reads, or None. A run reads every CSV
+    in data_dir, so reports written there break the next run; and it writes
+    ``--dump-panels`` files into output_dir/panels, removing the CSVs there
+    that it did not write."""
+    if _same_dir(output_dir, data_dir):
+        return f"output_dir {output_dir} is data_dir: its reports would be read as agents"
+    for key, path in (("data_dir", data_dir), ("index_dir", index_dir)):
+        if path is not None and _same_dir(output_dir / "panels", path):
+            return f"{key} {path} is output_dir's panels directory, whose CSV files a run removes"
+    return None
+
+
+def _same_dir(a: Path, b: Path) -> bool:
+    """Whether both exist and are one directory, by whatever paths. A missing
+    one is never an input directory: those are checked to exist."""
+    try:
+        return a.samefile(b)
+    except OSError:
+        return False
 
 
 def load_config(path: Path):

@@ -7,8 +7,12 @@ cases form one list, sorted once by (window, measure, scale), that every
 report iterates, so report rows come out sorted and identical for any
 input-file ordering; the performance metrics are one table per window
 (``performance.PerformanceTable``), read by every report that shows them.
-Reals are serialized with 17 significant digits (each A and performance
-value once, for all reports) and lines end with \\n.
+Reals are serialized with 17 significant digits and lines end with \\n.
+Each A and performance value is formatted once, for all reports, and a
+bin's min and max reuse those texts. Past them, the reports format only
+each bin's mean, each Pearson r, each case's histogram edges (once for both
+populations), each distinct density of a population, the reals of
+comparison.json and the --dump-panels files.
 
 Report files: antifragility.csv, performance.csv, scatter.csv, bins.csv,
 distributions.csv, correlations.csv, comparison.json (when top-performer
@@ -25,7 +29,7 @@ import logging
 import os
 import shutil
 import tempfile
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -209,22 +213,27 @@ def _render_bins(cases, tables, correlations: list[str]):
     correlations.csv's lines to ``correlations``. Per case and performance
     variable: the Pearson r over the agents that have it defined, and both
     binning directions when at least five have. Each column is reduced
-    once: a case's A column per defined-mask, shared by the variables, and a
-    performance column per variable and rows, shared by the window's cases."""
+    once, next to its texts in the same order: a case's A column per
+    defined-mask, shared by the variables, and a performance column per
+    variable and rows, shared by the window's cases. A bin's min and max are
+    the texts of the values ``analysis.bin_stats`` picks; only its mean is
+    formatted here. A variable that one to four agents define is skipped
+    and named in one warning per run; one that none defines is not."""
     yield "window,measure,scale,bin_by,stat_of,bin_index,count,min,mean,max\n"
     corr_lines = ["window,measure,scale,perf_variable,r,n_pairs"]
+    bounds_of: dict[int, list[tuple[int, int]]] = {}
     skipped_cases = 0
     skipped_names: set[str] = set()
     current = None
-    for window, measure, scale, ids, a_values, _, _ in cases:
+    for window, measure, scale, ids, a_values, a_text, _ in cases:
         if window != current:
             current, perf_columns = window, {}
-            row_of, table = tables[window].row_of, tables[window].values
+            row_of, table, text = tables[window].row_of, tables[window].values, tables[window].text
         case = f"{window},{measure},{scale},"
         rows = np.array([row_of.get(aid, -1) for aid in ids], dtype=np.intp)
         a_all = np.array(a_values, dtype=float)
         defined = ~np.isnan(table[rows])
-        a_columns: dict[bytes, analysis.Column] = {}
+        a_columns: dict[bytes, tuple[analysis.Column, list[str]]] = {}
         skipped = []
         bins = []
         for j, name in enumerate(PERF_VARIABLES):
@@ -232,21 +241,25 @@ def _render_bins(cases, tables, correlations: list[str]):
             n = int(np.count_nonzero(mask))
             if n:
                 if (x := a_columns.get(key := mask.tobytes())) is None:
-                    x = a_columns[key] = analysis.column(a_all[mask])
+                    x = a_columns[key] = (analysis.column(a_all[mask]),
+                                          list(compress(a_text, mask.tolist())))
                 used = rows[mask]
                 if (y := perf_columns.get(key := (j, used.tobytes()))) is None:
-                    y = perf_columns[key] = analysis.column(table[used, j])
-            r = analysis.correlation(x, y) if n else None
+                    y = perf_columns[key] = (analysis.column(table[used, j]),
+                                             [text[row][j] for row in used.tolist()])
+            r = analysis.correlation(x[0], y[0]) if n else None
             corr_lines.append(f"{case}{name},{fmt(r)},{n}")
             if n < 5:
-                skipped.append(name)
+                if n:
+                    skipped.append(name)
                 continue
-            for bin_by, stat_of, order, stats in (("A", name, x.order, y.values),
-                                                  (name, "A", y.order, x.values)):
+            if (bounds := bounds_of.get(n)) is None:
+                bounds = bounds_of[n] = analysis.bin_bounds(n)
+            for bin_by, stat_of, (by, _), (of, of_text) in (("A", name, x, y), (name, "A", y, x)):
                 head = f"{case}{bin_by},{stat_of},"
-                bins += [f"{head}{index},{size},{lo:.17g},{mean:.17g},{hi:.17g}"
+                bins += [f"{head}{index},{size},{of_text[lo]},{mean:.17g},{of_text[hi]}"
                          for index, (size, lo, mean, hi)
-                         in enumerate(analysis.bin_stats(order, stats))]
+                         in enumerate(analysis.bin_stats(by.order, of.values, bounds))]
         skipped_cases += bool(skipped)
         skipped_names.update(skipped)
         yield _text(bins)
@@ -267,22 +280,26 @@ def _render_correlations(lines: list[str]):
 
 
 def _render_distributions(cases, top_by_window, n_bins):
-    """distributions.csv, one piece per case."""
+    """distributions.csv, one piece per case. A case's edges are formatted
+    once for both populations, and each distinct density once per population
+    (densities are never negative, so no -0.0 shares a text with 0.0)."""
     yield "window,measure,scale,population,bin_index,bin_left,bin_right,density,sample_count\n"
     for window, measure, scale, ids, a_values, _, _ in cases:
-        lines = []
         dist = analysis.distribution(a_values, n_bins=n_bins)
+        edges = list(map(format, dist.edges.tolist(), repeat(".17g")))
+        spans = [f"{i},{left},{right}," for i, (left, right) in enumerate(zip(edges, edges[1:]))]
         populations = [("all", dist)]
         top_values = [a for aid, a in zip(ids, a_values) if aid in top_by_window[window]]
         if top_values:
             populations.append(("top", analysis.distribution(top_values, edges=dist.edges)))
+        lines = []
         for population, d in populations:
             prefix = f"{window},{measure},{scale},{population},"
-            edges = list(map(format, d.edges.tolist(), repeat(".17g")))
-            lines.extend(
-                f"{prefix}{i},{edges[i]},{edges[i + 1]},{density:.17g},{d.sample_count}"
-                for i, density in enumerate(d.densities.tolist())
-            )
+            suffix = f",{d.sample_count}"
+            densities = d.densities.tolist()
+            density_text = {v: format(v, ".17g") for v in set(densities)}
+            lines += [f"{prefix}{span}{density_text[v]}{suffix}"
+                      for span, v in zip(spans, densities)]
         yield _text(lines)
 
 

@@ -316,9 +316,10 @@ def test_stderr_of_each_command_is_its_log_lines(fixture_tree, tmp_path):
                                         for m in ("stocks", "crypto")]
     done = cli_in_subprocess("validate", "--config", str(config))
     assert (done.returncode, done.stdout, done.stderr) == (0, "0 errors\n", "")
+    # no stock agent has a market cap: the mk_* metrics are undefined, not skipped
     skipped = ("WARNING antifrag.pipeline: bins skipped in 12 of 12 cases (fewer than 5 "
-               "agents defined): age_days, pct_dlt_pr, pct_dlt_mk, pct_dlt_vl, pct_pr_f_i, "
-               "pct_mk_f_i, pct_vl_f_i, pr_mea, pr_std, mk_mea, vl_mea")
+               "agents defined): age_days, pct_dlt_pr, pct_dlt_vl, pct_pr_f_i, "
+               "pct_vl_f_i, pr_mea, pr_std, vl_mea")
     out = tmp_path / "out"
     done = cli_in_subprocess("run", "--config", str(config), "--out", str(out))
     assert (done.returncode, done.stdout, done.stderr.splitlines()) == (0, "", [skipped])
@@ -545,6 +546,8 @@ WORKER_NOTE = "note: worker_count has no effect: cases run in one process"
      ["error: market_kind must be one of stock/crypto, got 'bond'"]),
     (config_lines(data_dir=None), ["error: data_dir is required"]),
     (config_lines(output_dir=None), ["error: output_dir is required"]),
+    (config_lines(output_dir="."),
+     ["error: output_dir {dir} is data_dir: its reports would be read as agents"]),
     (config_lines(windows=None), ["error: windows is required"]),
     (config_lines(scales="0,3"), ["error: scales: bad value '3' (valid: 0, 1, 2)"]),
     (config_lines(scales="1, 1"), ["error: scales: duplicates"]),
@@ -563,7 +566,8 @@ WORKER_NOTE = "note: worker_count has no effect: cases run in one process"
     (config_lines(worker_count="-1"), [WORKER_NOTE, "error: worker_count must be >= 0"]),
 ], ids=["no-equals", "duplicate-key", "unreadable", "empty-window", "bad-year", "bad-span",
         "huge-year", "year-0", "duplicate-labels", "market-kind", "no-data-dir", "no-output-dir",
-        "no-windows", "bad-scale", "duplicate-scales", "empty-scales", "empty-measures",
+        "output-dir-is-data-dir", "no-windows", "bad-scale",
+        "duplicate-scales", "empty-scales", "empty-measures",
         "no-index-dir", "index-dir-not-a-dir", "top-path-not-a-file", "bad-n-hist-bins",
         "zero-n-hist-bins", "bad-worker-count", "negative-worker-count"])
 def test_validate_prints_each_config_error(tmp_path, capsys, lines, output):
@@ -712,6 +716,34 @@ def tree_bytes(root: Path) -> dict[str, bytes | None]:
     }
 
 
+@pytest.mark.parametrize("data_dir, out, error", [
+    ("agents", "agents", "output_dir {out} is data_dir: its reports would be read as agents"),
+    ("dumps/panels", "dumps",
+     "data_dir {root}/dumps/panels is output_dir's panels directory, "
+     "whose CSV files a run removes"),
+])
+def test_no_run_writes_into_data_dir(fixture_tree, capsys, data_dir, out, error):
+    root = fixture_tree.resolve() / "crypto"
+    config = root / "config.cfg"
+    (root / data_dir).parent.mkdir(parents=True, exist_ok=True)
+    (root / "agents").rename(root / data_dir)
+    text = config.read_text().replace("data_dir = agents", f"data_dir = {data_dir}")
+    config.write_text(text)
+    error = "error: " + error.format(out=root / out, root=root) + "\n"
+    before = tree_bytes(root)
+    for _ in range(2):  # reports written into data_dir would break only the run after
+        assert cli.main(["run", "--config", str(config), "--out", str(root / out)]) == 1
+        assert capsys.readouterr().err == error
+        assert tree_bytes(root) == before
+    config.write_text(text.replace("output_dir = output", f"output_dir = {out}"))
+    before = tree_bytes(root)
+    assert cli.main(["validate", "--config", str(config)]) == 1
+    assert capsys.readouterr().out == error + "1 errors\n"
+    assert cli.main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == error
+    assert tree_bytes(root) == before
+
+
 def test_failed_rerun_leaves_previous_reports_intact(fixture_tree, capsys):
     config = fixture_tree / "crypto" / "config.cfg"
     out = fixture_tree / "crypto" / "output"
@@ -792,8 +824,7 @@ def test_skipped_bins_are_one_warning_per_run(fixture_tree, caplog):
     assert len(skipped) == 1
     assert skipped[0].getMessage() == (
         "bins skipped in 12 of 12 cases (fewer than 5 agents defined): "
-        "age_days, pct_dlt_pr, pct_dlt_mk, pct_dlt_vl, pct_pr_f_i, pct_mk_f_i, "
-        "pct_vl_f_i, pr_mea, pr_std, mk_mea, vl_mea"
+        "age_days, pct_dlt_pr, pct_dlt_vl, pct_pr_f_i, pct_vl_f_i, pr_mea, pr_std, vl_mea"
     )
 
 

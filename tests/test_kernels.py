@@ -4,8 +4,9 @@ Random agents with random gap patterns and blank market caps go through the
 CSV loader and the panel builder. Resampled volumes must equal a per-period
 ``np.sum`` loop bit for bit, and every panel must match the brute-force
 oracle. The measures' array joins must equal a dict-per-period reference
-bit for bit, and the bins and correlations rendered from shared column
-reductions must equal the text of the per-case reference loop.
+bit for bit, and the bins, correlations and distributions rendered from
+shared column reductions and texts must equal the text of the per-case
+reference loops.
 """
 
 import datetime as dt
@@ -30,7 +31,7 @@ from antifrag.ingestion import (
 from antifrag import measures
 from antifrag.measures import MEASURES_BY_KIND
 from antifrag.performance import PERF_VARIABLES
-from antifrag.pipeline import _render_bins, _text, fmt
+from antifrag.pipeline import _render_bins, _render_distributions, _text, fmt
 from antifrag.resampling import VOLUME, TimeScale, build_panel
 
 from conftest import (
@@ -43,6 +44,7 @@ from conftest import (
     series_to_rows,
 )
 from bins_reference import render_bins_and_correlations
+from distributions_reference import _render_distributions as reference_distributions
 from oracle import oracle_compute, period_of
 
 START = dt.date(2015, 12, 21)  # a Monday, so weeks and months straddle a year end
@@ -267,12 +269,72 @@ def edge_inputs():
     return [report_case("2014", "afp", 0, a)], perf
 
 
+def signed_zero_inputs(zeros, sign):
+    """One case of 15 agents whose A and ``pr_mea`` are both ``zeros`` (-0.0
+    and 0.0, in id order) followed by 1, 2, ... 13 times ``sign``: binned by
+    either column, three to a bin, the lowest bin's two lowest values
+    (``sign`` 1) or the highest bin's two highest values (``sign`` -1) are
+    the two zeros, ranked in id order."""
+    ids = REPORT_IDS[:15]
+    values = [*zeros, *(sign * float(k) for k in range(1, 14))]
+    perf = {("2014", aid): {**dict.fromkeys(PERF_VARIABLES), "pr_mea": v}
+            for aid, v in zip(ids, values)}
+    return [report_case("2014", "afp", 0, dict(zip(ids, values)))], perf
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(report_inputs())
 @example(edge_inputs())
+@example(signed_zero_inputs((-0.0, 0.0), 1))
+@example(signed_zero_inputs((0.0, -0.0), 1))
+@example(signed_zero_inputs((-0.0, 0.0), -1))
+@example(signed_zero_inputs((0.0, -0.0), -1))
 def test_bins_and_correlations_equal_per_case_reference_bit_for_bit(inputs):
     cases, perf_variables = inputs
     tables = perf_tables(perf_variables, [case[0] for case in cases])
     correlations = []
     bins = "".join(_render_bins(cases, tables, correlations))
     assert (bins, _text(correlations)) == render_bins_and_correlations(cases, perf_variables)
+
+
+# A values as the measures give them, in [0, 1], next to repeats, signed
+# zeros and a few negatives; none so small that a bin width underflows
+A_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+    st.floats(-1.0, 1.0, allow_subnormal=False).filter(lambda v: v == 0.0 or abs(v) > 1e-50),
+)
+
+
+@st.composite
+def distribution_inputs(draw):
+    """(cases, top ids by window, n_hist_bins): cases over 1-16 agents, some
+    single-valued, and top lists naming no agent, some or all of them."""
+    cases = []
+    top_by_window = {}
+    for window in ("2014", "2015")[: draw(st.integers(1, 2))]:
+        top_by_window[window] = draw(st.one_of(
+            st.just(frozenset()),
+            st.frozensets(st.sampled_from(REPORT_IDS)),
+            st.just(frozenset(REPORT_IDS)),
+        ))
+        keys = draw(st.sets(st.tuples(st.sampled_from(["afp", "afv"]), st.integers(0, 2)),
+                            min_size=1, max_size=3))
+        for measure, scale in keys:
+            agents = draw(st.one_of(
+                st.dictionaries(st.sampled_from(REPORT_IDS), A_VALUES, min_size=1),
+                st.builds(dict.fromkeys, st.sets(st.sampled_from(REPORT_IDS), min_size=1),
+                          A_VALUES),
+            ))
+            cases.append(report_case(window, measure, scale, agents))
+    cases.sort(key=lambda case: case[:3])
+    return cases, top_by_window, draw(st.sampled_from([1, 7, 50]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(distribution_inputs())
+@example(([report_case("2014", "afp", 0, {"a00": -0.0, "a01": 0.0, "a02": -0.0})],
+          {"2014": frozenset(["a01"])}, 7))
+def test_distributions_equal_per_case_reference_bit_for_bit(inputs):
+    cases, top_by_window, n_bins = inputs
+    assert ("".join(_render_distributions(cases, top_by_window, n_bins))
+            == "".join(reference_distributions(cases, top_by_window, n_bins)))

@@ -29,30 +29,16 @@ def deviations(values: list[float]) -> tuple[list[float], float]:
     return dev, math.fsum(map(pow, dev, repeat(2)))
 
 
-class Column(NamedTuple):
-    """One column's reductions, computed once and shared by every pairing."""
-
-    values: list[float]
-    dev: list[float]
-    ss: float
-    order: list[int]  # ascending, equal values (-0.0 and 0.0 too) in input order
-
-
-def column(values: np.ndarray) -> Column:
-    """The reductions of a float64 column holding at least one value."""
-    as_list = values.tolist()
-    return Column(as_list, *deviations(as_list), np.argsort(values, kind="stable").tolist())
-
-
-def correlation(x: Column, y: Column) -> float | None:
-    """Pearson's r of two aligned columns; None when a side is constant. Where
-    the product of the sums of squares underflows to 0 or overflows to inf,
-    their roots multiply."""
-    if x.ss == 0.0 or y.ss == 0.0:
+def correlation(x: tuple[list[float], float], y: tuple[list[float], float]) -> float | None:
+    """Pearson's r of two aligned columns, each as ``deviations`` returns it;
+    None when a side is constant. Where the product of the sums of squares
+    underflows to 0 or overflows to inf, their roots multiply."""
+    (x_dev, x_ss), (y_dev, y_ss) = x, y
+    if x_ss == 0.0 or y_ss == 0.0:
         return None
-    product = x.ss * y.ss
-    scale = math.sqrt(product) if 0.0 < product < math.inf else math.sqrt(x.ss) * math.sqrt(y.ss)
-    return math.fsum(map(mul, x.dev, y.dev)) / scale
+    product = x_ss * y_ss
+    scale = math.sqrt(product) if 0.0 < product < math.inf else math.sqrt(x_ss) * math.sqrt(y_ss)
+    return math.fsum(map(mul, x_dev, y_dev)) / scale
 
 
 def bin_bounds(n: int, n_bins: int = 5) -> list[tuple[int, int]]:
@@ -87,7 +73,7 @@ def pearson(xs, ys) -> float | None:
     pairs = [(x, y) for x, y in pairs if math.isfinite(x) and math.isfinite(y)]
     if len(pairs) < 2:
         return None
-    return correlation(*(column(np.array(side)) for side in zip(*pairs)))
+    return correlation(*(deviations(list(side)) for side in zip(*pairs)))
 
 
 class BinSummary(NamedTuple):

@@ -110,8 +110,8 @@ def main(argv=None) -> int:
             config.worker_count = args.workers
         if args.out is not None:
             config.output_dir = args.out
-            error = write_overlap(args.out, config.data_dir, config.index_dir)
-            if error is not None:
+            if error := write_overlap(args.out, config.data_dir, config.index_dir,
+                                      config.top_performers_path):
                 raise AntifragError(error)
         from . import pipeline
 

@@ -125,11 +125,11 @@ class RunConfig:
 _KEYS = frozenset(RunConfig.__slots__)
 
 
-def read_text(path: Path, encoding: str = "utf-8", error=ConfigError) -> str:
-    """A file's text; a byte that does not decode is an ``error`` naming the
-    file and the line (ended by \\n, \\r\\n or \\r) it is on."""
+def read_text(path: Path, error=ConfigError) -> str:
+    """A file's UTF-8 text past any byte-order mark; a byte that does not decode
+    is an ``error`` naming the file and the line (ended by \\n, \\r\\n or \\r) it is on."""
     try:
-        return Path(path).read_bytes().decode(encoding)
+        return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # the bytes before the bad one decode; a byte-order mark holds no line end
         line = len(split_lines(exc.object[: exc.start].decode("utf-8")))
@@ -294,7 +294,7 @@ def build_config(raw: dict[str, str], base_dir: Path):
         notes.append("worker_count has no effect: cases run in one process")
 
     if output_dir is not None and data_dir is not None:
-        if (error := write_overlap(output_dir, data_dir, index_dir)) is not None:
+        if (error := write_overlap(output_dir, data_dir, index_dir, top_path)) is not None:
             errors.append(error)
 
     if errors:
@@ -317,16 +317,21 @@ def build_config(raw: dict[str, str], base_dir: Path):
     )
 
 
-def write_overlap(output_dir: Path, data_dir: Path, index_dir: Path | None) -> str | None:
+def write_overlap(output_dir: Path, data_dir: Path, index_dir: Path | None,
+                  top_path: Path | None) -> str | None:
     """Why a run would write where it reads, or None. A run reads every CSV
-    in data_dir, so reports written there break the next run; and it writes
-    ``--dump-panels`` files into output_dir/panels, removing the CSVs there
-    that it did not write."""
+    in data_dir, so reports written there break the next run; it replaces
+    its reports in output_dir; and it writes ``--dump-panels`` files into
+    output_dir/panels, removing the CSVs there that it did not write."""
     if _same_dir(output_dir, data_dir):
         return f"output_dir {output_dir} is data_dir: its reports would be read as agents"
+    panels = output_dir / "panels"
     for key, path in (("data_dir", data_dir), ("index_dir", index_dir)):
-        if path is not None and _same_dir(output_dir / "panels", path):
+        if path is not None and _same_dir(panels, path):
             return f"{key} {path} is output_dir's panels directory, whose CSV files a run removes"
+    for where, name in ((output_dir, "output_dir"), (panels, "output_dir's panels directory")):
+        if top_path is not None and _same_dir(where, top_path.resolve().parent):
+            return f"top_performers_path {top_path} is in {name}, where a run writes reports"
     return None
 
 

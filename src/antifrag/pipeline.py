@@ -12,13 +12,16 @@ Each A and performance value is formatted once, for all reports, and a
 bin's min and max reuse those texts. Past them, the reports format only
 each bin's mean, each Pearson r, each case's histogram edges (once for both
 populations), each distinct density of a population, the reals of
-comparison.json and the --dump-panels files.
+comparison.json and the --dump-panels files. correlations.csv and bins.csv
+walk the same per-case columns (``_case_columns``), each reducing a column
+only as far as it reads it.
 
 Report files: antifragility.csv, performance.csv, scatter.csv, bins.csv,
 distributions.csv, correlations.csv, comparison.json (when top-performer
 lists were supplied), and run_manifest.json. Each is a sequence of text
-pieces (one per case or window where it grows with the agents) that ``run``
-writes into its staged file as they are rendered, and ``execute`` joins.
+pieces (one per case or window where it grows with the agents), rendered
+from the cases and tables alone as ``run`` writes them into its staged file
+or ``execute`` joins them.
 """
 
 from __future__ import annotations
@@ -82,8 +85,8 @@ def _reports(config: RunConfig, dump_panels: bool):
     """Load the inputs and compute the cases, the performance tables and the
     top comparison: all of a run that can fail, so a check belongs here and
     not in a renderer. Return every report as (file name, text pieces),
-    run_manifest.json last; a piece is whole lines, and pieces are rendered
-    as they are read, so read the reports in order."""
+    run_manifest.json last. A piece is whole lines, rendered as it is read
+    from the cases and tables alone, so the reports may be read in any order."""
     agent_files = sorted(config.data_dir.glob("*.csv"))
     if not agent_files:
         raise IngestionError(f"no agent CSV files in {config.data_dir}")
@@ -134,13 +137,12 @@ def _reports(config: RunConfig, dump_panels: bool):
     tables = {w.label: compute_performance(sliced_by_window[w.label], full_start, w)
               for w in config.windows}
 
-    correlations: list[str] = []
     reports = [
         ("antifragility.csv", _render_antifragility(cases)),
         ("scatter.csv", _render_scatter(cases, tables)),
         ("performance.csv", _render_performance(tables, top_by_window)),
-        ("bins.csv", _render_bins(cases, tables, correlations)),
-        ("correlations.csv", _render_correlations(correlations)),
+        ("bins.csv", _render_bins(cases, tables)),
+        ("correlations.csv", _render_correlations(cases, tables)),
         ("distributions.csv", _render_distributions(cases, top_by_window, config.n_hist_bins)),
     ]
     if top is not None:
@@ -208,75 +210,81 @@ def _render_performance(tables, top_by_window):
                      for aid, row in table.row_of.items()])
 
 
-def _render_bins(cases, tables, correlations: list[str]):
-    """bins.csv, one piece per case; once it is read to the end, appends
-    correlations.csv's lines to ``correlations``. Per case and performance
-    variable: the Pearson r over the agents that have it defined, and both
-    binning directions when at least five have. Each column is reduced
-    once, next to its texts in the same order: a case's A column per
-    defined-mask, shared by the variables, and a performance column per
-    variable and rows, shared by the window's cases. A bin's min and max are
-    the texts of the values ``analysis.bin_stats`` picks; only its mean is
-    formatted here. A variable that one to four agents define is skipped
-    and named in one warning per run; one that none defines is not."""
-    yield "window,measure,scale,bin_by,stat_of,bin_index,count,min,mean,max\n"
-    corr_lines = ["window,measure,scale,perf_variable,r,n_pairs"]
-    bounds_of: dict[int, list[tuple[int, int]]] = {}
-    skipped_cases = 0
-    skipped_names: set[str] = set()
+def _case_columns(cases, tables, reduce):
+    """Per case: its row prefix and, per performance variable, (name, n, x,
+    y): the number of the case's agents that define the variable and, when
+    there are any, ``reduce(values, texts)`` of their A column and of the
+    variable's column, ``texts`` an iterator over the values' texts. An A
+    column is reduced once per case and defined mask, and a performance
+    column once per window, variable and rows."""
     current = None
     for window, measure, scale, ids, a_values, a_text, _ in cases:
         if window != current:
-            current, perf_columns = window, {}
+            current, p_cache = window, {}
             row_of, table, text = tables[window].row_of, tables[window].values, tables[window].text
-        case = f"{window},{measure},{scale},"
         rows = np.array([row_of.get(aid, -1) for aid in ids], dtype=np.intp)
         a_all = np.array(a_values, dtype=float)
         defined = ~np.isnan(table[rows])
-        a_columns: dict[bytes, tuple[analysis.Column, list[str]]] = {}
-        skipped = []
-        bins = []
+        a_cache, columns = {}, []
         for j, name in enumerate(PERF_VARIABLES):
             mask = defined[:, j]
-            n = int(np.count_nonzero(mask))
-            if n:
-                if (x := a_columns.get(key := mask.tobytes())) is None:
-                    x = a_columns[key] = (analysis.column(a_all[mask]),
-                                          list(compress(a_text, mask.tolist())))
+            x = y = None
+            if n := int(np.count_nonzero(mask)):
+                if (x := a_cache.get(key := mask.tobytes())) is None:
+                    x = a_cache[key] = reduce(a_all[mask], compress(a_text, mask.tolist()))
                 used = rows[mask]
-                if (y := perf_columns.get(key := (j, used.tobytes()))) is None:
-                    y = perf_columns[key] = (analysis.column(table[used, j]),
-                                             [text[row][j] for row in used.tolist()])
-            r = analysis.correlation(x[0], y[0]) if n else None
-            corr_lines.append(f"{case}{name},{fmt(r)},{n}")
+                if (y := p_cache.get(key := (j, used.tobytes()))) is None:
+                    y = p_cache[key] = reduce(table[used, j], (text[r][j] for r in used.tolist()))
+            columns.append((name, n, x, y))
+        yield f"{window},{measure},{scale},", columns
+
+
+def _render_correlations(cases, tables):
+    """correlations.csv, one piece per case: per performance variable, the
+    Pearson r over the agents that define it, from each column's deviations
+    and their sum of squares, and the agents' number."""
+    yield "window,measure,scale,perf_variable,r,n_pairs\n"
+    for case, columns in _case_columns(
+            cases, tables, lambda values, _: analysis.deviations(values.tolist())):
+        yield _text([f"{case}{name},{fmt(analysis.correlation(x, y) if n else None)},{n}"
+                     for name, n, x, y in columns])
+
+
+def _render_bins(cases, tables):
+    """bins.csv, one piece per case: both binning directions per performance
+    variable that at least five agents of the case define, from each
+    column's values, stable ascending order and texts. A bin's min and max
+    are the texts of the values ``analysis.bin_stats`` picks; only its mean
+    is formatted here. A variable that one to four agents define is skipped
+    and named in one warning per run; one that none defines is not."""
+    yield "window,measure,scale,bin_by,stat_of,bin_index,count,min,mean,max\n"
+    bounds_of: dict[int, list[tuple[int, int]]] = {}
+    skipped_cases = 0
+    skipped_names: set[str] = set()
+    for case, columns in _case_columns(cases, tables, lambda values, texts: (
+            values.tolist(), np.argsort(values, kind="stable").tolist(), list(texts))):
+        skipped, bins = [], []
+        for name, n, x, y in columns:
             if n < 5:
                 if n:
                     skipped.append(name)
                 continue
             if (bounds := bounds_of.get(n)) is None:
                 bounds = bounds_of[n] = analysis.bin_bounds(n)
-            for bin_by, stat_of, (by, _), (of, of_text) in (("A", name, x, y), (name, "A", y, x)):
-                head = f"{case}{bin_by},{stat_of},"
-                bins += [f"{head}{index},{size},{of_text[lo]},{mean:.17g},{of_text[hi]}"
+            for pair, (_, by, _), (of, _, text) in ((f"A,{name}", x, y), (f"{name},A", y, x)):
+                head = f"{case}{pair},"
+                bins += [f"{head}{index},{size},{text[lo]},{mean:.17g},{text[hi]}"
                          for index, (size, lo, mean, hi)
-                         in enumerate(analysis.bin_stats(by.order, of.values, bounds))]
+                         in enumerate(analysis.bin_stats(by, of, bounds))]
         skipped_cases += bool(skipped)
         skipped_names.update(skipped)
         yield _text(bins)
-    correlations += corr_lines
     if skipped_cases:
         logger.warning(
             "bins skipped in %d of %d cases (fewer than 5 agents defined): %s",
             skipped_cases, len(cases),
             ", ".join(n for n in PERF_VARIABLES if n in skipped_names),
         )
-
-
-def _render_correlations(lines: list[str]):
-    """correlations.csv, one piece: what ``_render_bins`` appends at its end."""
-    if not lines:
-        raise RuntimeError("correlations.csv is read before bins.csv")
-    yield _text(lines)
 
 
 def _render_distributions(cases, top_by_window, n_bins):

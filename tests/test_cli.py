@@ -3,6 +3,7 @@
 import codecs
 import datetime as dt
 import hashlib
+import json
 import logging
 import os
 import subprocess
@@ -635,12 +636,13 @@ def test_failed_render_removes_the_output_dir_it_made(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_correlations_read_before_bins_fail(fixture_tree):
-    # correlations.csv holds the lines bins.csv's renderer collects
-    config, _, _ = load_config(fixture_tree / "stocks" / "config.cfg")
-    reports = dict(pipeline._reports(config, dump_panels=False))
-    with pytest.raises(RuntimeError, match="before bins.csv"):
-        "".join(reports["correlations.csv"])
+@pytest.mark.parametrize("market", ["stocks", "crypto"])
+def test_reports_read_in_any_order_give_the_text_execute_gives(fixture_tree, market):
+    # every renderer reads only the cases and tables: none waits for another
+    config, _, _ = load_config(fixture_tree / market / "config.cfg")
+    texts = pipeline.execute(config)
+    reports = pipeline._reports(config, dump_panels=False)
+    assert {name: "".join(pieces) for name, pieces in reversed(reports)} == texts
 
 
 @pytest.mark.parametrize("market", ["stocks", "crypto"])
@@ -729,9 +731,36 @@ def test_no_run_writes_into_data_dir(fixture_tree, capsys, data_dir, out, error)
     (root / "agents").rename(root / data_dir)
     text = config.read_text().replace("data_dir = agents", f"data_dir = {data_dir}")
     config.write_text(text)
-    error = "error: " + error.format(out=root / out, root=root) + "\n"
+    assert_every_command_refuses(capsys, root, config, text, out,
+                                 error.format(out=root / out, root=root))
+
+
+@pytest.mark.parametrize("where, name", [
+    ("output", "output_dir"),
+    ("output/panels", "output_dir's panels directory"),
+])
+def test_no_run_overwrites_its_top_performer_list(fixture_tree, capsys, where, name):
+    # a run would replace output/comparison.json, and the next would read it
+    root = fixture_tree.resolve() / "crypto"
+    config = root / "config.cfg"
+    (root / where).mkdir(parents=True)
+    top = root / where / "comparison.json"
+    (root / "top_performers.json").rename(top)
+    text = config.read_text().replace("top_performers.json", f"{where}/comparison.json")
+    config.write_text(text)
+    assert_every_command_refuses(capsys, root, config, text, "output",
+                                 f"top_performers_path {top} is in {name}, "
+                                 "where a run writes reports")
+
+
+def assert_every_command_refuses(capsys, root: Path, config: Path, text: str, out: str,
+                                 error: str) -> None:
+    """``run --out root/out`` twice, then ``validate`` and ``run`` of the config
+    ``text`` with output_dir = ``out``: each fails with ``error`` and leaves
+    every file under ``root`` as it was."""
+    error = f"error: {error}\n"
     before = tree_bytes(root)
-    for _ in range(2):  # reports written into data_dir would break only the run after
+    for _ in range(2):  # reports written over an input would break only the run after
         assert cli.main(["run", "--config", str(config), "--out", str(root / out)]) == 1
         assert capsys.readouterr().err == error
         assert tree_bytes(root) == before
@@ -941,7 +970,9 @@ def put_stray_byte(path: Path, line: int, ending: bytes, bom: bool = False) -> N
     ("stocks", "agents/BBB.csv", 3, b"\r\n", True),
     ("stocks", "indexes/vix.csv", 4, b"\r", False),
     ("crypto", "top_performers.json", 3, b"\n", False),
+    ("crypto", "top_performers.json", 2, b"\r\n", True),
     ("crypto", "config.cfg", 2, b"\r\n", False),
+    ("crypto", "config.cfg", 1, b"\n", True),
 ])
 def test_non_utf8_input_is_one_error_line(fixture_tree, market, name, line, ending, bom):
     path = fixture_tree / market / name
@@ -951,6 +982,27 @@ def test_non_utf8_input_is_one_error_line(fixture_tree, market, name, line, endi
     assert done.stderr.splitlines() == [
         f"error: {path}: line {line}: not UTF-8 (invalid start byte)"
     ]
+
+
+def test_byte_order_marks_are_ignored(fixture_tree, capsys):
+    root = fixture_tree / "crypto"
+    config, _, _ = load_config(root / "config.cfg")
+    plain = pipeline.execute(config)
+    for name in ("config.cfg", "top_performers.json", "agents/XCOIN.csv"):
+        (root / name).write_bytes(codecs.BOM_UTF8 + (root / name).read_bytes())
+    assert cli.main(["validate", "--config", str(root / "config.cfg")]) == 0
+    assert capsys.readouterr().out == "0 errors\n"
+    config, _, _ = load_config(root / "config.cfg")
+    texts = pipeline.execute(config)
+    # the same reports; the manifest differs in the digests of the changed files only
+    manifests = [json.loads(t.pop("run_manifest.json")) for t in (texts, plain)]
+    assert texts == plain
+    changed = {"agents/XCOIN.csv", "top/top_performers.json"}
+    for manifest in manifests:
+        assert changed <= manifest["input_digests"].keys()
+        manifest["input_digests"] = {k: v for k, v in manifest["input_digests"].items()
+                                     if k not in changed}
+    assert manifests[0] == manifests[1]
 
 
 def test_validate_reports_a_non_utf8_config(fixture_tree, capsys):

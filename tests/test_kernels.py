@@ -31,7 +31,7 @@ from antifrag.ingestion import (
 from antifrag import measures
 from antifrag.measures import MEASURES_BY_KIND
 from antifrag.performance import PERF_VARIABLES
-from antifrag.pipeline import _render_bins, _render_distributions, _text, fmt
+from antifrag.pipeline import _render_bins, _render_correlations, _render_distributions, fmt
 from antifrag.resampling import VOLUME, TimeScale, build_panel
 
 from conftest import (
@@ -292,9 +292,9 @@ def signed_zero_inputs(zeros, sign):
 def test_bins_and_correlations_equal_per_case_reference_bit_for_bit(inputs):
     cases, perf_variables = inputs
     tables = perf_tables(perf_variables, [case[0] for case in cases])
-    correlations = []
-    bins = "".join(_render_bins(cases, tables, correlations))
-    assert (bins, _text(correlations)) == render_bins_and_correlations(cases, perf_variables)
+    bins = "".join(_render_bins(cases, tables))
+    correlations = "".join(_render_correlations(cases, tables))
+    assert (bins, correlations) == render_bins_and_correlations(cases, perf_variables)
 
 
 # A values as the measures give them, in [0, 1], next to repeats, signed

@@ -115,8 +115,10 @@ def distribution(values, n_bins: int = 50, edges=None) -> Distribution:
     """Equal-width histogram over [min, max], normalized to unit integral.
 
     Passing ``edges`` reuses another distribution's binning (for comparing a
-    subpopulation against the whole on identical supports). A single-point
-    value range is widened by 1e-9 on each side.
+    subpopulation against the whole on identical supports). A value range
+    whose edges are not strictly increasing (a single point, or values a few
+    ulps apart, where edges repeat and a width would be 0) is widened by 1e-9
+    on each side.
     """
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
@@ -124,10 +126,9 @@ def distribution(values, n_bins: int = 50, edges=None) -> Distribution:
     if edges is None:
         lo = float(arr.min())
         hi = float(arr.max())
-        if lo == hi:
-            lo -= 1e-9
-            hi += 1e-9
         edges = np.linspace(lo, hi, n_bins + 1)
+        if not (edges[1:] > edges[:-1]).all():
+            edges = np.linspace(lo - 1e-9, hi + 1e-9, n_bins + 1)
     else:
         edges = np.asarray(edges, dtype=float)
     counts, _ = np.histogram(arr, bins=edges)
@@ -155,22 +156,20 @@ def top_comparison(
     """Compare mean antifragility of top performers against everyone.
 
     ``case_values`` maps each case to its per-agent global antifragility.
-    Cases where no top performer is alive are skipped (logged). The ratio is
-    None when the non-greater cases contribute zero absolute difference. Every
-    mean and sum is a ``math.fsum``, so no result depends on the order of
-    cases or agents.
+    Cases where no top performer is alive are skipped and named in one
+    warning. The ratio is None when the non-greater cases contribute zero
+    absolute difference. Every mean and sum is a ``math.fsum``, so no result
+    depends on the order of cases or agents.
     """
     total = 0
     greater = 0
     diff_greater = []
     diff_otherwise = []
+    skipped = []
     for (window, measure, scale), values in case_values.items():
         top = [a for aid, a in values.items() if aid in top_ids_by_window.get(window, ())]
         if not top:
-            logger.warning(
-                "comparison case skipped (no top performer alive): %s/%s/%d",
-                window, measure, scale,
-            )
+            skipped.append(f"{window}/{measure}/{scale}")
             continue
         mean_all = math.fsum(values.values()) / len(values)
         mean_top = math.fsum(top) / len(top)
@@ -180,6 +179,9 @@ def top_comparison(
             diff_greater.append(abs(mean_top - mean_all))
         else:
             diff_otherwise.append(abs(mean_top - mean_all))
+    if skipped:
+        logger.warning("comparison skipped in %d of %d cases (no top performer alive): %s",
+                       len(skipped), len(case_values), ", ".join(skipped))
     if total == 0:
         raise ComputeError("top comparison: no case has a top performer alive")
     sum_greater = math.fsum(diff_greater)

@@ -6,7 +6,9 @@
 
 ``run`` executes a full analysis and writes the report files; its
 (window, scale) cases run one after another in one process, and
-``--workers`` is accepted but has no effect. ``validate``
+``--workers`` is accepted but has no effect. ``--out`` and ``--workers``
+replace the config's ``output_dir`` and ``worker_count`` before the config
+is checked, so a run is checked as it will run. ``validate``
 checks a config without touching any data files. ``fixture`` writes the
 built-in synthetic dataset (stocks/ and crypto/ trees, each with a ready
 config) for smoke testing.
@@ -38,7 +40,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import load_config, write_overlap
+from .config import load_config
 from .errors import AntifragError
 
 
@@ -99,20 +101,11 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
-        config, errors, notes = load_config(args.config)
+        config, errors, notes = load_config(args.config, args.out, args.workers)
         for note in notes:
             logging.getLogger(__name__).info("%s", note)
         if errors:
             raise AntifragError(errors[0])
-        if args.workers is not None:
-            if args.workers < 0:
-                raise AntifragError("--workers must be >= 0")
-            config.worker_count = args.workers
-        if args.out is not None:
-            config.output_dir = args.out
-            if error := write_overlap(args.out, config.data_dir, config.index_dir,
-                                      config.top_performers_path):
-                raise AntifragError(error)
         from . import pipeline
 
         pipeline.run(config, dump_panels=args.dump_panels)

@@ -4,7 +4,7 @@ Recognized keys (one per line, ``#`` starts a comment):
 
     market_kind          stock | crypto                              required
     data_dir             directory of per-agent CSV files            required
-    output_dir           where reports are written                   required
+    output_dir           where reports are written (or run --out)    required
     windows              comma-separated window specs                required
     index_dir            directory with vix/nasdaq/dji/spx.csv       stocks
     top_performers_path  JSON file of per-year top performers        optional
@@ -98,8 +98,8 @@ class AnalysisWindow(namedtuple("_Window", ("start", "end", "label"))):
 
 
 class RunConfig:
-    """A checked configuration; ``--workers`` and ``--out`` override two of
-    its fields after loading."""
+    """A checked configuration: ``build_config`` makes one from the keys a
+    run uses, command-line overrides included, and nothing changes it after."""
 
     __slots__ = ("market_kind", "data_dir", "output_dir", "windows", "scales", "measures",
                  "index_dir", "top_performers_path", "n_hist_bins", "worker_count")
@@ -294,7 +294,7 @@ def build_config(raw: dict[str, str], base_dir: Path):
         notes.append("worker_count has no effect: cases run in one process")
 
     if output_dir is not None and data_dir is not None:
-        if (error := write_overlap(output_dir, data_dir, index_dir, top_path)) is not None:
+        if (error := _write_overlap(output_dir, data_dir, index_dir, top_path)) is not None:
             errors.append(error)
 
     if errors:
@@ -317,8 +317,8 @@ def build_config(raw: dict[str, str], base_dir: Path):
     )
 
 
-def write_overlap(output_dir: Path, data_dir: Path, index_dir: Path | None,
-                  top_path: Path | None) -> str | None:
+def _write_overlap(output_dir: Path, data_dir: Path, index_dir: Path | None,
+                   top_path: Path | None) -> str | None:
     """Why a run would write where it reads, or None. A run reads every CSV
     in data_dir, so reports written there break the next run; it replaces
     its reports in output_dir; and it writes ``--dump-panels`` files into
@@ -344,8 +344,15 @@ def _same_dir(a: Path, b: Path) -> bool:
         return False
 
 
-def load_config(path: Path):
-    """read_config_file + build_config against the file's directory."""
+def load_config(path: Path, out: Path | None = None, workers: int | None = None):
+    """read_config_file + build_config against the file's directory. ``out``
+    and ``workers``, given, replace the output_dir and worker_count keys
+    before ``build_config`` checks them; ``out`` is relative to the working
+    directory, so it goes in as an absolute path."""
     path = Path(path)
     raw = read_config_file(path)
+    if out is not None:
+        raw["output_dir"] = str(Path(out).absolute())
+    if workers is not None:
+        raw["worker_count"] = str(workers)
     return build_config(raw, path.parent.resolve())

@@ -389,31 +389,19 @@ def load_top_performers(path: Path) -> dict[int, frozenset[str]]:
 
     A year listed more than once, under one key or under keys that ``int``
     reads as one year (``"2014"``, ``" 2014"``), has its id lists unioned,
-    and only an empty union is an error.
+    and only an empty union is an error. Objects decode to their (key, value)
+    pairs, repeated keys kept, and one loop checks the pairs in file order.
     """
     path = Path(path)
-
-    def merge_pairs(pairs):
-        merged: dict[str, list] = {}
-        for key, value in pairs:
-            if key in merged:
-                if not isinstance(value, list) or not isinstance(merged[key], list):
-                    raise IngestionError(f"{path}: year {key}: expected a list of ids")
-                merged[key] = merged[key] + value
-            else:
-                merged[key] = value
-        return merged
-
     try:
-        data = json.loads(read_text(path, IngestionError),
-                          object_pairs_hook=merge_pairs)
+        data = json.loads(read_text(path, IngestionError), object_pairs_hook=tuple)
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
+    if not isinstance(data, tuple):
         raise IngestionError(f"{path}: expected an object mapping year to id list")
 
     top: dict[int, frozenset[str]] = {}
-    for key, ids in data.items():
+    for key, ids in data:
         try:
             year = int(key)
         except ValueError:

@@ -111,6 +111,17 @@ def test_distribution_constant_values_single_occupied_bin():
     assert dist.edges[-1] == pytest.approx(1e-9, abs=1e-18)
 
 
+def test_distribution_of_adjacent_doubles_is_widened():
+    # linspace over [x, next double] repeats edges: widths of 0, nan densities
+    x = 0.1
+    dist = distribution([x, np.nextafter(x, 1.0)], n_bins=50)
+    assert (np.diff(dist.edges) > 0).all()
+    assert np.isfinite(dist.densities).all()
+    assert (dist.edges[0], dist.edges[-1]) == (x - 1e-9, np.nextafter(x, 1.0) + 1e-9)
+    integral = float(np.sum(dist.densities * np.diff(dist.edges)))
+    assert integral == pytest.approx(1.0, abs=1e-9)
+
+
 def test_distribution_uniform_grid_has_unit_density():
     values = np.linspace(0.0, 1.0, 2001)
     dist = distribution(values, n_bins=50)

@@ -232,7 +232,7 @@ def test_invalid_measure_for_kind_fails(fixture_tree, capsys):
 def test_negative_workers_rejected(fixture_tree, capsys):
     config = fixture_tree / "crypto" / "config.cfg"
     assert cli.main(["run", "--config", str(config), "--workers", "-1"]) == 1
-    assert "--workers" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: worker_count must be >= 0\n"
 
 
 def test_missing_index_file_is_a_clean_failure(fixture_tree, capsys):
@@ -431,6 +431,36 @@ def test_out_and_workers_override_the_loaded_config(fixture_tree, tmp_path, monk
     assert cli.main(argv) == 0
     assert (runs[1].worker_count, runs[1].output_dir) == (3, tmp_path / "x")
     assert runs[1].windows == loaded.windows
+
+
+@pytest.mark.parametrize("line, error", [
+    ("output_dir = agents",
+     "output_dir {root}/agents is data_dir: its reports would be read as agents"),
+    ("", "output_dir is required"),
+], ids=["output-dir-is-data-dir", "no-output-dir"])
+def test_out_replaces_output_dir_before_the_check(fixture_tree, tmp_path, capsys, monkeypatch,
+                                                  line, error):
+    # only the output_dir a run writes to is checked; --out is relative to the
+    # working directory, not to the config's
+    root = fixture_tree.resolve() / "crypto"
+    config = root / "config.cfg"
+    config.write_text(config.read_text().replace("output_dir = output", line))
+    assert cli.main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {error.format(root=root)}\n"
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--config", str(config), "--out", "elsewhere"]) == 0
+    assert report_names(tmp_path / "elsewhere") == REPORTS
+
+
+def test_workers_flag_gives_the_worker_count_note(fixture_tree, tmp_path):
+    config = fixture_tree / "crypto" / "config.cfg"
+    out = tmp_path / "out"
+    done = cli_in_subprocess("--verbose", "run", "--config", str(config), "--workers", "2",
+                             "--out", str(out))
+    assert (done.returncode, done.stdout) == (0, "")
+    lines = done.stderr.splitlines()
+    assert lines[0] == "INFO __main__: worker_count has no effect: cases run in one process"
+    assert lines[-1] == f"INFO antifrag.pipeline: wrote 8 report files to {out}"
 
 
 @pytest.mark.parametrize("market", ["stocks", "crypto"])
@@ -855,6 +885,48 @@ def test_skipped_bins_are_one_warning_per_run(fixture_tree, caplog):
         "bins skipped in 12 of 12 cases (fewer than 5 agents defined): "
         "age_days, pct_dlt_pr, pct_dlt_vl, pct_pr_f_i, pct_vl_f_i, pr_mea, pr_std, vl_mea"
     )
+
+
+def test_skipped_comparison_cases_are_one_warning_per_run(fixture_tree):
+    # the top performer's year has no agent in the early window's cases
+    root = fixture_tree / "stocks"
+    (root / "top_performers.json").write_text('{"2014": ["CCC"]}\n')
+    config = root / "config.cfg"
+    config.write_text(config.read_text().replace(
+        "windows = 2014", "windows = 2014, early:2014-01-01:2014-02-14"))
+    done = run_in_subprocess(config)
+    assert (done.returncode, done.stdout) == (0, "")
+    early = ", ".join(f"early/{m}/{s}" for m in ("af3m", "afp", "afv", "afx") for s in range(3))
+    assert done.stderr.splitlines() == [
+        "WARNING antifrag.analysis: comparison skipped in 12 of 24 cases "
+        f"(no top performer alive): {early}",
+        "WARNING antifrag.pipeline: bins skipped in 24 of 24 cases (fewer than 5 agents "
+        "defined): age_days, pct_dlt_pr, pct_dlt_vl, pct_pr_f_i, pct_vl_f_i, pr_mea, pr_std, "
+        "vl_mea",
+    ]
+
+
+def test_agents_with_a_values_ulps_apart_get_finite_densities(fixture_tree):
+    # a share class: YCOIN's quotes tripled. Each case's two A values are a
+    # few ulps apart, so a histogram over their range alone has zero widths
+    agents = fixture_tree / "crypto" / "agents"
+    lines = (agents / "YCOIN.csv").read_text().splitlines()
+    tripled = [",".join([d, *(repr(3 * float(v)) for v in rest)])
+               for d, *rest in (line.split(",") for line in lines[1:])]
+    (agents / "TRIPLE.csv").write_text("\n".join([lines[0], *tripled]) + "\n")
+    for name in ("XCOIN.csv", "ZCOIN.csv"):
+        (agents / name).unlink()
+    config = fixture_tree / "crypto" / "config.cfg"
+    config.write_text("market_kind = crypto\ndata_dir = agents\noutput_dir = output\n"
+                      "windows = 2014\n")
+    done = run_in_subprocess(config)
+    assert (done.returncode, done.stdout) == (0, "")
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("WARNING antifrag.pipeline: bins skipped in 12 of 12 cases")
+    rows = (fixture_tree / "crypto" / "output" / "distributions.csv").read_text().splitlines()
+    densities = [float(row.split(",")[7]) for row in rows[1:]]
+    assert len(densities) == 12 * 50
+    assert np.isfinite(densities).all()
 
 
 def test_scatter_formats_each_value_once(fixture_tree, monkeypatch):

@@ -187,9 +187,13 @@ def test_top_performers_empty_union_rejected(tmp_path, text):
     ('{"2014": ["A"], " 2014": "B"}', "year  2014: expected a list of ids"),
     ('{"2014": ["A", 1]}', "year 2014: expected a list of ids"),
     ('{"2014": ["A"], "2014": [null]}', "year 2014: expected a list of ids"),
+    ('[["2014", ["A"]]]', "expected an object mapping year to id list"),
+    ('{"2014": [{"A": "B"}]}', "year 2014: expected a list of ids"),
+    ('{"x": ["A"], "2014": ["A"], "2014": "B"}', "bad year key 'x'"),
 ], ids=["invalid-json", "not-an-object", "repeated-key-not-a-list",
         "repeated-key-first-not-a-list", "respelled-key-not-a-list", "id-not-a-string",
-        "repeated-key-id-not-a-string"])
+        "repeated-key-id-not-a-string", "array-of-pairs", "id-an-object",
+        "first-problem-in-file-order"])
 def test_top_performers_json_errors(tmp_path, text, message):
     path = write(tmp_path, "top.json", text)
     with pytest.raises(IngestionError) as info:

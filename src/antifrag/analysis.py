@@ -117,8 +117,10 @@ def distribution(values, n_bins: int = 50, edges=None) -> Distribution:
     Passing ``edges`` reuses another distribution's binning (for comparing a
     subpopulation against the whole on identical supports). A value range
     whose edges are not strictly increasing (a single point, or values a few
-    ulps apart, where edges repeat and a width would be 0) is widened by 1e-9
-    on each side.
+    ulps apart, where edges repeat and a width would be 0) is widened on each
+    side by max(1e-9, n_bins * 2**-48 * max(|min|, |max|)), so that a bin is
+    at least about 32 ulps of its edges wide. Edges that still do not
+    increase are an error.
     """
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
@@ -128,7 +130,11 @@ def distribution(values, n_bins: int = 50, edges=None) -> Distribution:
         hi = float(arr.max())
         edges = np.linspace(lo, hi, n_bins + 1)
         if not (edges[1:] > edges[:-1]).all():
-            edges = np.linspace(lo - 1e-9, hi + 1e-9, n_bins + 1)
+            pad = max(1e-9, max(abs(lo), abs(hi)) * n_bins * 2.0**-48)
+            edges = np.linspace(lo - pad, hi + pad, n_bins + 1)
+            if not (edges[1:] > edges[:-1]).all():
+                raise ComputeError(
+                    f"distribution: [{lo!r}, {hi!r}] does not split into {n_bins} bins")
     else:
         edges = np.asarray(edges, dtype=float)
     counts, _ = np.histogram(arr, bins=edges)

@@ -21,8 +21,10 @@ import functools
 import json
 import math
 import re
-from itertools import compress, repeat
-from operator import itemgetter
+import sys
+from bisect import bisect_left, bisect_right
+from itertools import chain, repeat
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import NoReturn
 
@@ -56,14 +58,26 @@ _DATE = itemgetter(slice(0, 10))  # a line's first 10 characters
 _NUM = r"(?:[0-9]{2,100}(?:\.[0-9]*)?|[0-9](?:\.[0-9]*)?(?:e[+-]?[0-9]{1,2})?|\.[0-9]+)"
 
 
+_POSSESSIVE = sys.version_info >= (3, 11)  # 3.10 rejects "*+" ("multiple repeat")
+
+
 @functools.cache
-def _plain_lines(width: int) -> re.Pattern:
+def _plain_lines(width: int, possessive: bool = _POSSESSIVE) -> re.Pattern:
     """Agent data lines, each ended by \\n, of a YYYY-MM-DD-shaped date and
     _NUM value cells (a market cap may be blank), by field count (3 or 4).
     Each pattern is compiled on first use: only a window that leaves rows out
-    reads one."""
+    reads one. Its repeat is possessive on Python 3.11+; the greedy one of
+    3.10 keeps a backtracking state per line (about 1.5 KB), so there a block
+    is matched 64 lines at a time (``_all_plain``)."""
     cap = {3: "", 4: f",{_NUM}?"}[width]
-    return re.compile(rf"(?:[0-9-]{{10}},{_NUM},{_NUM}{cap}\n)*")
+    return re.compile(rf"(?:[0-9-]{{10}},{_NUM},{_NUM}{cap}\n)*{'+' if possessive else ''}")
+
+
+def _all_plain(lines: list[str], width: int, possessive: bool = _POSSESSIVE) -> bool:
+    """Whether every line is _plain_lines, in one match or 64 lines a match."""
+    match = _plain_lines(width, possessive).fullmatch
+    step = (len(lines) or 1) if possessive else 64
+    return all(match("\n".join(lines[i : i + step]) + "\n") for i in range(0, len(lines), step))
 
 
 def to_dates(days: np.ndarray) -> tuple[dt.date, ...]:
@@ -215,12 +229,17 @@ def _fields(line: str) -> list[str]:
     return line.split(",") if line else []
 
 
+def _date_shaped(dates: list[str]) -> bool:
+    """Whether every date has parse_date's YYYY-MM-DD shape (10 characters,
+    dashes at 4 and 7), checked without a call per date."""
+    joined, dashes = "".join(dates), "-" * len(dates)
+    return set(map(len, dates)) == {10} and joined[4::10] == dashes and joined[7::10] == dashes
+
+
 def _day_ordinals(dates: list[str]) -> np.ndarray | None:
     """The day ordinals of ``YYYY-MM-DD`` dates; None when one is not of that
     shape or not a day."""
-    # parse_date's YYYY-MM-DD shape, checked without a call per date
-    joined, dashes = "".join(dates), "-" * len(dates)
-    if set(map(len, dates)) != {10} or joined[4::10] != dashes or joined[7::10] != dashes:
+    if not _date_shaped(dates):
         return None
     try:
         return np.array(list(map(dt.date.toordinal, map(dt.date.fromisoformat, dates))),
@@ -259,42 +278,36 @@ def _parse_columns(body: list[str], width: int):
     return days, columns
 
 
-def _span_rows(days: np.ndarray, span: tuple[dt.date, dt.date]) -> np.ndarray:
-    """Which rows of these day ordinals a span keeps: those from its first
-    day to its last, and the earliest."""
-    rows = (days >= span[0].toordinal()) & (days <= span[1].toordinal())
-    rows[days.argmin()] = True
-    return rows
-
-
 def _window(body: list[str], width: int, span: tuple[dt.date, dt.date]) -> list[str]:
-    """The agent data lines to convert: those a span keeps (``_span_rows``),
-    or every line when the first and last lines start inside the span (as
-    every line of a sorted file then does), or when the lines to leave out
-    cannot be told apart or certified without converting them.
+    """The agent data lines to convert: the first (the earliest row) and
+    those inside the span, or every line when the first and last lines start
+    inside the span (as every line of a sorted file then does), or when the
+    lines to leave out cannot be told apart or certified without converting
+    them.
 
-    Every line's date is parsed, from its first 10 characters, and no date may
-    repeat. Each line left out must be all ``_plain_lines`` cells: it would
-    pass every check, so the kept lines fail where all lines would. A kept
-    line's date is parsed again, from its stripped first field; when that
-    parses, it is those 10 characters, which start with a digit.
+    The dates, each line's first 10 characters, must be YYYY-MM-DD-shaped and
+    strictly increasing as text, which for valid dates is date order; the span
+    is bisected on them. The lines left out, before and after it, must have
+    dates that parse and be all ``_plain_lines`` cells (one match per block on
+    Python 3.11+, 64-line chunks on 3.10): they would pass every check, so the
+    kept lines fail where all lines would. A kept line's date is parsed once,
+    from its stripped first field; when that parses, it is those 10 characters.
     """
-    if span[0].isoformat() <= body[0][:10] and body[-1][:10] <= span[1].isoformat():
+    first, last = span[0].isoformat(), span[1].isoformat()
+    if first <= body[0][:10] and body[-1][:10] <= last:
         return body
-    days = _day_ordinals(list(map(_DATE, body)))
-    if days is None:
+    dates = list(map(_DATE, body))
+    if not _date_shaped(dates) or not all(map(lt, dates, dates[1:])):
         return body
-    rows = _span_rows(days, span)
-    if rows.all():
+    start = max(bisect_left(dates, first), 1)
+    stop = max(bisect_right(dates, last), start)
+    try:
+        list(map(dt.date.fromisoformat, chain(dates[1:start], dates[stop:])))
+    except ValueError:
         return body
-    ordered = np.sort(days)
-    # matched 64 lines at a time: one match over every line left out keeps a
-    # backtracking state per line (about 3 MB for 2,000 lines)
-    left_out, plain = list(compress(body, (~rows).tolist())), _plain_lines(width).fullmatch
-    if not (ordered[1:] > ordered[:-1]).all() or not all(
-            plain("\n".join(left_out[i : i + 64]) + "\n") for i in range(0, len(left_out), 64)):
+    if not (_all_plain(body[1:start], width) and _all_plain(body[stop:], width)):
         return body
-    return [body[i] for i in np.flatnonzero(rows).tolist()]
+    return body[:1] + body[start:stop]
 
 
 def _raise_first_bad_row(path: Path, header: list[str], body, in_order: bool) -> NoReturn:
@@ -359,8 +372,11 @@ def load_agent_series(path: Path, market_kind: str,
     cap = columns[2][order] if width == 4 else np.full(len(days), np.nan)
     if _column_fault(days, (open_, volume), cap):
         _raise_first_bad_row(path, header, body, in_order=False)
-    if span is not None and not (rows := _span_rows(days, span)).all():
-        days, open_, volume, cap = days[rows], open_[rows], volume[rows], cap[rows]
+    if span is not None:
+        rows = (days >= span[0].toordinal()) & (days <= span[1].toordinal())
+        rows[0] = True  # the earliest row
+        if not rows.all():
+            days, open_, volume, cap = days[rows], open_[rows], volume[rows], cap[rows]
     return AgentSeries(path.stem, market_kind, days, open_, volume, cap)
 
 

@@ -21,9 +21,8 @@ import functools
 import json
 import math
 import re
-import sys
 from bisect import bisect_left, bisect_right
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter, lt
 from pathlib import Path
 from typing import NoReturn
@@ -58,26 +57,14 @@ _DATE = itemgetter(slice(0, 10))  # a line's first 10 characters
 _NUM = r"(?:[0-9]{2,100}(?:\.[0-9]*)?|[0-9](?:\.[0-9]*)?(?:e[+-]?[0-9]{1,2})?|\.[0-9]+)"
 
 
-_POSSESSIVE = sys.version_info >= (3, 11)  # 3.10 rejects "*+" ("multiple repeat")
-
-
 @functools.cache
-def _plain_lines(width: int, possessive: bool = _POSSESSIVE) -> re.Pattern:
+def _plain_lines(width: int) -> re.Pattern:
     """Agent data lines, each ended by \\n, of a YYYY-MM-DD-shaped date and
     _NUM value cells (a market cap may be blank), by field count (3 or 4).
     Each pattern is compiled on first use: only a window that leaves rows out
-    reads one. Its repeat is possessive on Python 3.11+; the greedy one of
-    3.10 keeps a backtracking state per line (about 1.5 KB), so there a block
-    is matched 64 lines at a time (``_all_plain``)."""
+    reads one."""
     cap = {3: "", 4: f",{_NUM}?"}[width]
-    return re.compile(rf"(?:[0-9-]{{10}},{_NUM},{_NUM}{cap}\n)*{'+' if possessive else ''}")
-
-
-def _all_plain(lines: list[str], width: int, possessive: bool = _POSSESSIVE) -> bool:
-    """Whether every line is _plain_lines, in one match or 64 lines a match."""
-    match = _plain_lines(width, possessive).fullmatch
-    step = (len(lines) or 1) if possessive else 64
-    return all(match("\n".join(lines[i : i + step]) + "\n") for i in range(0, len(lines), step))
+    return re.compile(rf"(?:[0-9-]{{10}},{_NUM},{_NUM}{cap}\n)*")
 
 
 def to_dates(days: np.ndarray) -> tuple[dt.date, ...]:
@@ -279,33 +266,43 @@ def _parse_columns(body: list[str], width: int):
 
 
 def _window(body: list[str], width: int, span: tuple[dt.date, dt.date]) -> list[str]:
-    """The agent data lines to convert: the first (the earliest row) and
-    those inside the span, or every line when the first and last lines start
+    """The agent data lines to convert: the earliest and those inside the
+    span, in date order, or every line when the first and last lines start
     inside the span (as every line of a sorted file then does), or when the
     lines to leave out cannot be told apart or certified without converting
     them.
 
     The dates, each line's first 10 characters, must be YYYY-MM-DD-shaped and
-    strictly increasing as text, which for valid dates is date order; the span
-    is bisected on them. The lines left out, before and after it, must have
-    dates that parse and be all ``_plain_lines`` cells (one match per block on
-    Python 3.11+, 64-line chunks on 3.10): they would pass every check, so the
-    kept lines fail where all lines would. A kept line's date is parsed once,
-    from its stripped first field; when that parses, it is those 10 characters.
+    unique; lines out of their text order (newest first, say) are sorted, and
+    the span is bisected on the sorted texts, which for valid dates is date
+    order. Each line left out must have a date that parses and be all
+    ``_plain_lines`` cells: it would pass every check, so the kept lines fail
+    where all lines would. A kept line's date is parsed once, from its
+    stripped first field; when that parses, it is those 10 characters.
     """
     first, last = span[0].isoformat(), span[1].isoformat()
-    if first <= body[0][:10] and body[-1][:10] <= last:
+    ends = sorted((body[0][:10], body[-1][:10]))
+    if first <= ends[0] and ends[1] <= last:
         return body
     dates = list(map(_DATE, body))
-    if not _date_shaped(dates) or not all(map(lt, dates, dates[1:])):
+    if not _date_shaped(dates):
         return body
+    if not all(map(lt, dates, dates[1:])):  # newest first, or shuffled
+        body = sorted(body)  # by date, when the 10-character dates are unique
+        dates = list(map(_DATE, body))
+        if not all(map(lt, dates, dates[1:])):  # a date repeats
+            return body
     start = max(bisect_left(dates, first), 1)
     stop = max(bisect_right(dates, last), start)
     try:
-        list(map(dt.date.fromisoformat, chain(dates[1:start], dates[stop:])))
+        list(map(dt.date.fromisoformat, dates[1:start] + dates[stop:]))
     except ValueError:
         return body
-    if not (_all_plain(body[1:start], width) and _all_plain(body[stop:], width)):
+    # matched 256 lines at a time: one match over every line left out keeps a
+    # backtracking state per line (about 3 MB for 2,000 lines), and 64 lines
+    # a match cost crypto-crash about 3% more CPU
+    left_out, plain = body[1:start] + body[stop:], _plain_lines(width).fullmatch
+    if not all(plain("\n".join(left_out[i : i + 256]) + "\n") for i in range(0, len(left_out), 256)):
         return body
     return body[:1] + body[start:stop]
 

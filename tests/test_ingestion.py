@@ -701,8 +701,7 @@ def span_text(kind, changes=(), days=range(15)):
     ("crypto", span_text("crypto", [(0, 1, "-1")])),
     ("stock", span_text("stock", days=range(10, 15))),
     ("stock", span_text("stock", days=range(0, 5))),
-    # on Python 3.10 the lines left out are certified 64 at a time: this bad
-    # cell is the 96th
+    # the 95th line left out is bad
     ("stock", span_text("stock", [(100, 1, "-1")], days=range(150))),
     ("stock", span_text("stock", days=range(5, 15))),
     # in date order as text, but not a day
@@ -711,13 +710,25 @@ def span_text(kind, changes=(), days=range(15)):
     ("stock", span_text("stock", days=[0, 1, *range(1, 15)])),
     ("crypto", span_text("crypto", days=[*range(15), 14])),
     ("stock", span_text("stock", days=[0, 2, 1, *range(3, 15)])),
+    # newest first
+    ("stock", span_text("stock", [(12, 1, "-1")], days=range(14, -1, -1))),
+    ("crypto", span_text("crypto", [(1, 2, "abc")], days=range(14, -1, -1))),
+    ("crypto", span_text("crypto", [(1, 0, "2015-01-32")], days=[40, 20, *range(12, -1, -1)])),
+    ("stock", span_text("stock", days=range(14, 9, -1))),
+    ("stock", span_text("stock", days=range(4, -1, -1))),
+    # the 264th line left out, in date order, is bad
+    ("stock", span_text("stock", [(40, 1, "-1")], days=range(309, -1, -1))),
+    ("stock", span_text("stock", [(2, 1, "-1")], days=[d * 7 % 15 for d in range(15)])),
 ], ids=["bad-cell-before", "bad-cell-after", "bad-cells-before-and-in", "year-0000-before",
         "feb-29-after", "date-suffixes-outside", "1e+101-after", "101-digits-before",
         "nan-cap-before", "-0-1e100-100-digits-padded", "blank-and-exponent-cells",
         "duplicate-before", "duplicate-first-day", "unsorted", "bad-earliest-row", "all-after",
         "all-before", "bad-cell-past-the-first-64-left-out", "span-starts-on-first-line",
         "2019-02-29-last", "day-32-after", "repeated-date-before", "repeated-date-last",
-        "swapped-rows-before"])
+        "swapped-rows-before", "newest-first-bad-cell-before",
+        "newest-first-bad-cell-after", "newest-first-day-32-after", "newest-first-all-after",
+        "newest-first-all-before", "newest-first-bad-cell-past-the-first-256-left-out",
+        "shuffled-bad-cell-after"])
 def test_span_load_is_the_reference_load_in_span_on_each_edge(kind, text):
     assert_span_load_is_the_reference_in_span(kind, text, (day(5), day(9)))
 
@@ -736,35 +747,18 @@ def test_plain_lines_take_only_cells_float_reads_within_bounds(width, cells):
         assert all(0 <= v <= ingestion.MAX_VALUE for v in values)
 
 
-@SETTINGS
-@pytest.mark.skipif(not ingestion._POSSESSIVE, reason="Python 3.10 has no possessive repeat")
-@given(st.sampled_from([3, 4]), st.data())
-def test_block_match_takes_the_blocks_the_chunked_match_takes(width, data):
-    """A block of left-out lines is one possessive match on Python 3.11+ and
-    greedy 64-line matches on 3.10: both take exactly the blocks whose every
-    line, matched alone, is plain."""
-    cell = st.sampled_from(PLAIN_VALUES)
-    rows = [[day(d).isoformat()] + [data.draw(cell) for _ in range(width - 1)]
-            for d in range(data.draw(st.integers(0, 150)))]
-    for _ in range(data.draw(st.integers(0, 2)) if rows else 0):
-        row = data.draw(st.sampled_from(rows))
-        fault = data.draw(st.sampled_from(["value", "date", "fields"]))
-        if fault == "value":
-            row[data.draw(st.integers(1, width - 1))] = data.draw(st.sampled_from(ODD_VALUES))
-        elif fault == "date":
-            row[0] = data.draw(st.sampled_from(ODD_DATES)).format(row[0])
-        else:
-            row[:] = row[:-1] if data.draw(st.booleans()) else row + [data.draw(cell)]
-    lines = list(map(",".join, rows))
-    each = all(ingestion._plain_lines(width, False).fullmatch(line + "\n") for line in lines)
-    assert ingestion._all_plain(lines, width, possessive=True) == each
-    assert ingestion._all_plain(lines, width, possessive=False) == each
+@pytest.mark.parametrize("order", [range(20), range(19, -1, -1), [d * 7 % 20 for d in range(20)]],
+                         ids=["oldest-first", "newest-first", "shuffled"])
+def test_window_keeps_the_earliest_line_and_the_span_in_any_row_order(order):
+    body = [f"{day(d)},1.5,2.5" for d in range(20)]
+    kept = ingestion._window([body[d] for d in order], 3, (day(5), day(9)))
+    assert kept == body[:1] + body[5:10]
 
 
 def test_left_out_lines_are_certified_in_bounded_memory():
     # a greedy match over one block keeps a backtracking state per line:
     # about 23 MB for these 20,000 lines; the window itself holds their date
-    # texts (1.4 MB) and the joined block (0.6 MB)
+    # texts (1.4 MB) and, for a moment, their parsed dates (0.8 MB)
     body = [f"{day(d)},1.5,2.5" for d in range(20_001)]
     ingestion._plain_lines(3)
     tracemalloc.start()

@@ -32,13 +32,15 @@ def deviations(values: list[float]) -> tuple[list[float], float]:
 def correlation(x: tuple[list[float], float], y: tuple[list[float], float]) -> float | None:
     """Pearson's r of two aligned columns, each as ``deviations`` returns it;
     None when a side is constant. Where the product of the sums of squares
-    underflows to 0 or overflows to inf, their roots multiply."""
+    underflows to 0 or overflows to inf, their roots multiply. r is clamped
+    to [-1, 1], which rounding can pass by an ulp (two points, or
+    proportional columns)."""
     (x_dev, x_ss), (y_dev, y_ss) = x, y
     if x_ss == 0.0 or y_ss == 0.0:
         return None
     product = x_ss * y_ss
     scale = math.sqrt(product) if 0.0 < product < math.inf else math.sqrt(x_ss) * math.sqrt(y_ss)
-    return math.fsum(map(mul, x_dev, y_dev)) / scale
+    return max(min(math.fsum(map(mul, x_dev, y_dev)) / scale, 1.0), -1.0)
 
 
 def bin_bounds(n: int, n_bins: int = 5) -> list[tuple[int, int]]:
@@ -55,13 +57,16 @@ def bin_stats(order, stats, bounds) -> list[tuple[int, int, float, int]]:
     ``stats``. Each bin is one slice, reduced by ``min``, ``math.fsum`` and
     ``max``; ``min``/``max`` keep the first of equal values, so of -0.0 and
     0.0 a bin reports the one ranked first, and its position is that of the
-    first element equal to the result."""
+    first element equal to the result. The mean is clamped to [min, max],
+    which the division can pass by an ulp (``fsum([0.1] * 3) / 3``)."""
     ranked = [stats[i] for i in order]
     out = []
     for start, end in bounds:
         chunk = ranked[start:end]
-        out.append((end - start, order[start + chunk.index(min(chunk))],
-                    math.fsum(chunk) / (end - start), order[start + chunk.index(max(chunk))]))
+        lo, hi = min(chunk), max(chunk)
+        out.append((end - start, order[start + chunk.index(lo)],
+                    min(max(math.fsum(chunk) / (end - start), lo), hi),
+                    order[start + chunk.index(hi)]))
     return out
 
 
@@ -116,10 +121,11 @@ def distribution(values, n_bins: int = 50, edges=None) -> Distribution:
 
     Passing ``edges`` reuses another distribution's binning (for comparing a
     subpopulation against the whole on identical supports). A value range
-    whose edges are not strictly increasing (a single point, or values a few
-    ulps apart, where edges repeat and a width would be 0) is widened on each
-    side by max(1e-9, n_bins * 2**-48 * max(|min|, |max|)), so that a bin is
-    at least about 32 ulps of its edges wide. The pipeline's values are A
+    where a bin width would be below the smallest normal double (a single
+    point, values a few ulps apart, where edges repeat, or a subnormal range,
+    where a density would overflow) is widened on each side by
+    max(1e-9, n_bins * 2**-48 * max(|min|, |max|)), so that a bin is at
+    least about 32 ulps of its edges wide. The pipeline's values are A
     values in [-1, 1], widened by 1e-9; larger ones come only from direct
     calls.
     """
@@ -130,7 +136,7 @@ def distribution(values, n_bins: int = 50, edges=None) -> Distribution:
         lo = float(arr.min())
         hi = float(arr.max())
         edges = np.linspace(lo, hi, n_bins + 1)
-        if not (edges[1:] > edges[:-1]).all():
+        if not (np.diff(edges) >= np.finfo(float).tiny).all():
             pad = max(1e-9, max(abs(lo), abs(hi)) * n_bins * 2.0**-48)
             edges = np.linspace(lo - pad, hi + pad, n_bins + 1)
     else:
@@ -165,8 +171,6 @@ def top_comparison(
     absolute difference. Every mean and sum is a ``math.fsum``, so no result
     depends on the order of cases or agents.
     """
-    total = 0
-    greater = 0
     diff_greater = []
     diff_otherwise = []
     skipped = []
@@ -177,15 +181,14 @@ def top_comparison(
             continue
         mean_all = math.fsum(values.values()) / len(values)
         mean_top = math.fsum(top) / len(top)
-        total += 1
         if mean_top > mean_all:
-            greater += 1
             diff_greater.append(abs(mean_top - mean_all))
         else:
             diff_otherwise.append(abs(mean_top - mean_all))
     if skipped:
         logger.warning("comparison skipped in %d of %d cases (no top performer alive): %s",
                        len(skipped), len(case_values), ", ".join(skipped))
+    greater, total = len(diff_greater), len(diff_greater) + len(diff_otherwise)
     if total == 0:
         raise ComputeError("top comparison: no case has a top performer alive")
     sum_greater = math.fsum(diff_greater)

@@ -105,10 +105,6 @@ def crypto_agents() -> list[AgentSeries]:
     ]
 
 
-def _write_json_top(path: Path, mapping: dict) -> None:
-    path.write_text(json.dumps(mapping, indent=2, sort_keys=True) + "\n")
-
-
 def _write_config(path: Path, kind: str, with_indexes: bool) -> None:
     lines = [
         f"market_kind = {kind}",
@@ -129,25 +125,23 @@ def write_fixture_tree(out_dir: Path) -> list[Path]:
     Returns the two config paths (stocks first).
     """
     out_dir = Path(out_dir)
-
-    stocks = out_dir / "stocks"
-    (stocks / "agents").mkdir(parents=True, exist_ok=True)
-    (stocks / "indexes").mkdir(parents=True, exist_ok=True)
-    for series in stock_agents():
-        (stocks / "agents" / f"{series.agent_id}.csv").write_text(agent_csv_text(series))
-    for index in stock_indexes():
-        lines = ["date,level"]
-        lines += [f"{day.isoformat()},{level!r}" for day, level in index.values]
-        path = stocks / "indexes" / f"{index.index_id.lower()}.csv"
-        path.write_text("\n".join(lines) + "\n")
-    _write_json_top(stocks / "top_performers.json", STOCK_TOP)
-    _write_config(stocks / "config.cfg", STOCK, with_indexes=True)
-
-    crypto = out_dir / "crypto"
-    (crypto / "agents").mkdir(parents=True, exist_ok=True)
-    for series in crypto_agents():
-        (crypto / "agents" / f"{series.agent_id}.csv").write_text(agent_csv_text(series))
-    _write_json_top(crypto / "top_performers.json", CRYPTO_TOP)
-    _write_config(crypto / "config.cfg", CRYPTO, with_indexes=False)
-
-    return [stocks / "config.cfg", crypto / "config.cfg"]
+    configs = []
+    for name, kind, agents, indexes, top in (
+        ("stocks", STOCK, stock_agents(), stock_indexes(), STOCK_TOP),
+        ("crypto", CRYPTO, crypto_agents(), [], CRYPTO_TOP),
+    ):
+        tree = out_dir / name
+        (tree / "agents").mkdir(parents=True, exist_ok=True)
+        for series in agents:
+            (tree / "agents" / f"{series.agent_id}.csv").write_text(agent_csv_text(series))
+        if indexes:
+            (tree / "indexes").mkdir(exist_ok=True)
+        for index in indexes:
+            lines = ["date,level"]
+            lines += [f"{day.isoformat()},{level!r}" for day, level in index.values]
+            path = tree / "indexes" / f"{index.index_id.lower()}.csv"
+            path.write_text("\n".join(lines) + "\n")
+        (tree / "top_performers.json").write_text(json.dumps(top, indent=2, sort_keys=True) + "\n")
+        _write_config(tree / "config.cfg", kind, with_indexes=bool(indexes))
+        configs.append(tree / "config.cfg")
+    return configs

@@ -223,18 +223,6 @@ def _date_shaped(dates: list[str]) -> bool:
     return set(map(len, dates)) == {10} and joined[4::10] == dashes and joined[7::10] == dashes
 
 
-def _day_ordinals(dates: list[str]) -> np.ndarray | None:
-    """The day ordinals of ``YYYY-MM-DD`` dates; None when one is not of that
-    shape or not a day."""
-    if not _date_shaped(dates):
-        return None
-    try:
-        return np.array(list(map(dt.date.toordinal, map(dt.date.fromisoformat, dates))),
-                        dtype=np.int64)
-    except ValueError:
-        return None
-
-
 def _parse_columns(body: list[str], width: int):
     """Day ordinals and float64 value columns of the data lines.
 
@@ -249,10 +237,12 @@ def _parse_columns(body: list[str], width: int):
         return None
     flat = ",".join(body).split(",")
     cells = [flat[j::width] for j in range(width)]
-    days = _day_ordinals(list(map(str.strip, cells[0])))
-    if days is None:
+    days = list(map(str.strip, cells[0]))  # the date texts until they are parsed
+    if not _date_shaped(days):
         return None
     try:
+        days = np.array(list(map(dt.date.toordinal, map(dt.date.fromisoformat, days))),
+                        dtype=np.int64)
         values = [list(map(float, c)) for c in cells[1:3]]  # level, or open and volume
         if width == 4:
             cap = list(map(str.strip, cells[3]))

@@ -260,22 +260,16 @@ def compute_measures(panel: NormalizedPanel, measures) -> WindowScaleResults:
             raise ComputeError(f"measure {m} invalid for {panel.market_kind}")
 
     sat = satisfaction_table(panel.channels[PRICE])
-    perturbations: dict[str, PerturbationSeries] = {}
-    for m in sorted(measures):
-        if m == "afp":
-            perturbations[m] = perturb_price(panel)
-        elif m == "afv" and panel.market_kind == STOCK:
-            perturbations[m] = perturb_volume_stock(sat, panel)
-        elif m == "afv":
-            perturbations[m] = perturb_volume_crypto(panel)
-        elif m == "afm":
-            perturbations[m] = perturb_marketcap(panel)
-        elif m == "afn":
-            perturbations[m] = perturb_normalized_price(sat)
-        elif m == "afx":
-            perturbations[m] = perturb_vix(panel)
-        elif m == "af3m":
-            perturbations[m] = perturb_three_indexes(panel)
+    perturb = {
+        "afp": partial(perturb_price, panel),
+        "afv": partial(perturb_volume_stock, sat, panel) if panel.market_kind == STOCK
+        else partial(perturb_volume_crypto, panel),
+        "afm": partial(perturb_marketcap, panel),
+        "afn": partial(perturb_normalized_price, sat),
+        "afx": partial(perturb_vix, panel),
+        "af3m": partial(perturb_three_indexes, panel),
+    }
+    perturbations = {m: perturb[m]() for m in sorted(measures)}
 
     scores = {}
     for m, pser in perturbations.items():

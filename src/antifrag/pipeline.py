@@ -52,7 +52,7 @@ from .ingestion import (
 )
 from .measures import compute_measures
 from .performance import PERF_VARIABLES, compute_performance, top_ids_for
-from .resampling import INDEX, build_panel, sorted_unique
+from .resampling import INDEX, PRICE, build_panel, sorted_unique
 
 logger = logging.getLogger(__name__)
 
@@ -352,10 +352,11 @@ def _manifest_json(config: RunConfig, digests, alive) -> str:
 
 def _panel_dumps(panel) -> dict[str, str]:
     """Debug export of one panel, read from its tables: one CSV per channel
-    with rows (period x agent with rows). Agents share the panel's period
-    axis; the indexes, one column each, span their own periods."""
+    with rows (period x agent with rows). Agents share the price table's
+    periods as axis; the indexes, one column each, span their own periods."""
+    axis = sorted_unique(panel.channels[PRICE].days)
     tables = [
-        (name, panel.period_axis,
+        (name, axis,
          [(aid, ch.days[s], ch.values[s]) for aid, s in ch.split(panel.ids).items()])
         for name, ch in panel.channels.items()
     ]

@@ -165,12 +165,10 @@ class NormalizedPanel:
     """
 
     def __init__(self, market_kind: str, window: AnalysisWindow, scale: TimeScale,
-                 period_axis: np.ndarray, ids: tuple[str, ...],
-                 channels: dict[str, Channel], indexes: dict[str, Channel]):
+                 ids: tuple[str, ...], channels: dict[str, Channel], indexes: dict[str, Channel]):
         self.market_kind = market_kind
         self.window = window
         self.scale = scale
-        self.period_axis = period_axis
         self.ids = ids
         self.channels = channels
         self.indexes = indexes
@@ -196,8 +194,7 @@ def build_panel(
 
     ``agents`` must already be sliced to the window. Agents that resample to
     fewer than two periods are dropped; if none survive the panel is empty
-    and that is an error. The period axis is the sorted union of the
-    surviving agents' periods.
+    and that is an error.
     """
     series = sorted(agents, key=attrgetter("agent_id"))
     keep = np.zeros(0, dtype=bool)
@@ -248,7 +245,6 @@ def build_panel(
         market_kind=series[0].market_kind,
         window=window,
         scale=scale,
-        period_axis=sorted_unique(periods),
         ids=tuple([s.agent_id for s, alive in zip(series, keep.tolist()) if alive]),
         channels=channels,
         indexes=panel_indexes,

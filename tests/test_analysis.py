@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from antifrag.analysis import (
     distribution,
@@ -171,6 +173,29 @@ def test_distribution_subset_reuses_edges():
 def test_distribution_empty_raises():
     with pytest.raises(ComputeError, match="no values"):
         distribution([])
+
+
+# repeats and subnormals next to any moderate double
+RANGE_VALUES = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 5e-324, 1e-323]),
+                         st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(RANGE_VALUES, min_size=2, max_size=40), RANGE_VALUES, RANGE_VALUES,
+       st.floats(-1e3, 1e3).filter(lambda k: abs(k) >= 1e-3), st.sampled_from([1, 7, 50]))
+@example([0.1, 0.2], 0.3, 0.4, 1.0, 50)  # two points
+@example([0.1, 0.2, 0.3, 0.7], 0.0, 0.0, 1.0, 50)  # proportional columns
+@example([0.1] * 15, 0.0, 0.0, 1.0, 50)  # bins of three equal values
+@example([0.0, 5e-324], 0.0, 0.0, 1.0, 1)  # a subnormal range
+def test_report_values_stay_in_range(values, c, d, factor, n_bins):
+    # exact r is +-1 for two points and for proportional columns; rounding
+    # must not pass it, nor take a mean of equal values past them
+    for r in (pearson(values[:2], [c, d]), pearson(values, [factor * v for v in values])):
+        assert r is None or -1.0 <= r <= 1.0
+    if len(values) >= 5:
+        entries = [(f"a{i:02d}", float(i), v) for i, v in enumerate(values)]
+        assert all(s.min <= s.mean <= s.max for s in quantile_bin_summary(entries, "A", "x"))
+    assert np.isfinite(distribution(values, n_bins=n_bins).densities).all()
 
 
 def test_top_comparison_single_case():

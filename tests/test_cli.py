@@ -50,6 +50,17 @@ def read_all(out_dir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()}
 
 
+def child_env(**extra: str) -> dict[str, str]:
+    """A child interpreter's environment: ``src`` on its path, ``extra``, and
+    the caller's bytecode settings, so that a test run asked to write no
+    bytecode leaves none in ``src``. Nothing else is passed on."""
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"), **extra}
+    for name in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX"):
+        if name in os.environ:
+            env[name] = os.environ[name]
+    return env
+
+
 def test_fixture_lists_config_paths(tmp_path, capsys):
     assert cli.main(["fixture", "--out", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -269,9 +280,8 @@ def test_validate_imports_no_numpy(fixture_tree):
         f"assert main(['validate', '--config', {str(config)!r}]) == 0\n"
         "assert 'numpy' not in sys.modules, 'validate'\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env={"PYTHONPATH": str(src)})
+                          text=True, env=child_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().endswith("0 errors")
 
@@ -295,18 +305,16 @@ def test_each_command_imports_only_what_it_runs(fixture_tree):
         "    assert main(['run', '--config', config]) == 0\n"
         "    assert 'numpy.ma' not in set(sys.modules) - imported, f'run of {config}'\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env={"PYTHONPATH": str(src)})
+                          text=True, env=child_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().endswith("0 errors")
 
 
 def cli_in_subprocess(*argv: str) -> subprocess.CompletedProcess:
     """``antifrag argv...`` in a fresh interpreter, as a user runs it."""
-    src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run([sys.executable, "-m", "antifrag.cli", *argv],
-                          capture_output=True, text=True, env={"PYTHONPATH": str(src)})
+                          capture_output=True, text=True, env=child_env())
 
 
 def test_stderr_of_each_command_is_its_log_lines(fixture_tree, tmp_path):
@@ -354,7 +362,7 @@ cli()
 def test_cli_runs_exit_handlers_and_starts_no_blas_thread(fixture_tree, tmp_path,
                                                           blas_threads, threads):
     config = fixture_tree / "crypto" / "config.cfg"
-    env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env = child_env()
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     out = tmp_path / "out"
@@ -394,10 +402,9 @@ def test_exits_of_the_module_entry_point(fixture_tree):
         "1 errors",
     ]
     # output nobody reads: exit 120, as a failed flush at the interpreter's exit
-    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.Popen([sys.executable, "-m", "antifrag.cli", "validate", "--config",
                              str(config)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env={"PYTHONPATH": str(src)})
+                            env=child_env())
     proc.stdout.close()
     assert (proc.wait(), proc.stderr.read()) == (120, b"")
     proc.stderr.close()
@@ -408,13 +415,12 @@ def test_a_print_to_a_closed_pipe_exits_120_quietly(fixture_tree, tmp_path, comm
     # unbuffered, the first print meets the closed pipe inside main()
     config = fixture_tree / "crypto" / "config.cfg"
     argv = ["--config", str(config)] if command == "validate" else ["--out", str(tmp_path)]
-    src = Path(__file__).resolve().parent.parent / "src"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         done = subprocess.run([sys.executable, "-m", "antifrag.cli", command, *argv],
                               stdout=write_end, stderr=subprocess.PIPE,
-                              env={"PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"})
+                              env=child_env(PYTHONUNBUFFERED="1"))
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (120, b"")
@@ -836,6 +842,21 @@ def test_crypto_outputs_match_golden(fixture_tree):
     for name in ("scatter", "antifragility", "bins", "correlations"):
         golden = GOLDEN_DIR / f"crypto_{name}.csv"
         assert (out / f"{name}.csv").read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("removed", ["XCOIN", "YCOIN", "ZCOIN"])
+def test_two_agent_correlations_stay_in_range(fixture_tree, removed):
+    # r of two agents is +-1 exactly; rounding used to write 1.0000000000000002
+    tree = fixture_tree / "crypto"
+    (tree / "agents" / f"{removed}.csv").unlink()
+    config = tree / "config.cfg"
+    lines = config.read_text().splitlines(keepends=True)
+    config.write_text("".join(x for x in lines if not x.startswith("top_performers_path")))
+    assert cli.main(["run", "--config", str(config)]) == 0
+    rows = (tree / "output" / "correlations.csv").read_text().splitlines()[1:]
+    r = [float(row.split(",")[4]) for row in rows if row.split(",")[4]]
+    assert len(rows) == 132 and r
+    assert all(-1.0 <= value <= 1.0 for value in r)
 
 
 def test_agent_id_with_comma_fails_the_run(fixture_tree, capsys):

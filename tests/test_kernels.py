@@ -6,7 +6,8 @@ CSV loader and the panel builder. Resampled volumes must equal a per-period
 oracle. The measures' array joins must equal a dict-per-period reference
 bit for bit, and the bins, correlations and distributions rendered from
 shared column reductions and texts must equal the text of the per-case
-reference loops.
+reference loops (bins and correlations once the reference's r and bin means
+are clamped to their ranges, as the pipeline clamps them).
 """
 
 import datetime as dt
@@ -240,13 +241,13 @@ def report_inputs(draw):
     perf_variables = {}
     for window in ("2014", "2015")[: draw(st.integers(1, 2))]:
         undefined = draw(st.sets(st.sampled_from(PERF_VARIABLES)))
-        for aid in draw(st.sets(st.sampled_from(REPORT_IDS))):
+        for aid in sorted(draw(st.sets(st.sampled_from(REPORT_IDS)))):
             perf_variables[(window, aid)] = {
                 name: None if name in undefined else draw(st.one_of(st.none(), REPORT_VALUES))
                 for name in PERF_VARIABLES
             }
-        keys = draw(st.sets(st.tuples(st.sampled_from(["afp", "afv"]), st.integers(0, 2)),
-                            min_size=1, max_size=3))
+        keys = sorted(draw(st.sets(st.tuples(st.sampled_from(["afp", "afv"]), st.integers(0, 2)),
+                                   min_size=1, max_size=3)))
         for measure, scale in keys:
             agents = draw(st.dictionaries(st.sampled_from(REPORT_IDS), REPORT_VALUES))
             cases.append(report_case(window, measure, scale, agents))
@@ -282,9 +283,37 @@ def signed_zero_inputs(zeros, sign):
     return [report_case("2014", "afp", 0, dict(zip(ids, values)))], perf
 
 
+def two_agent_inputs():
+    """One case of 2 agents whose A (0.1, 0.2) and ``pr_mea`` (0.3, 0.4) have
+    an r of 1 that the reference rounds to 1.0000000000000002."""
+    ids = REPORT_IDS[:2]
+    perf = {("2014", aid): {**dict.fromkeys(PERF_VARIABLES), "pr_mea": v}
+            for aid, v in zip(ids, (0.3, 0.4))}
+    return [report_case("2014", "afp", 0, dict(zip(ids, (0.1, 0.2))))], perf
+
+
+def clamped(bins: str, correlations: str) -> tuple[str, str]:
+    """The reference's texts with the two range rules the pipeline adds: each
+    r clamped to [-1, 1], and each bin mean to its row's [min, max]."""
+    def rows(text, clamp):
+        header, *lines = text.splitlines()
+        return "".join(line + "\n" for line in [header, *map(clamp, lines)])
+
+    def clamp_mean(line):
+        *head, lo, mean, hi = line.split(",")
+        return ",".join([*head, lo, fmt(min(max(float(mean), float(lo)), float(hi))), hi])
+
+    def clamp_r(line):
+        *head, r, n = line.split(",")
+        return ",".join([*head, r and fmt(max(min(float(r), 1.0), -1.0)), n])
+
+    return rows(bins, clamp_mean), rows(correlations, clamp_r)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(report_inputs())
 @example(edge_inputs())
+@example(two_agent_inputs())
 @example(signed_zero_inputs((-0.0, 0.0), 1))
 @example(signed_zero_inputs((0.0, -0.0), 1))
 @example(signed_zero_inputs((-0.0, 0.0), -1))
@@ -294,7 +323,7 @@ def test_bins_and_correlations_equal_per_case_reference_bit_for_bit(inputs):
     tables = perf_tables(perf_variables, [case[0] for case in cases])
     bins = "".join(_render_bins(cases, tables))
     correlations = "".join(_render_correlations(cases, tables))
-    assert (bins, correlations) == render_bins_and_correlations(cases, perf_variables)
+    assert (bins, correlations) == clamped(*render_bins_and_correlations(cases, perf_variables))
 
 
 # A values as the measures give them, in [0, 1], next to repeats, signed
@@ -317,8 +346,8 @@ def distribution_inputs(draw):
             st.frozensets(st.sampled_from(REPORT_IDS)),
             st.just(frozenset(REPORT_IDS)),
         ))
-        keys = draw(st.sets(st.tuples(st.sampled_from(["afp", "afv"]), st.integers(0, 2)),
-                            min_size=1, max_size=3))
+        keys = sorted(draw(st.sets(st.tuples(st.sampled_from(["afp", "afv"]), st.integers(0, 2)),
+                                   min_size=1, max_size=3)))
         for measure, scale in keys:
             agents = draw(st.one_of(
                 st.dictionaries(st.sampled_from(REPORT_IDS), A_VALUES, min_size=1),

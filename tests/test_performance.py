@@ -190,8 +190,9 @@ def performance_inputs(draw):
         (w.label, measure, scale): draw(st.dictionaries(st.sampled_from(PROPERTY_IDS),
                                                         st.floats(-1.0, 1.0)))
         for w in PROPERTY_WINDOWS
-        for measure, scale in draw(st.sets(st.tuples(st.sampled_from(["afp", "afv"]),
-                                                     st.integers(0, 2)), min_size=1, max_size=3))
+        for measure, scale in sorted(draw(st.sets(st.tuples(st.sampled_from(["afp", "afv"]),
+                                                            st.integers(0, 2)),
+                                                  min_size=1, max_size=3)))
     }
     return property_inputs(kind, agents, input_order, top, cases)
 

@@ -29,7 +29,7 @@ FIELDS = {
     ingestion.IndexSeries: "index_id days levels",
     resampling.Ragged: "offsets days values",
     resampling.Channel: "offsets days values raw",
-    resampling.NormalizedPanel: "market_kind window scale period_axis ids channels indexes",
+    resampling.NormalizedPanel: "market_kind window scale ids channels indexes",
     measures.SatisfactionSeries: "agent_id days values",
     measures.PerturbationSeries: "days values",
     measures.AntifragilityResult: "days instants global_a n_used",

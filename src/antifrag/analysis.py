@@ -19,6 +19,8 @@ from .errors import ComputeError
 
 logger = logging.getLogger(__name__)
 
+QUANTILE_BINS = 5  # the equal-count bins of bins.csv, and the fewest values binned
+
 
 def deviations(values: list[float]) -> tuple[list[float], float]:
     """Deviations from the ``fsum`` mean and the sum of their squares, each
@@ -43,11 +45,11 @@ def correlation(x: tuple[list[float], float], y: tuple[list[float], float]) -> f
     return max(min(math.fsum(map(mul, x_dev, y_dev)) / scale, 1.0), -1.0)
 
 
-def bin_bounds(n: int, n_bins: int = 5) -> list[tuple[int, int]]:
-    """(start, end) of ``n_bins`` contiguous groups of ``n`` ranked values,
-    whose sizes differ by at most one, the lowest bins taking any remainder."""
-    base, remainder = divmod(n, n_bins)
-    ends = list(accumulate(base + (index < remainder) for index in range(n_bins)))
+def bin_bounds(n: int) -> list[tuple[int, int]]:
+    """(start, end) of ``QUANTILE_BINS`` contiguous groups of ``n`` ranked
+    values, sizes within one of each other, the lowest taking any remainder."""
+    base, remainder = divmod(n, QUANTILE_BINS)
+    ends = list(accumulate(base + (index < remainder) for index in range(QUANTILE_BINS)))
     return list(zip([0, *ends], ends))
 
 
@@ -91,21 +93,20 @@ class BinSummary(NamedTuple):
     max: float
 
 
-def quantile_bin_summary(
-    entries, bin_by: str, stat_of: str, n_bins: int = 5
-) -> list[BinSummary]:
+def quantile_bin_summary(entries, bin_by: str, stat_of: str) -> list[BinSummary]:
     """Split agents into equal-count bins and summarize a second variable.
 
     ``entries`` are (agent_id, bin_by_value, stat_value) triples, sorted by
-    bin value (agent id breaks ties) and summarized by ``bin_stats``."""
+    bin value (agent id breaks ties), split into ``QUANTILE_BINS`` bins and
+    summarized by ``bin_stats``."""
     rows = sorted(entries, key=itemgetter(0))
-    if len(rows) < n_bins:
-        raise ComputeError(f"need at least {n_bins} agents to bin, got {len(rows)}")
+    if len(rows) < QUANTILE_BINS:
+        raise ComputeError(f"need at least {QUANTILE_BINS} agents to bin, got {len(rows)}")
     order = np.argsort([row[1] for row in rows], kind="stable").tolist()
     stats = [row[2] for row in rows]
     return [BinSummary(index, bin_by, stat_of, size, stats[lo], mean, stats[hi])
             for index, (size, lo, mean, hi)
-            in enumerate(bin_stats(order, stats, bin_bounds(len(rows), n_bins)))]
+            in enumerate(bin_stats(order, stats, bin_bounds(len(rows))))]
 
 
 class Distribution(NamedTuple):

@@ -194,12 +194,9 @@ def build_config(raw: dict[str, str], base_dir: Path):
     errors: list[str] = []
     notes: list[str] = []
 
-    def resolve(key) -> Path | None:
+    def resolve(key) -> Path | None:  # an absolute value replaces base_dir
         value = raw.get(key)
-        if value is None or value == "":
-            return None
-        p = Path(value)
-        return p if p.is_absolute() else (base_dir / p)
+        return base_dir / value if value else None
 
     market_kind = raw.get("market_kind", "")
     if market_kind not in MARKET_KINDS:
@@ -256,6 +253,8 @@ def build_config(raw: dict[str, str], base_dir: Path):
         for m in measures:
             if valid_measures and m not in valid_measures:
                 errors.append(f"measure {m} invalid for {market_kind}")
+        if len(set(measures)) != len(measures):
+            errors.append("measures: duplicates")
     else:
         measures = valid_measures
     measures = tuple(sorted(set(measures)))
@@ -272,25 +271,23 @@ def build_config(raw: dict[str, str], base_dir: Path):
     if top_path is not None and not top_path.is_file():
         errors.append(f"top_performers_path {top_path} is not a file")
 
-    n_hist_bins = 50
-    if raw.get("n_hist_bins"):
+    def integer(key, default) -> int:  # the default also when the value is bad
         try:
-            n_hist_bins = int(raw["n_hist_bins"])
+            return int(raw.get(key) or default)
         except ValueError:
-            errors.append(f"n_hist_bins: bad value {raw['n_hist_bins']!r}")
-        if n_hist_bins < 1:
-            errors.append("n_hist_bins must be at least 1")
-        elif n_hist_bins > MAX_HIST_BINS:
-            errors.append(f"n_hist_bins must be at most {MAX_HIST_BINS}")
+            errors.append(f"{key}: bad value {raw[key]!r}")
+        return default
 
-    worker_count = 0
+    n_hist_bins = integer("n_hist_bins", 50)
+    if n_hist_bins < 1:
+        errors.append("n_hist_bins must be at least 1")
+    elif n_hist_bins > MAX_HIST_BINS:
+        errors.append(f"n_hist_bins must be at most {MAX_HIST_BINS}")
+
+    worker_count = integer("worker_count", 0)
+    if worker_count < 0:
+        errors.append("worker_count must be >= 0")
     if raw.get("worker_count"):
-        try:
-            worker_count = int(raw["worker_count"])
-        except ValueError:
-            errors.append(f"worker_count: bad value {raw['worker_count']!r}")
-        if worker_count < 0:
-            errors.append("worker_count must be >= 0")
         notes.append("worker_count has no effect: cases run in one process")
 
     if output_dir is not None and data_dir is not None:

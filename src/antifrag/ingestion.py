@@ -327,13 +327,13 @@ def _raise_first_bad_row(path: Path, header: list[str], body, in_order: bool) ->
 
 
 def load_agent_series(path: Path, market_kind: str,
-                      span: tuple[dt.date, dt.date] | None = None) -> AgentSeries:
+                      span: tuple[dt.date, dt.date] = (dt.date.min, dt.date.max)) -> AgentSeries:
     """Read one agent CSV. The agent id is the file's stem.
 
     Rows may arrive in any order; they are sorted by date. Duplicate dates,
     malformed fields, a market_cap column in a stock file, and an id outside
-    ``[A-Za-z0-9._-]+`` are errors. With a ``span`` (a first and last day),
-    the series keeps only the file's earliest row and the rows inside it;
+    ``[A-Za-z0-9._-]+`` are errors. The series keeps the file's earliest row
+    and the rows in ``span`` (a first and last day, every date by default);
     every row is still checked, and the same files fail with the same errors.
     """
     path = Path(path)
@@ -350,7 +350,7 @@ def load_agent_series(path: Path, market_kind: str,
     if not body:
         raise IngestionError(f"{path}: no data rows")
 
-    parsed = _parse_columns(body if span is None else _window(body, width, span), width)
+    parsed = _parse_columns(_window(body, width, span), width)
     if parsed is None:
         _raise_first_bad_row(path, header, body, in_order=False)
     days, columns = parsed
@@ -359,11 +359,10 @@ def load_agent_series(path: Path, market_kind: str,
     cap = columns[2][order] if width == 4 else np.full(len(days), np.nan)
     if _column_fault(days, (open_, volume), cap):
         _raise_first_bad_row(path, header, body, in_order=False)
-    if span is not None:
-        rows = (days >= span[0].toordinal()) & (days <= span[1].toordinal())
-        rows[0] = True  # the earliest row
-        if not rows.all():
-            days, open_, volume, cap = days[rows], open_[rows], volume[rows], cap[rows]
+    rows = (days >= span[0].toordinal()) & (days <= span[1].toordinal())
+    rows[0] = True  # the earliest row
+    if not rows.all():
+        days, open_, volume, cap = days[rows], open_[rows], volume[rows], cap[rows]
     return AgentSeries(path.stem, market_kind, days, open_, volume, cap)
 
 

@@ -42,8 +42,6 @@ from . import analysis
 from .config import INDEXES_BY_MEASURE, RunConfig
 from .errors import ComputeError, IngestionError
 from .ingestion import (
-    AgentSeries,
-    IndexSeries,
     load_agent_series,
     load_index_series,
     load_top_performers,
@@ -82,9 +80,10 @@ def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
 
 
 def _reports(config: RunConfig, dump_panels: bool):
-    """Load the inputs and compute the cases, the performance tables and the
-    top comparison: all of a run that can fail, so a check belongs here and
-    not in a renderer. Return every report as (file name, text pieces),
+    """Load the inputs, walk each window once (slice its agents, build its
+    performance table, then its cases scale by scale), and compute the top
+    comparison: all of a run that can fail, so a check belongs here and not
+    in a renderer. Return every report as (file name, text pieces),
     run_manifest.json last. A piece is whole lines, rendered as it is read
     from the cases and tables alone, so the reports may be read in any order."""
     agent_files = sorted(config.data_dir.glob("*.csv"))
@@ -100,7 +99,7 @@ def _reports(config: RunConfig, dump_panels: bool):
         if not path.is_file():
             raise IngestionError(f"missing index file {path}")
         index_files[iid] = path
-    indexes: list[IndexSeries] = [load_index_series(p, i) for i, p in index_files.items()]
+    indexes = [load_index_series(p, i) for i, p in index_files.items()]
 
     digests = {f"agents/{p.name}": _digest(p) for p in agent_files}
     digests.update({f"indexes/{p.name}": _digest(p) for p in index_files.values()})
@@ -112,17 +111,15 @@ def _reports(config: RunConfig, dump_panels: bool):
     full_start = {a.agent_id: a.first_date for a in agents}
     top_by_window = {w.label: top_ids_for(w, top) for w in config.windows}
 
-    sliced_by_window: dict[str, list[AgentSeries]] = {
-        w.label: [s for s in (slice_window(a, w) for a in agents) if s is not None]
-        for w in config.windows
-    }
-
     scored = []
     alive: dict[str, dict[str, int]] = {}
     panel_dumps: dict[str, str] = {}
+    tables = {}
     for window in config.windows:
+        sliced = [s for s in (slice_window(a, window) for a in agents) if s is not None]
+        tables[window.label] = compute_performance(sliced, full_start, window)
         for scale in config.scales:
-            panel = build_panel(sliced_by_window[window.label], indexes, window, scale)
+            panel = build_panel(sliced, indexes, window, scale)
             ws = compute_measures(panel, config.measures)
             alive.setdefault(window.label, {})[str(int(scale))] = len(ws.alive_agents)
             scored.extend(
@@ -132,10 +129,6 @@ def _reports(config: RunConfig, dump_panels: bool):
             if dump_panels:
                 panel_dumps.update(_panel_dumps(panel))
     cases = _case_list(scored)
-
-    # one performance table per window, over the agents alive in that window
-    tables = {w.label: compute_performance(sliced_by_window[w.label], full_start, w)
-              for w in config.windows}
 
     reports = [
         ("antifragility.csv", _render_antifragility(cases)),
@@ -252,11 +245,11 @@ def _render_correlations(cases, tables):
 
 def _render_bins(cases, tables):
     """bins.csv, one piece per case: both binning directions per performance
-    variable that at least five agents of the case define, from each
-    column's values, stable ascending order and texts. A bin's min and max
-    are the texts of the values ``analysis.bin_stats`` picks; only its mean
-    is formatted here. A variable that one to four agents define is skipped
-    and named in one warning per run; one that none defines is not."""
+    variable that at least ``analysis.QUANTILE_BINS`` agents of the case
+    define, from each column's values, stable ascending order and texts. A
+    bin's min and max are the texts of the values ``analysis.bin_stats``
+    picks; only its mean is formatted here. A variable that fewer agents,
+    but some, define is skipped and named in one warning per run."""
     yield "window,measure,scale,bin_by,stat_of,bin_index,count,min,mean,max\n"
     bounds_of: dict[int, list[tuple[int, int]]] = {}
     skipped_cases = 0
@@ -265,7 +258,7 @@ def _render_bins(cases, tables):
             values.tolist(), np.argsort(values, kind="stable").tolist(), list(texts))):
         skipped, bins = [], []
         for name, n, x, y in columns:
-            if n < 5:
+            if n < analysis.QUANTILE_BINS:
                 if n:
                     skipped.append(name)
                 continue
@@ -281,8 +274,8 @@ def _render_bins(cases, tables):
         yield _text(bins)
     if skipped_cases:
         logger.warning(
-            "bins skipped in %d of %d cases (fewer than 5 agents defined): %s",
-            skipped_cases, len(cases),
+            "bins skipped in %d of %d cases (fewer than %d agents defined): %s",
+            skipped_cases, len(cases), analysis.QUANTILE_BINS,
             ", ".join(n for n in PERF_VARIABLES if n in skipped_names),
         )
 
@@ -389,17 +382,20 @@ def run(config: RunConfig, dump_panels: bool = False) -> Path:
     The computations that can fail (``_reports``) run before ``output_dir``
     is touched, and a failed run removes an ``output_dir`` it made that is
     still empty. The reports are written piece by piece into a temporary
-    directory inside ``output_dir`` (always removed afterwards) and, once
+    directory inside ``output_dir`` (made once any ``.antifrag-*`` directory
+    a killed run left is removed, and always removed afterwards) and, once
     all are written and no report path is a directory, moved into place with
     ``os.replace``. Then the reports of an earlier run that this run does not
     write (comparison.json, panels/*.csv, then an empty panels/) are removed,
     and only then is run_manifest.json moved into place, so none can sit
-    next to this run's manifest.
-    """
+    next to this run's manifest."""
     reports = _reports(config, dump_panels)
     out_dir = Path(config.output_dir)
     made = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
+    for orphan in out_dir.glob(".antifrag-*"):
+        if orphan.is_dir() and not orphan.is_symlink():
+            shutil.rmtree(orphan)
     staging = Path(tempfile.mkdtemp(prefix=".antifrag-", dir=out_dir))
     try:
         names = []

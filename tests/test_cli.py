@@ -590,6 +590,7 @@ WORKER_NOTE = "note: worker_count has no effect: cases run in one process"
     (config_lines(scales="1, 1"), ["error: scales: duplicates"]),
     (config_lines(scales=""), ["error: scales must not be empty"]),
     (config_lines(measures=","), ["error: measures must not be empty"]),
+    (config_lines(measures="afp, afp, afv"), ["error: measures: duplicates"]),
     (config_lines(market_kind="stock"),
      ["error: index_dir is required for stock measures afx/af3m"]),
     (config_lines(market_kind="stock", index_dir="nowhere"),
@@ -604,7 +605,7 @@ WORKER_NOTE = "note: worker_count has no effect: cases run in one process"
 ], ids=["no-equals", "duplicate-key", "unreadable", "empty-window", "bad-year", "bad-span",
         "huge-year", "year-0", "duplicate-labels", "market-kind", "no-data-dir", "no-output-dir",
         "output-dir-is-data-dir", "no-windows", "bad-scale",
-        "duplicate-scales", "empty-scales", "empty-measures",
+        "duplicate-scales", "empty-scales", "empty-measures", "duplicate-measures",
         "no-index-dir", "index-dir-not-a-dir", "top-path-not-a-file", "bad-n-hist-bins",
         "zero-n-hist-bins", "bad-worker-count", "negative-worker-count"])
 def test_validate_prints_each_config_error(tmp_path, capsys, lines, output):
@@ -822,6 +823,41 @@ def test_failed_rerun_leaves_previous_reports_intact(fixture_tree, capsys):
     assert cli.main(argv) == 1
     assert "performance.csv is a directory" in capsys.readouterr().err
     assert tree_bytes(out) == before
+
+
+# the crypto fixture's run moves 8 reports, run_manifest.json last
+@pytest.mark.parametrize("kill_after", [1, 4, 8])
+def test_next_run_removes_the_staging_a_killed_run_left(fixture_tree, tmp_path, kill_after):
+    config = fixture_tree / "crypto" / "config.cfg"
+    out = fixture_tree / "crypto" / "output"
+    script = (
+        "import os\n"
+        "from antifrag.cli import main\n"
+        "moves, real_replace = [], os.replace\n"
+        "def replace(src, dst):\n"
+        "    real_replace(src, dst)\n"
+        "    moves.append(dst)\n"
+        f"    if len(moves) == {kill_after}:\n"
+        "        os._exit(9)\n"
+        "os.replace = replace\n"
+        f"main(['run', '--config', {str(config)!r}])\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=child_env())
+    assert done.returncode == 9, done.stderr
+    assert len(list(out.glob(".antifrag-*"))) == 1
+    assert cli.main(["run", "--config", str(config)]) == 0
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "clean")]) == 0
+    assert not list(out.glob(".antifrag-*"))
+    assert tree_bytes(out) == tree_bytes(tmp_path / "clean")
+
+
+def test_duplicate_measures_fail_the_run(fixture_tree, capsys):
+    config = fixture_tree / "crypto" / "config.cfg"
+    config.write_text(config.read_text() + "measures = afp, afp, afv\n")
+    assert cli.main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: measures: duplicates\n"
+    assert not (fixture_tree / "crypto" / "output").exists()
 
 
 def test_stock_outputs_match_golden(fixture_tree):

@@ -1,10 +1,12 @@
 import datetime as dt
+import json
 import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from antifrag import cli
 from antifrag.ingestion import AnalysisWindow, slice_window
 from antifrag.performance import PERF_VARIABLES, compute_performance, top_ids_for
 from antifrag.pipeline import _render_performance, _render_scatter
@@ -222,3 +224,69 @@ def test_performance_and_scatter_equal_reference_bit_for_bit(inputs):
     assert ("".join(_render_performance(tables, top))
             == reference.render_performance(perf_text, top))
     assert "".join(_render_scatter(cases, tables)) == reference.render_scatter(cases, perf_text)
+
+
+# performance.csv's columns, by the definitions in README § Output files
+METRICS = ("age_days", "pct_dlt_pr", "pct_dlt_mk", "pct_dlt_vl", "pct_pr_f_i",
+           "pct_mk_f_i", "pct_vl_f_i", "pr_mea", "pr_std", "mk_mea", "vl_mea")
+
+
+def expected_performance(tree):
+    """performance.csv of a fixture tree whose config has one window (a year
+    or label:start:end), from its agent CSVs and top list read as plain
+    text: per agent with at least two rows in the window, in id order, its
+    metrics (None where undefined) and top flag."""
+    keys = dict(line.split(" = ") for line in (tree / "config.cfg").read_text().splitlines())
+    if ":" in keys["windows"]:
+        label, first, last = keys["windows"].split(":")
+        start, end = dt.date.fromisoformat(first), dt.date.fromisoformat(last)
+    else:
+        label = keys["windows"]
+        start, end = dt.date(int(label), 1, 1), dt.date(int(label), 12, 31)
+    top = json.loads((tree / "top_performers.json").read_text()).get(str(end.year), [])
+    rows = []
+    for path in sorted((tree / "agents").glob("*.csv"), key=lambda p: p.stem):
+        lines = sorted(line.split(",") for line in path.read_text().splitlines()[1:])
+        days = [dt.date.fromisoformat(cells[0]) for cells in lines]
+        inside = [cells for day_, cells in zip(days, lines) if start <= day_ <= end]
+        if len(inside) < 2:
+            continue
+        channels = [[float(cells[k]) for cells in inside if len(cells) > k and cells[k]]
+                    for k in (1, 3, 2)]  # price, observed market caps, volume
+        spread, change, mean = [], [], []
+        for values in channels:
+            m = math.fsum(values) / len(values) if values else None
+            ratio = bool(m)  # a ratio over a zero or missing mean is undefined
+            spread.append((max(values) - min(values)) / m if ratio else None)
+            change.append((values[-1] - values[0]) / m if ratio else None)
+            mean.append(m)
+        prices = channels[0]
+        pr_std = math.sqrt(math.fsum((p - mean[0]) ** 2 for p in prices) / len(prices))
+        metrics = [float((end - min(days)).days), *spread, *change,
+                   mean[0], pr_std, mean[1], mean[2]]
+        rows.append((path.stem, label, metrics, "true" if path.stem in top else "false"))
+    return rows
+
+
+# the fixture's window, and one that leaves out each agent's first rows, so
+# that age_days counts from a date outside it
+@pytest.mark.parametrize("window", ["2014", "late:2014-02-01:2014-12-31"])
+@pytest.mark.parametrize("market", ["stocks", "crypto"])
+def test_performance_csv_follows_the_metric_definitions(tmp_path, market, window):
+    assert cli.main(["fixture", "--out", str(tmp_path)]) == 0
+    tree = tmp_path / market
+    config = tree / "config.cfg"
+    config.write_text(config.read_text().replace("windows = 2014", f"windows = {window}"))
+    assert cli.main(["run", "--config", str(config)]) == 0
+    header, *lines = (tree / "output" / "performance.csv").read_text().splitlines()
+    assert header == ",".join(["agent_id", "window", *METRICS, "is_top_performer"])
+    expected = expected_performance(tree)
+    assert len(lines) == len(expected) > 0
+    for line, (aid, label, metrics, flag) in zip(lines, expected):
+        cells = line.split(",")
+        assert cells[:2] + cells[-1:] == [aid, label, flag]
+        for name, text, value in zip(METRICS, cells[2:-1], metrics, strict=True):
+            if value is None:
+                assert text == "", (aid, name)
+            else:
+                assert math.isclose(float(text), value, rel_tol=1e-12), (aid, name, text, value)

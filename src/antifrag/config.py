@@ -34,7 +34,7 @@ from collections import namedtuple
 from enum import IntEnum
 from pathlib import Path
 
-from .errors import AntifragError, ConfigError, IngestionError
+from .errors import AntifragError, IngestionError
 
 STOCK = "stock"
 CRYPTO = "crypto"
@@ -125,15 +125,15 @@ class RunConfig:
 _KEYS = frozenset(RunConfig.__slots__)
 
 
-def read_text(path: Path, error=ConfigError) -> str:
+def read_text(path: Path) -> str:
     """A file's UTF-8 text past any byte-order mark; a byte that does not decode
-    is an ``error`` naming the file and the line (ended by \\n, \\r\\n or \\r) it is on."""
+    is an error naming the file and the line (ended by \\n, \\r\\n or \\r) it is on."""
     try:
         return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # the bytes before the bad one decode; a byte-order mark holds no line end
         line = len(split_lines(exc.object[: exc.start].decode("utf-8")))
-        raise error(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
+        raise IngestionError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
 
 
 def split_lines(text: str) -> list[str]:
@@ -152,20 +152,20 @@ def read_config_file(path: Path) -> dict[str, str]:
     try:
         text = read_text(path)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        raise IngestionError(f"cannot read config {path}: {exc}") from None
     raw: dict[str, str] = {}
     for lineno, line in enumerate(split_lines(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}: line {lineno}: expected key = value")
+            raise IngestionError(f"{path}: line {lineno}: expected key = value")
         key, _, value = stripped.partition("=")
         key = key.strip()
         if key not in _KEYS:
-            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+            raise IngestionError(f"{path}: line {lineno}: unknown key {key!r}")
         if key in raw:
-            raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
+            raise IngestionError(f"{path}: line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
     return raw
 
@@ -197,6 +197,18 @@ def build_config(raw: dict[str, str], base_dir: Path):
     def resolve(key) -> Path | None:  # an absolute value replaces base_dir
         value = raw.get(key)
         return base_dir / value if value else None
+
+    def integer(key, default) -> int:  # the default also when the value is bad
+        try:
+            return int(raw.get(key) or default)
+        except ValueError:
+            errors.append(f"{key}: bad value {raw[key]!r}")
+        return default
+
+    def unique(key, items) -> list:  # each item once, sorted; a repeat is an error
+        if len(set(items)) != len(items):
+            errors.append(f"{key}: duplicates")
+        return sorted(set(items))
 
     market_kind = raw.get("market_kind", "")
     if market_kind not in MARKET_KINDS:
@@ -241,9 +253,7 @@ def build_config(raw: dict[str, str], base_dir: Path):
             scales.append(TimeScale(int(token)))
         except ValueError:
             errors.append(f"scales: bad value {token!r} (valid: 0, 1, 2)")
-    if len(set(scales)) != len(scales):
-        errors.append("scales: duplicates")
-    scales = sorted(set(scales))
+    scales = unique("scales", scales)
 
     valid_measures = MEASURES_BY_KIND.get(market_kind, ())
     if raw.get("measures"):
@@ -253,11 +263,9 @@ def build_config(raw: dict[str, str], base_dir: Path):
         for m in measures:
             if valid_measures and m not in valid_measures:
                 errors.append(f"measure {m} invalid for {market_kind}")
-        if len(set(measures)) != len(measures):
-            errors.append("measures: duplicates")
     else:
         measures = valid_measures
-    measures = tuple(sorted(set(measures)))
+    measures = tuple(unique("measures", measures))
 
     index_dir = resolve("index_dir")
     needs_indexes = market_kind == STOCK and bool(INDEXES_BY_MEASURE.keys() & measures)
@@ -270,13 +278,6 @@ def build_config(raw: dict[str, str], base_dir: Path):
     top_path = resolve("top_performers_path")
     if top_path is not None and not top_path.is_file():
         errors.append(f"top_performers_path {top_path} is not a file")
-
-    def integer(key, default) -> int:  # the default also when the value is bad
-        try:
-            return int(raw.get(key) or default)
-        except ValueError:
-            errors.append(f"{key}: bad value {raw[key]!r}")
-        return default
 
     n_hist_bins = integer("n_hist_bins", 50)
     if n_hist_bins < 1:

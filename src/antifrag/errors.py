@@ -6,11 +6,7 @@ class AntifragError(Exception):
 
 
 class IngestionError(AntifragError):
-    """An input file violates its schema or an invariant."""
-
-
-class ConfigError(AntifragError):
-    """A run configuration is unusable."""
+    """An input file, the config included, violates its schema or an invariant."""
 
 
 class ComputeError(AntifragError):

@@ -203,7 +203,7 @@ def _parse_real(text: str, path: Path, line: int, field: str) -> float:
 def _read_lines(path: Path) -> list[str]:
     """The lines (ended by \\n, \\r\\n or \\r) of a UTF-8 CSV file, less a
     byte-order mark and empty lines at the end; an empty line before a row stays."""
-    lines = split_lines(read_text(path, IngestionError))
+    lines = split_lines(read_text(path))
     while lines and not lines[-1]:
         lines.pop()
     if not lines:
@@ -396,7 +396,7 @@ def load_top_performers(path: Path) -> dict[int, frozenset[str]]:
     """
     path = Path(path)
     try:
-        data = json.loads(read_text(path, IngestionError), object_pairs_hook=tuple)
+        data = json.loads(read_text(path), object_pairs_hook=tuple)
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, tuple):

@@ -32,7 +32,6 @@ Measure ids by market kind:
 from __future__ import annotations
 
 import datetime as dt
-import logging
 import math
 from functools import cached_property, partial, reduce
 from typing import NamedTuple
@@ -52,8 +51,6 @@ from .resampling import (
     minmax_normalize,
     offsets_where,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class SatisfactionSeries(NamedTuple):
@@ -140,18 +137,15 @@ def perturb_price(panel: NormalizedPanel) -> PerturbationSeries:
     return PerturbationSeries(p.days, minmax_normalize(p.values))
 
 
-def perturb_volume_stock(sat: Ragged, panel: NormalizedPanel) -> PerturbationSeries:
-    """Stock volume perturbation: |satisfaction + volume change| / 2."""
+def perturb_volume(sat: Ragged, panel: NormalizedPanel) -> PerturbationSeries:
+    """Volume perturbation (afv). Stocks: mean of |satisfaction +
+    normalized-volume change| / 2. Crypto: absolute normalized-volume changes."""
     volume = panel.channels[VOLUME]
+    if panel.market_kind != STOCK:
+        return _abs_changes("afv", volume, volume.values)
     # price and volume share each agent's period grid, so sat aligns with dv
     dv = volume.differences(volume.values)
     return _system_mean("afv", dv.days, np.abs(sat.values + dv.values) / 2.0)
-
-
-def perturb_volume_crypto(panel: NormalizedPanel) -> PerturbationSeries:
-    """Crypto volume perturbation: absolute normalized-volume changes."""
-    volume = panel.channels[VOLUME]
-    return _abs_changes("afv", volume, volume.values)
 
 
 def perturb_marketcap(panel: NormalizedPanel) -> PerturbationSeries:
@@ -262,8 +256,7 @@ def compute_measures(panel: NormalizedPanel, measures) -> WindowScaleResults:
     sat = satisfaction_table(panel.channels[PRICE])
     perturb = {
         "afp": partial(perturb_price, panel),
-        "afv": partial(perturb_volume_stock, sat, panel) if panel.market_kind == STOCK
-        else partial(perturb_volume_crypto, panel),
+        "afv": partial(perturb_volume, sat, panel),
         "afm": partial(perturb_marketcap, panel),
         "afn": partial(perturb_normalized_price, sat),
         "afx": partial(perturb_vix, panel),
@@ -271,16 +264,7 @@ def compute_measures(panel: NormalizedPanel, measures) -> WindowScaleResults:
     }
     perturbations = {m: perturb[m]() for m in sorted(measures)}
 
-    scores = {}
-    for m, pser in perturbations.items():
-        scores[m] = antifragility_scores(sat, pser)
-        excluded = np.flatnonzero(scores[m].counts == 0).tolist()
-        if excluded:
-            logger.info(
-                "%s at scale %d in window %s: %d agents excluded, no overlapping "
-                "periods: %s", m, int(panel.scale), panel.window.label, len(excluded),
-                ", ".join([panel.ids[k] for k in excluded]),
-            )
+    scores = {m: antifragility_scores(sat, pser) for m, pser in perturbations.items()}
 
     out = WindowScaleResults(panel.ids, sat, perturbations, scores)
     check_bounds(out)

@@ -31,7 +31,6 @@ import json
 import logging
 import os
 import shutil
-import tempfile
 from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -119,8 +118,11 @@ def _reports(config: RunConfig, dump_panels: bool):
         sliced = [s for s in (slice_window(a, window) for a in agents) if s is not None]
         tables[window.label] = compute_performance(sliced, full_start, window)
         for scale in config.scales:
-            panel = build_panel(sliced, indexes, window, scale)
-            ws = compute_measures(panel, config.measures)
+            try:
+                panel = build_panel(sliced, indexes, window, scale)
+                ws = compute_measures(panel, config.measures)
+            except ComputeError as exc:
+                raise ComputeError(f"{exc} in window {window.label} at scale {scale:d}") from None
             alive.setdefault(window.label, {})[str(int(scale))] = len(ws.alive_agents)
             scored.extend(
                 (window.label, m, int(scale), ws.alive_agents, sc.global_a, sc.counts)
@@ -151,15 +153,22 @@ def _case_list(scored) -> list:
     measure, scale, ids, A, A texts, n_used) over the agents with n_used > 0,
     in ``ids`` order. ``scored`` holds (window, measure, scale, ids, global A
     array, n_used array). Each A, a float, is formatted here once, as by fmt.
-    A case without such an agent fails the run here, before any write."""
-    cases = []
+    A case without such an agent fails the run here, before any write; the
+    cases that exclude some are named, in case order, in one INFO line."""
+    cases, excluded = [], []
     for window, measure, scale, ids, global_a, counts in scored:
         used = np.flatnonzero(counts)
         if not len(used):
             raise ComputeError(f"no agent has antifragility in case {window}/{measure}/{scale}")
+        if len(used) < len(ids):
+            excluded.append((window, measure, scale, ", ".join(compress(ids, counts == 0))))
         a = global_a[used].tolist()
         cases.append((window, measure, scale, [ids[k] for k in used.tolist()], a,
                       list(map(format, a, repeat(".17g"))), counts[used].tolist()))
+    if excluded:
+        logger.info("agents excluded in %d of %d cases (no overlapping periods): %s",
+                    len(excluded), len(cases), "; ".join(
+                        f"{w}/{m}/{s}: {out}" for w, m, s, out in sorted(excluded)))
     return sorted(cases, key=lambda case: case[:3])
 
 
@@ -381,14 +390,14 @@ def run(config: RunConfig, dump_panels: bool = False) -> Path:
 
     The computations that can fail (``_reports``) run before ``output_dir``
     is touched, and a failed run removes an ``output_dir`` it made that is
-    still empty. The reports are written piece by piece into a temporary
-    directory inside ``output_dir`` (made once any ``.antifrag-*`` directory
-    a killed run left is removed, and always removed afterwards) and, once
-    all are written and no report path is a directory, moved into place with
-    ``os.replace``. Then the reports of an earlier run that this run does not
-    write (comparison.json, panels/*.csv, then an empty panels/) are removed,
-    and only then is run_manifest.json moved into place, so none can sit
-    next to this run's manifest."""
+    still empty. The reports are written piece by piece into the staging
+    directory ``output_dir/.antifrag-staging`` (made once any ``.antifrag-*``
+    directory a killed run left is removed, and always removed afterwards)
+    and, once all are written and no report path is a directory, moved into
+    place with ``os.replace``. Then the reports of an earlier run that this
+    run does not write (comparison.json, panels/*.csv, then an empty panels/)
+    are removed, and only then is run_manifest.json moved into place, so none
+    can sit next to this run's manifest."""
     reports = _reports(config, dump_panels)
     out_dir = Path(config.output_dir)
     made = not out_dir.exists()
@@ -396,7 +405,8 @@ def run(config: RunConfig, dump_panels: bool = False) -> Path:
     for orphan in out_dir.glob(".antifrag-*"):
         if orphan.is_dir() and not orphan.is_symlink():
             shutil.rmtree(orphan)
-    staging = Path(tempfile.mkdtemp(prefix=".antifrag-", dir=out_dir))
+    staging = out_dir / ".antifrag-staging"
+    staging.mkdir()
     try:
         names = []
         for name, pieces in reports:

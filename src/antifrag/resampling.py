@@ -210,9 +210,7 @@ def build_panel(
         runs = np.diff(first.searchsorted(starts), append=len(first))
         keep = runs >= 2
     if not keep.any():
-        raise ComputeError(
-            f"empty panel: no agent alive in window {window.label} at scale {int(scale)}"
-        )
+        raise ComputeError("empty panel: no agent alive")
 
     kept = np.repeat(keep, runs)
     volume = _bucket_sums(np.concatenate([s.volume for s in series]), first)[kept]

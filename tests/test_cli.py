@@ -747,6 +747,43 @@ def test_case_without_scored_agents_leaves_no_output(fixture_tree, capsys):
     assert not (fixture_tree / "stocks" / "output").exists()
 
 
+@pytest.mark.parametrize("settings, error", [
+    # two monthly periods leave afn no lagged satisfaction
+    ("windows = 2014,spring:2014-03-01:2014-04-30\nscales = 2",
+     "afn: no agent defined at any period in window spring at scale 2"),
+    ("windows = 2014, 2030\nscales = 0,1,2",
+     "empty panel: no agent alive in window 2030 at scale 0"),
+], ids=["afn", "empty-panel"])
+def test_case_errors_name_their_window_and_scale(fixture_tree, settings, error):
+    config = fixture_tree / "crypto" / "config.cfg"
+    config.write_text(config.read_text().replace("windows = 2014\nscales = 0,1,2", settings))
+    done = run_in_subprocess(config)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert [line for line in done.stderr.splitlines() if not line.startswith("WARNING ")] == [
+        f"error: {error}"]
+    assert not (fixture_tree / "crypto" / "output").exists()
+
+
+def test_excluded_agents_are_one_info_line_per_run(fixture_tree):
+    # VIX ends on 2014-02-17, when CCC's quotes begin and BBB's now do too: at
+    # every scale neither has a satisfaction on a VIX period. Case order puts
+    # window 2014 before 2014.q1, where the order of the texts would not
+    root = fixture_tree / "stocks"
+    for path, keep in ((root / "indexes" / "vix.csv", lambda day: day <= "2014-02-17"),
+                       (root / "agents" / "BBB.csv", lambda day: day >= "2014-02-17")):
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(row for row in rows if keep(row[:10])))
+    config = root / "config.cfg"
+    config.write_text(config.read_text().replace(
+        "windows = 2014", "windows = 2014.q1:2014-01-01:2014-03-31, 2014"))
+    done = cli_in_subprocess("--verbose", "run", "--config", str(config))
+    assert (done.returncode, done.stdout) == (0, "")
+    cases = "; ".join(f"{w}/afx/{s}: BBB, CCC" for w in ("2014", "2014.q1") for s in range(3))
+    assert [line for line in done.stderr.splitlines() if "agents excluded" in line] == [
+        f"INFO antifrag.pipeline: agents excluded in 6 of 24 cases (no overlapping periods): "
+        f"{cases}"]
+
+
 def tree_bytes(root: Path) -> dict[str, bytes | None]:
     """Every path under root, with a file's bytes (None for a directory)."""
     return {

@@ -424,6 +424,18 @@ def test_from_rows_rejects_unsafe_agent_id():
         AgentSeries.from_rows("../X,Y", "stock", [(dt.date(2014, 1, 2), 1.0, 1.0, None)])
 
 
+@pytest.mark.parametrize("build, problem", [
+    (lambda: AgentSeries.from_rows("X", "bond", [(day(0), 1.0, 1.0, None)]),
+     "agent X: unknown market kind 'bond'"),
+    (lambda: AgentSeries.from_rows("X", "stock", [(day(0), 1.0, 1.0, 5.0)]),
+     "agent X: market_cap not allowed for stocks"),
+    (lambda: IndexSeries.from_rows("FOO", [(day(0), 1.0)]), "unknown index id 'FOO'"),
+], ids=["unknown-kind", "stock-cap", "unknown-index"])
+def test_from_rows_rejects_what_no_loader_passes_it(build, problem):
+    with pytest.raises(IngestionError, match=f"^{re.escape(problem)}$"):
+        build()
+
+
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 FINITE = st.floats(0.0, 1e6)
 # values at and beyond the edges of the accepted range

@@ -1,7 +1,8 @@
-import logging
 import math
 import os
+import re
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,15 +14,17 @@ from antifrag.ingestion import AnalysisWindow, to_dates
 from antifrag.measures import (
     MEASURES_BY_KIND,
     PerturbationSeries,
+    Scores,
+    WindowScaleResults,
     antifragility_scores,
+    check_bounds,
     compute_measures,
     perturb_marketcap,
     perturb_normalized_price,
     perturb_price,
     perturb_three_indexes,
     perturb_vix,
-    perturb_volume_crypto,
-    perturb_volume_stock,
+    perturb_volume,
     satisfaction_table,
 )
 from antifrag.resampling import PRICE, Channel, Ragged, TimeScale, build_panel
@@ -117,7 +120,7 @@ def test_perturb_price_crypto_normalizes_system_series():
 
 def test_perturb_volume_stock_extreme():
     panel = panel_of({"X": [(day(0), 10, 1), (day(1), 20, 2)]})
-    p = perturb_volume_stock(sats(panel), panel)
+    p = perturb_volume(sats(panel), panel)
     assert p.periods == (day(1),)
     assert p.values.tolist() == [1.0]
 
@@ -125,18 +128,18 @@ def test_perturb_volume_stock_extreme():
 def test_perturb_volume_stock_cancellation():
     # satisfaction +0.5 at each step while normalized volume falls by 0.5
     panel = panel_of({"X": [(day(0), 10, 2), (day(1), 15, 1), (day(2), 20, 0)]})
-    p = perturb_volume_stock(sats(panel), panel)
+    p = perturb_volume(sats(panel), panel)
     assert p.values.tolist() == [0.0, 0.0]
 
 
 def test_perturb_volume_crypto_constant_is_zero():
     panel = panel_of({"X": [(day(i), 10 + i, 5, 100) for i in range(3)]}, kind="crypto")
-    assert perturb_volume_crypto(panel).values.tolist() == [0.0, 0.0]
+    assert perturb_volume(sats(panel), panel).values.tolist() == [0.0, 0.0]
 
 
 def test_perturb_volume_crypto_full_swing():
     panel = panel_of({"X": [(day(0), 10, 1, 100), (day(1), 11, 3, 100)]}, kind="crypto")
-    assert perturb_volume_crypto(panel).values.tolist() == [1.0]
+    assert perturb_volume(sats(panel), panel).values.tolist() == [1.0]
 
 
 def test_perturb_marketcap_exact():
@@ -275,20 +278,35 @@ def test_antifragility_empty_intersection_returns_none():
     assert math.isnan(result.global_a[0])
 
 
-def test_excluded_agents_are_one_info_line_per_measure(caplog):
-    indexes = {"VIX": [(day(i), 10 + i) for i in range(3)]}
-    panel = panel_of({
-        "Z": [(day(i), 10 + i, 1) for i in range(4, 7)],
-        "X": [(day(i), 10 + i, 1) for i in range(3)],
-        "Y": [(day(i), 20 - i, 1) for i in range(4, 7)],
-    }, indexes=indexes)
-    with caplog.at_level(logging.INFO, logger="antifrag.measures"):
-        ws = compute_measures(panel, ["afp", "afx"])
-    assert [r.getMessage() for r in caplog.records] == [
-        "afx at scale 0 in window w: 2 agents excluded, no overlapping periods: Y, Z"
-    ]
-    assert sorted(ws.results["afx"]) == ["X"]
-    assert sorted(ws.results["afp"]) == ["X", "Y", "Z"]
+def bounds_checked(sat=0.5, p=0.5, instant=0.5, global_a=0.5):
+    """check_bounds over hand-built tables: agent A, one period, measure afp."""
+    one, days = np.array([0, 1]), ordinals(day(1))
+    check_bounds(WindowScaleResults(
+        ("A",), Ragged(one, days, np.array([sat])),
+        {"afp": PerturbationSeries(days, np.array([p]))},
+        {"afp": Scores(one, days, np.array([instant]), np.array([global_a]))},
+    ))
+
+
+def three_indexes_on_disjoint_days():
+    indexes = {iid: [(day(3 * k + i), 10 + i) for i in range(3)]
+               for k, iid in enumerate(("NASDAQ", "DJI", "SPX"))}
+    perturb_three_indexes(panel_of({"X": [(day(i), 10 + i, 1) for i in range(9)]},
+                                   indexes=indexes))
+
+
+@pytest.mark.parametrize("build, problem", [
+    (three_indexes_on_disjoint_days, "af3m: indexes share no differenced period"),
+    (partial(bounds_checked, sat=1.5), "satisfaction out of [-1, 1] for agent A"),
+    (partial(bounds_checked, p=1.5), "perturbation afp out of [0, 1]"),
+    (partial(bounds_checked, instant=-1.5, global_a=-1.5),
+     "instant antifragility out of [-1, 1]: afp/A"),
+    (partial(bounds_checked, global_a=0.75), "global antifragility exceeds instants: afp/A"),
+], ids=["af3m-disjoint", "satisfaction", "perturbation", "instant", "global"])
+def test_guards_raise_their_errors(build, problem):
+    bounds_checked()  # the hand-built tables pass as they are
+    with pytest.raises(ComputeError, match=f"^{re.escape(problem)}$"):
+        build()
 
 
 def test_compute_measures_rejects_wrong_kind():

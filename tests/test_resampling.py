@@ -51,6 +51,12 @@ def test_period_start_monthly():
     assert period_start(dt.date(2015, 2, 27), TimeScale.MONTHLY) == dt.date(2015, 2, 1)
 
 
+@pytest.mark.parametrize("scale", [3, -1])
+def test_period_starts_rejects_an_unknown_scale(scale):
+    with pytest.raises(ValueError, match=f"^unknown time scale {scale}$"):
+        period_starts(np.array([day(0).toordinal()]), scale)
+
+
 def test_daily_resample_is_identity():
     days = tuple(day(i) for i in range(5))
     out = resample([(day(i), 10 + i, 100 + i) for i in range(5)], TimeScale.DAILY)

@@ -117,8 +117,9 @@ def main(argv=None) -> int:
 
 def cli() -> None:
     # Nothing in antifrag calls BLAS: src/ has no dot, matmul, @ or linalg
-    # call. OpenBLAS's worker threads would only spin.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # call. OpenBLAS's worker threads would only spin; an empty setting starts them.
+    if not os.environ.get("OPENBLAS_NUM_THREADS"):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         code = main()
     except BrokenPipeError:  # the reader of stdout has gone: as a failed flush below

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import datetime as dt
 import functools
+import hashlib
 import json
 import math
 import re
@@ -50,6 +51,10 @@ INDEX_IDS = sum(INDEXES_BY_MEASURE.values(), ())
 MAX_VALUE = 1e100
 
 _DATE = itemgetter(slice(0, 10))  # a line's first 10 characters
+
+# a line's digit shape: every ASCII digit 0. _plain_lines reads digits only
+# through [0-9] classes, so a line matches exactly when its shape does.
+_SHAPE = str.maketrans("123456789", "0" * 9)
 
 # A value cell that float() reads as a finite number from 0 to MAX_VALUE: no
 # sign, padding or letter but "e", and an integer part of 2 to 100 digits, or
@@ -200,10 +205,19 @@ def _parse_real(text: str, path: Path, line: int, field: str) -> float:
     return value
 
 
-def _read_lines(path: Path) -> list[str]:
+def _read_text(path: Path, digests: dict | None) -> str:
+    """An input file's ``read_text``; with ``digests``, the SHA-256 of the bytes
+    decoded goes in ``digests[path]``, so that a run reads each input once."""
+    data = path.read_bytes()
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
+    return read_text(path, data)
+
+
+def _read_lines(path: Path, digests: dict | None) -> list[str]:
     """The lines (ended by \\n, \\r\\n or \\r) of a UTF-8 CSV file, less a
     byte-order mark and empty lines at the end; an empty line before a row stays."""
-    lines = split_lines(read_text(path))
+    lines = split_lines(_read_text(path, digests))
     while lines and not lines[-1]:
         lines.pop()
     if not lines:
@@ -267,8 +281,11 @@ def _window(body: list[str], width: int, span: tuple[dt.date, dt.date]) -> list[
     the span is bisected on the sorted texts, which for valid dates is date
     order. Each line left out must have a date that parses and be all
     ``_plain_lines`` cells: it would pass every check, so the kept lines fail
-    where all lines would. A kept line's date is parsed once, from its
-    stripped first field; when that parses, it is those 10 characters.
+    where all lines would. The cells are matched once per distinct digit
+    shape (``_SHAPE``); lines whose shapes are all distinct, the worst case,
+    cost about twice as much as a match per line. A kept line's date is
+    parsed once, from its stripped first field; when that parses, it is
+    those 10 characters.
     """
     first, last = span[0].isoformat(), span[1].isoformat()
     ends = sorted((body[0][:10], body[-1][:10]))
@@ -288,11 +305,14 @@ def _window(body: list[str], width: int, span: tuple[dt.date, dt.date]) -> list[
         list(map(dt.date.fromisoformat, dates[1:start] + dates[stop:]))
     except ValueError:
         return body
-    # matched 256 lines at a time: one match over every line left out keeps a
-    # backtracking state per line (about 3 MB for 2,000 lines), and 64 lines
-    # a match cost crypto-crash about 3% more CPU
-    left_out, plain = body[1:start] + body[stop:], _plain_lines(width).fullmatch
-    if not all(plain("\n".join(left_out[i : i + 256]) + "\n") for i in range(0, len(left_out), 256)):
+    # joined and matched 256 lines at a time: one match over every line left
+    # out keeps a backtracking state per line (about 3 MB for 2,000 lines),
+    # and 64 lines a match cost crypto-crash about 3% more CPU
+    left_out, shapes = body[1:start] + body[stop:], set()
+    for i in range(0, len(left_out), 256):
+        shapes.update("\n".join(left_out[i : i + 256]).translate(_SHAPE).split("\n"))
+    shapes, plain = list(shapes), _plain_lines(width).fullmatch
+    if not all(plain("\n".join(shapes[i : i + 256]) + "\n") for i in range(0, len(shapes), 256)):
         return body
     return body[:1] + body[start:stop]
 
@@ -327,7 +347,8 @@ def _raise_first_bad_row(path: Path, header: list[str], body, in_order: bool) ->
 
 
 def load_agent_series(path: Path, market_kind: str,
-                      span: tuple[dt.date, dt.date] = (dt.date.min, dt.date.max)) -> AgentSeries:
+                      span: tuple[dt.date, dt.date] = (dt.date.min, dt.date.max),
+                      digests: dict | None = None) -> AgentSeries:
     """Read one agent CSV. The agent id is the file's stem.
 
     Rows may arrive in any order; they are sorted by date. Duplicate dates,
@@ -335,11 +356,12 @@ def load_agent_series(path: Path, market_kind: str,
     ``[A-Za-z0-9._-]+`` are errors. The series keeps the file's earliest row
     and the rows in ``span`` (a first and last day, every date by default);
     every row is still checked, and the same files fail with the same errors.
+    Every loader takes ``digests`` as ``_read_text`` does.
     """
     path = Path(path)
     if not is_safe_name(path.stem):
         raise IngestionError(f"{path}: agent id {path.stem!r} {SAFE_NAME_RULE}")
-    lines = _read_lines(path)
+    lines = _read_lines(path, digests)
     header = [h.strip() for h in _fields(lines[0])]
     if header not in (["date", "open", "volume"], ["date", "open", "volume", "market_cap"]):
         raise IngestionError(f"{path}: bad header {header!r}")
@@ -366,12 +388,12 @@ def load_agent_series(path: Path, market_kind: str,
     return AgentSeries(path.stem, market_kind, days, open_, volume, cap)
 
 
-def load_index_series(path: Path, index_id: str) -> IndexSeries:
+def load_index_series(path: Path, index_id: str, digests: dict | None = None) -> IndexSeries:
     """Read one index CSV. Dates must already be strictly increasing."""
     path = Path(path)
     if index_id not in INDEX_IDS:
         raise IngestionError(f"{path}: unknown index id {index_id!r}")
-    lines = _read_lines(path)
+    lines = _read_lines(path, digests)
     header = [h.strip() for h in _fields(lines[0])]
     if header != ["date", "level"]:
         raise IngestionError(f"{path}: bad header {_fields(lines[0])!r}")
@@ -386,7 +408,7 @@ def load_index_series(path: Path, index_id: str) -> IndexSeries:
     return IndexSeries(index_id, days, levels)
 
 
-def load_top_performers(path: Path) -> dict[int, frozenset[str]]:
+def load_top_performers(path: Path, digests: dict | None = None) -> dict[int, frozenset[str]]:
     """Read a top-performer JSON file as a map from year to agent ids.
 
     A year listed more than once, under one key or under keys that ``int``
@@ -396,7 +418,7 @@ def load_top_performers(path: Path) -> dict[int, frozenset[str]]:
     """
     path = Path(path)
     try:
-        data = json.loads(read_text(path), object_pairs_hook=tuple)
+        data = json.loads(_read_text(path, digests), object_pairs_hook=tuple)
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, tuple):

@@ -26,7 +26,6 @@ or ``execute`` joins them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -69,10 +68,6 @@ def _text(lines: list[str]) -> str:
     return "\n".join(lines)
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def execute(config: RunConfig, dump_panels: bool = False) -> dict[str, str]:
     """Produce every report as text, keyed by file name. Writes nothing."""
     return {name: "".join(pieces) for name, pieces in _reports(config, dump_panels)}
@@ -90,7 +85,9 @@ def _reports(config: RunConfig, dump_panels: bool):
         raise IngestionError(f"no agent CSV files in {config.data_dir}")
     # each agent's rows in the windows' hull, and its first day (full_start)
     span = (min(w.start for w in config.windows), max(w.end for w in config.windows))
-    agents = [load_agent_series(p, config.market_kind, span) for p in agent_files]
+    # each input's SHA-256, of the bytes its loader read and decoded
+    read: dict[Path, str] = {}
+    agents = [load_agent_series(p, config.market_kind, span, read) for p in agent_files]
 
     index_files: dict[str, Path] = {}
     for iid in sorted({i for m in config.measures for i in INDEXES_BY_MEASURE.get(m, ())}):
@@ -98,14 +95,14 @@ def _reports(config: RunConfig, dump_panels: bool):
         if not path.is_file():
             raise IngestionError(f"missing index file {path}")
         index_files[iid] = path
-    indexes = [load_index_series(p, i) for i, p in index_files.items()]
+    indexes = [load_index_series(p, i, read) for i, p in index_files.items()]
 
-    digests = {f"agents/{p.name}": _digest(p) for p in agent_files}
-    digests.update({f"indexes/{p.name}": _digest(p) for p in index_files.values()})
+    digests = {f"agents/{p.name}": read[p] for p in agent_files}
+    digests.update({f"indexes/{p.name}": read[p] for p in index_files.values()})
     top = None
     if (top_path := config.top_performers_path) is not None:
-        top = load_top_performers(top_path)
-        digests[f"top/{top_path.name}"] = _digest(top_path)
+        top = load_top_performers(top_path, read)
+        digests[f"top/{top_path.name}"] = read[top_path]
 
     full_start = {a.agent_id: a.first_date for a in agents}
     top_by_window = {w.label: top_ids_for(w, top) for w in config.windows}
@@ -392,7 +389,8 @@ def run(config: RunConfig, dump_panels: bool = False) -> Path:
     is touched, and a failed run removes an ``output_dir`` it made that is
     still empty. The reports are written piece by piece into the staging
     directory ``output_dir/.antifrag-staging`` (made once any ``.antifrag-*``
-    directory a killed run left is removed, and always removed afterwards)
+    directory a killed run left, and a file or symlink of its name, is
+    removed, and always removed afterwards)
     and, once all are written and no report path is a directory, moved into
     place with ``os.replace``. Then the reports of an earlier run that this
     run does not write (comparison.json, panels/*.csv, then an empty panels/)
@@ -406,6 +404,7 @@ def run(config: RunConfig, dump_panels: bool = False) -> Path:
         if orphan.is_dir() and not orphan.is_symlink():
             shutil.rmtree(orphan)
     staging = out_dir / ".antifrag-staging"
+    staging.unlink(missing_ok=True)  # a file or symlink of its name, not followed
     staging.mkdir()
     try:
         names = []

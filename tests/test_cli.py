@@ -3,6 +3,7 @@
 import codecs
 import datetime as dt
 import hashlib
+import io
 import json
 import logging
 import os
@@ -358,7 +359,8 @@ cli()
 """
 
 
-@pytest.mark.parametrize("blas_threads, threads", [(None, "1"), ("2", None)])
+# an empty setting counts as unset: OpenBLAS would start its threads
+@pytest.mark.parametrize("blas_threads, threads", [(None, "1"), ("", "1"), ("2", None)])
 def test_cli_runs_exit_handlers_and_starts_no_blas_thread(fixture_tree, tmp_path,
                                                           blas_threads, threads):
     config = fixture_tree / "crypto" / "config.cfg"
@@ -887,6 +889,60 @@ def test_next_run_removes_the_staging_a_killed_run_left(fixture_tree, tmp_path, 
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "clean")]) == 0
     assert not list(out.glob(".antifrag-*"))
     assert tree_bytes(out) == tree_bytes(tmp_path / "clean")
+
+
+@pytest.mark.parametrize("entry", ["file", "symlink"])
+def test_a_file_or_symlink_with_the_staging_name_is_removed_unfollowed(fixture_tree, tmp_path,
+                                                                       entry):
+    config = fixture_tree / "crypto" / "config.cfg"
+    agents = fixture_tree / "crypto" / "agents"
+    out = fixture_tree / "crypto" / "output"
+    (agents / "sentinel.txt").write_text("kept\n")
+    before = tree_bytes(agents)
+    out.mkdir()
+    if entry == "file":
+        (out / ".antifrag-staging").write_text("not a directory\n")
+    else:
+        (out / ".antifrag-staging").symlink_to(agents, target_is_directory=True)
+    assert cli.main(["run", "--config", str(config)]) == 0
+    assert not os.path.lexists(out / ".antifrag-staging")
+    assert tree_bytes(agents) == before
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "clean")]) == 0
+    assert tree_bytes(out) == tree_bytes(tmp_path / "clean")
+
+
+def test_each_input_is_read_once_and_digested_as_parsed(fixture_tree, monkeypatch):
+    # every input file is rewritten once its loader returns: the manifest
+    # keeps the digests of the bytes the run parsed
+    config = fixture_tree / "stocks" / "config.cfg"
+    root = fixture_tree / "stocks"
+    inputs = sorted(str(p) for p in [*root.glob("*/*.csv"), root / "top_performers.json"])
+    assert cli.main(["run", "--config", str(config), "--out", str(root / "first")]) == 0
+    manifest = (root / "first" / "run_manifest.json").read_bytes()
+
+    opened = []
+
+    def counted_open(file, *args, _open=io.open, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) in inputs:
+            opened.append(os.fspath(file))
+        return _open(file, *args, **kwargs)
+
+    def rewritten_after(load):
+        def loaded(path, *args):
+            result = load(path, *args)
+            fd = os.open(path, os.O_WRONLY | os.O_TRUNC)
+            os.write(fd, b"rewritten\n")
+            os.close(fd)
+            return result
+        return loaded
+
+    monkeypatch.setattr(io, "open", counted_open)
+    for name in ("load_agent_series", "load_index_series", "load_top_performers"):
+        monkeypatch.setattr(pipeline, name, rewritten_after(getattr(pipeline, name)))
+    assert cli.main(["run", "--config", str(config), "--out", str(root / "second")]) == 0
+    assert sorted(opened) == inputs
+    assert (root / "second" / "run_manifest.json").read_bytes() == manifest
+    assert {Path(p).read_bytes() for p in inputs} == {b"rewritten\n"}
 
 
 def test_duplicate_measures_fail_the_run(fixture_tree, capsys):

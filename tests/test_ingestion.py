@@ -759,6 +759,25 @@ def test_plain_lines_take_only_cells_float_reads_within_bounds(width, cells):
         assert all(0 <= v <= ingestion.MAX_VALUE for v in values)
 
 
+# lines over these characters: a date-shaped or free first field, then two or
+# three cells, each free or a value the pattern may take
+SHAPE_TEXT = st.text(alphabet="0123456789.eE+-, na\u0663\x00", max_size=12)
+SHAPE_CELLS = st.one_of(SHAPE_TEXT, st.sampled_from(PLAIN_VALUES), st.floats(0, 1e100).map(repr))
+SHAPE_LINES = st.builds(
+    lambda date, cells: ",".join([date, *cells]),
+    st.one_of(st.text(alphabet="0123456789-", min_size=10, max_size=10), SHAPE_TEXT),
+    st.lists(SHAPE_CELLS, min_size=2, max_size=3))
+
+
+@SETTINGS
+@given(st.sampled_from([3, 4]), SHAPE_LINES)
+def test_a_line_matches_the_plain_lines_pattern_as_its_digit_shape_does(width, line):
+    # _window certifies the lines it leaves out by their shapes
+    plain = ingestion._plain_lines(width).fullmatch
+    shape = line.translate(ingestion._SHAPE)
+    assert bool(plain(line + "\n")) == bool(plain(shape + "\n"))
+
+
 @pytest.mark.parametrize("order", [range(20), range(19, -1, -1), [d * 7 % 20 for d in range(20)]],
                          ids=["oldest-first", "newest-first", "shuffled"])
 def test_window_keeps_the_earliest_line_and_the_span_in_any_row_order(order):

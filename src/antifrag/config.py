@@ -125,12 +125,18 @@ class RunConfig:
 _KEYS = frozenset(RunConfig.__slots__)
 
 
-def read_text(path: Path, data: bytes | None = None) -> str:
-    """A file's UTF-8 text past any byte-order mark, decoded from ``data`` when
-    its bytes are given; a byte that does not decode is an error naming the
-    file and the line (ended by \\n, \\r\\n or \\r) it is on."""
+def read_text(path: Path, digests: dict | None = None) -> str:
+    """A file's UTF-8 text past any byte-order mark; a byte that does not decode
+    is an error naming the file and the line (ended by \\n, \\r\\n or \\r) it is on.
+    With ``digests``, the SHA-256 of the bytes read goes in ``digests[path]``,
+    so that a run reads each input once."""
+    data = Path(path).read_bytes()
+    if digests is not None:
+        import hashlib  # only a run digests what it reads; validate stays light
+
+        digests[path] = hashlib.sha256(data).hexdigest()
     try:
-        return (Path(path).read_bytes() if data is None else data).decode("utf-8-sig")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # the bytes before the bad one decode; a byte-order mark holds no line end
         line = len(split_lines(exc.object[: exc.start].decode("utf-8")))

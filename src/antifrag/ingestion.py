@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import datetime as dt
 import functools
-import hashlib
 import json
 import math
 import re
@@ -205,19 +204,10 @@ def _parse_real(text: str, path: Path, line: int, field: str) -> float:
     return value
 
 
-def _read_text(path: Path, digests: dict | None) -> str:
-    """An input file's ``read_text``; with ``digests``, the SHA-256 of the bytes
-    decoded goes in ``digests[path]``, so that a run reads each input once."""
-    data = path.read_bytes()
-    if digests is not None:
-        digests[path] = hashlib.sha256(data).hexdigest()
-    return read_text(path, data)
-
-
 def _read_lines(path: Path, digests: dict | None) -> list[str]:
     """The lines (ended by \\n, \\r\\n or \\r) of a UTF-8 CSV file, less a
     byte-order mark and empty lines at the end; an empty line before a row stays."""
-    lines = split_lines(_read_text(path, digests))
+    lines = split_lines(read_text(path, digests))
     while lines and not lines[-1]:
         lines.pop()
     if not lines:
@@ -282,8 +272,10 @@ def _window(body: list[str], width: int, span: tuple[dt.date, dt.date]) -> list[
     order. Each line left out must have a date that parses and be all
     ``_plain_lines`` cells: it would pass every check, so the kept lines fail
     where all lines would. The cells are matched once per distinct digit
-    shape (``_SHAPE``); lines whose shapes are all distinct, the worst case,
-    cost about twice as much as a match per line. A kept line's date is
+    shape (``_SHAPE``) among at most 4,096 at a time; lines whose shapes are
+    all distinct, the worst case, cost about twice the CPU of a match per
+    line and hold at most 4,351 shapes (about 0.6 MB for 60-character
+    lines) beside the date texts. A kept line's date is
     parsed once, from its stripped first field; when that parses, it is
     those 10 characters.
     """
@@ -307,13 +299,17 @@ def _window(body: list[str], width: int, span: tuple[dt.date, dt.date]) -> list[
         return body
     # joined and matched 256 lines at a time: one match over every line left
     # out keeps a backtracking state per line (about 3 MB for 2,000 lines),
-    # and 64 lines a match cost crypto-crash about 3% more CPU
-    left_out, shapes = body[1:start] + body[stop:], set()
+    # and 64 lines a match cost crypto-crash about 3% more CPU. The shapes
+    # are matched and dropped once 4,096 gather, so that they hold no second
+    # copy of a file whose shapes are all distinct.
+    left_out, shapes, plain = body[1:start] + body[stop:], set(), _plain_lines(width).fullmatch
     for i in range(0, len(left_out), 256):
         shapes.update("\n".join(left_out[i : i + 256]).translate(_SHAPE).split("\n"))
-    shapes, plain = list(shapes), _plain_lines(width).fullmatch
-    if not all(plain("\n".join(shapes[i : i + 256]) + "\n") for i in range(0, len(shapes), 256)):
-        return body
+        if len(shapes) >= 4096 or i + 256 >= len(left_out):
+            shapes = list(shapes)
+            if not all(plain("\n".join(shapes[j : j + 256]) + "\n") for j in range(0, len(shapes), 256)):
+                return body
+            shapes = set()
     return body[:1] + body[start:stop]
 
 
@@ -356,7 +352,7 @@ def load_agent_series(path: Path, market_kind: str,
     ``[A-Za-z0-9._-]+`` are errors. The series keeps the file's earliest row
     and the rows in ``span`` (a first and last day, every date by default);
     every row is still checked, and the same files fail with the same errors.
-    Every loader takes ``digests`` as ``_read_text`` does.
+    Every loader takes ``digests`` as ``config.read_text`` does.
     """
     path = Path(path)
     if not is_safe_name(path.stem):
@@ -418,7 +414,7 @@ def load_top_performers(path: Path, digests: dict | None = None) -> dict[int, fr
     """
     path = Path(path)
     try:
-        data = json.loads(_read_text(path, digests), object_pairs_hook=tuple)
+        data = json.loads(read_text(path, digests), object_pairs_hook=tuple)
     except json.JSONDecodeError as exc:
         raise IngestionError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, tuple):

@@ -800,3 +800,24 @@ def test_left_out_lines_are_certified_in_bounded_memory():
         tracemalloc.stop()
     assert kept == body[:1]
     assert peak < 4_000_000
+
+
+def test_left_out_lines_of_distinct_shapes_are_certified_in_bounded_memory():
+    # as many digit shapes as lines: a set of them all would be a second copy
+    # of the lines (6.3 MB in all); the shapes are matched and dropped every 4,096
+    body = [f"{day(d)},{'1' * (2 + d % 20)}.{'1' * (d // 20 % 21)},{'1' * (2 + d // 420)}.5"
+            for d in range(20_001)]
+    assert len({line.translate(ingestion._SHAPE) for line in body}) == len(body)
+    span = (day(30_000), day(30_001))
+    ingestion._plain_lines(3)
+    tracemalloc.start()
+    try:
+        kept = ingestion._window(body, 3, span)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept == body[:1]
+    assert peak < 4_000_000
+    # a bad cell among the last shapes, matched after the first 4,096 dropped
+    body[-1] += "x"
+    assert ingestion._window(body, 3, span) == body

@@ -275,9 +275,8 @@ def _window(body: list[str], width: int, span: tuple[dt.date, dt.date]) -> list[
     shape (``_SHAPE``) among at most 4,096 at a time; lines whose shapes are
     all distinct, the worst case, cost about 1.6 times the CPU of a match
     per line and hold at most 4,351 shapes (about 0.6 MB for 60-character
-    lines) beside the date texts. A kept line's date is
-    parsed once, from its stripped first field; when that parses, it is
-    those 10 characters.
+    lines) beside the date texts. A kept line's date is parsed once, from
+    its stripped first field; when that parses, it is those 10 characters.
     """
     first, last = span[0].isoformat(), span[1].isoformat()
     ends = sorted((body[0][:10], body[-1][:10]))

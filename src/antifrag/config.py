@@ -132,7 +132,7 @@ def read_text(path: Path, digests: dict | None = None) -> str:
     so that a run reads each input once."""
     data = Path(path).read_bytes()
     if digests is not None:
-        import hashlib  # only a run digests what it reads; validate stays light
+        import hashlib  # loaded by pipeline, which only run imports: validate stays light
 
         digests[path] = hashlib.sha256(data).hexdigest()
     try:

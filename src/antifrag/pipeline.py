@@ -14,7 +14,12 @@ each bin's mean, each Pearson r, each case's histogram edges (once for both
 populations), each distinct density of a population, the reals of
 comparison.json and the --dump-panels files. correlations.csv and bins.csv
 walk the same per-case columns (``_case_columns``), each reducing a column
-only as far as it reads it.
+only as far as it reads it. bins.csv, correlations.csv and
+distributions.csv render each distinct case of a window once
+(``_shared``): a case with the same agent ids and A bits as an earlier
+one of its window (as monthly quotes give at the daily and weekly scales)
+writes that case's lines under its own prefix. scatter.csv and
+antifragility.csv stay per case.
 
 Report files: antifragility.csv, performance.csv, scatter.csv, bins.csv,
 distributions.csv, correlations.csv, comparison.json (when top-performer
@@ -26,6 +31,9 @@ or ``execute`` joins them.
 
 from __future__ import annotations
 
+# for config.read_text's digests: imported there, mid-run, it raised the
+# peak RSS; validate, which digests nothing, does not import this module
+import hashlib  # noqa: F401
 import json
 import logging
 import os
@@ -209,15 +217,42 @@ def _render_performance(tables, top_by_window):
                      for aid, row in table.row_of.items()])
 
 
-def _case_columns(cases, tables, reduce):
-    """Per case: its row prefix and, per performance variable, (name, n, x,
-    y): the number of the case's agents that define the variable and, when
-    there are any, ``reduce(values, texts)`` of their A column and of the
-    variable's column, ``texts`` an iterator over the values' texts. An A
-    column is reduced once per case and defined mask, and a performance
-    column once per window, variable and rows."""
+def _shared(cases, render):
+    """Per case, its ``window,measure,scale,`` prefix and ``render``'s result
+    for the first case of its window with the same agent ids and the same A
+    values, compared as float64 bytes (so -0.0 and 0.0 differ): a repeat
+    takes its first case's result, as that case's rows depend on nothing
+    else of it. ``render`` maps an iterator over the first cases, in case
+    order, to one result each; it draws each one as it is met. The memo of
+    results is cleared at each window change."""
+    pending = []  # the first case render draws next
+    results = render(iter(pending.pop, None))
     current = None
-    for window, measure, scale, ids, a_values, a_text, _ in cases:
+    for case in cases:
+        window, measure, scale, ids, a_values, _, _ = case
+        if window != current:
+            current, memo = window, {}
+        key = (*ids, np.array(a_values, dtype=float).tobytes())
+        if (result := memo.get(key)) is None:
+            pending.append(case)
+            result = memo[key] = next(results)
+        yield f"{window},{measure},{scale},", result
+
+
+def _lines(prefix: str, bodies: list[str]) -> str:
+    """One line per body, each ``prefix`` then the body, ending with \\n."""
+    return prefix + ("\n" + prefix).join(bodies) + "\n" if bodies else ""
+
+
+def _case_columns(cases, tables, reduce):
+    """Per case, per performance variable, (name, n, x, y): the number of
+    the case's agents that define the variable and, when there are any,
+    ``reduce(values, texts)`` of their A column and of the variable's
+    column, ``texts`` an iterator over the values' texts. An A column is
+    reduced once per case and defined mask, and a performance column once
+    per window, variable and rows."""
+    current = None
+    for window, _, _, ids, a_values, a_text, _ in cases:
         if window != current:
             current, p_cache = window, {}
             row_of, table, text = tables[window].row_of, tables[window].values, tables[window].text
@@ -235,18 +270,24 @@ def _case_columns(cases, tables, reduce):
                 if (y := p_cache.get(key := (j, used.tobytes()))) is None:
                     y = p_cache[key] = reduce(table[used, j], (text[r][j] for r in used.tolist()))
             columns.append((name, n, x, y))
-        yield f"{window},{measure},{scale},", columns
+        yield columns
 
 
 def _render_correlations(cases, tables):
     """correlations.csv, one piece per case: per performance variable, the
     Pearson r over the agents that define it, from each column's deviations
-    and their sum of squares, and the agents' number."""
+    and their sum of squares, and the agents' number. Rendered once per
+    distinct case (``_shared``)."""
     yield "window,measure,scale,perf_variable,r,n_pairs\n"
-    for case, columns in _case_columns(
-            cases, tables, lambda values, _: analysis.deviations(values.tolist())):
-        yield _text([f"{case}{name},{fmt(analysis.correlation(x, y) if n else None)},{n}"
-                     for name, n, x, y in columns])
+
+    def bodies(firsts):
+        for columns in _case_columns(
+                firsts, tables, lambda values, _: analysis.deviations(values.tolist())):
+            yield [f"{name},{fmt(analysis.correlation(x, y) if n else None)},{n}"
+                   for name, n, x, y in columns]
+
+    for prefix, lines in _shared(cases, bodies):
+        yield _lines(prefix, lines)
 
 
 def _render_bins(cases, tables):
@@ -255,29 +296,35 @@ def _render_bins(cases, tables):
     define, from each column's values, stable ascending order and texts. A
     bin's min and max are the texts of the values ``analysis.bin_stats``
     picks; only its mean is formatted here. A variable that fewer agents,
-    but some, define is skipped and named in one warning per run."""
+    but some, define is skipped and named in one warning per run, which
+    counts every case that skips one, a repeat (``_shared``) as its first."""
     yield "window,measure,scale,bin_by,stat_of,bin_index,count,min,mean,max\n"
     bounds_of: dict[int, list[tuple[int, int]]] = {}
+
+    def bodies(firsts):
+        for columns in _case_columns(firsts, tables, lambda values, texts: (
+                values.tolist(), np.argsort(values, kind="stable").tolist(), list(texts))):
+            skipped, bins = [], []
+            for name, n, x, y in columns:
+                if n < analysis.QUANTILE_BINS:
+                    if n:
+                        skipped.append(name)
+                    continue
+                if (bounds := bounds_of.get(n)) is None:
+                    bounds = bounds_of[n] = analysis.bin_bounds(n)
+                for pair, (_, by, _), (of, _, text) in ((f"A,{name},", x, y),
+                                                        (f"{name},A,", y, x)):
+                    bins += [f"{pair}{index},{size},{text[lo]},{mean:.17g},{text[hi]}"
+                             for index, (size, lo, mean, hi)
+                             in enumerate(analysis.bin_stats(by, of, bounds))]
+            yield bins, skipped
+
     skipped_cases = 0
     skipped_names: set[str] = set()
-    for case, columns in _case_columns(cases, tables, lambda values, texts: (
-            values.tolist(), np.argsort(values, kind="stable").tolist(), list(texts))):
-        skipped, bins = [], []
-        for name, n, x, y in columns:
-            if n < analysis.QUANTILE_BINS:
-                if n:
-                    skipped.append(name)
-                continue
-            if (bounds := bounds_of.get(n)) is None:
-                bounds = bounds_of[n] = analysis.bin_bounds(n)
-            for pair, (_, by, _), (of, _, text) in ((f"A,{name}", x, y), (f"{name},A", y, x)):
-                head = f"{case}{pair},"
-                bins += [f"{head}{index},{size},{text[lo]},{mean:.17g},{text[hi]}"
-                         for index, (size, lo, mean, hi)
-                         in enumerate(analysis.bin_stats(by, of, bounds))]
+    for prefix, (bins, skipped) in _shared(cases, bodies):
         skipped_cases += bool(skipped)
         skipped_names.update(skipped)
-        yield _text(bins)
+        yield _lines(prefix, bins)
     if skipped_cases:
         logger.warning(
             "bins skipped in %d of %d cases (fewer than %d agents defined): %s",
@@ -287,27 +334,33 @@ def _render_bins(cases, tables):
 
 
 def _render_distributions(cases, top_by_window, n_bins):
-    """distributions.csv, one piece per case. A case's edges are formatted
-    once for both populations, and each distinct density once per population
-    (densities are never negative, so no -0.0 shares a text with 0.0)."""
+    """distributions.csv, one piece per case, rendered once per distinct
+    case (``_shared``). A case's edges are formatted once for both
+    populations, and each distinct density once per population (densities
+    are never negative, so no -0.0 shares a text with 0.0)."""
     yield "window,measure,scale,population,bin_index,bin_left,bin_right,density,sample_count\n"
-    for window, measure, scale, ids, a_values, _, _ in cases:
-        dist = analysis.distribution(a_values, n_bins=n_bins)
-        edges = list(map(format, dist.edges.tolist(), repeat(".17g")))
-        spans = [f"{i},{left},{right}," for i, (left, right) in enumerate(zip(edges, edges[1:]))]
-        populations = [("all", dist)]
-        top_values = [a for aid, a in zip(ids, a_values) if aid in top_by_window[window]]
-        if top_values:
-            populations.append(("top", analysis.distribution(top_values, edges=dist.edges)))
-        lines = []
-        for population, d in populations:
-            prefix = f"{window},{measure},{scale},{population},"
-            suffix = f",{d.sample_count}"
-            densities = d.densities.tolist()
-            density_text = {v: format(v, ".17g") for v in set(densities)}
-            lines += [f"{prefix}{span}{density_text[v]}{suffix}"
-                      for span, v in zip(spans, densities)]
-        yield _text(lines)
+
+    def bodies(firsts):
+        for window, _, _, ids, a_values, _, _ in firsts:
+            dist = analysis.distribution(a_values, n_bins=n_bins)
+            edges = list(map(format, dist.edges.tolist(), repeat(".17g")))
+            spans = [f"{i},{left},{right},"
+                     for i, (left, right) in enumerate(zip(edges, edges[1:]))]
+            populations = [("all", dist)]
+            top_values = [a for aid, a in zip(ids, a_values) if aid in top_by_window[window]]
+            if top_values:
+                populations.append(("top", analysis.distribution(top_values, edges=dist.edges)))
+            lines = []
+            for population, d in populations:
+                suffix = f",{d.sample_count}"
+                densities = d.densities.tolist()
+                density_text = {v: format(v, ".17g") for v in set(densities)}
+                lines += [f"{population},{span}{density_text[v]}{suffix}"
+                          for span, v in zip(spans, densities)]
+            yield lines
+
+    for prefix, lines in _shared(cases, bodies):
+        yield _lines(prefix, lines)
 
 
 def _comparison_json(stats) -> str:

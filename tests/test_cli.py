@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import antifrag.cli as cli
-from antifrag import measures, pipeline, resampling
+from antifrag import analysis, measures, pipeline, resampling
 from antifrag.config import load_config, read_config_file
 from antifrag.errors import IngestionError
 from antifrag.ingestion import load_agent_series
@@ -294,7 +294,8 @@ def test_each_command_imports_only_what_it_runs(fixture_tree):
         "before = set(sys.modules)\n"
         "from antifrag.cli import main\n"
         f"assert main(['validate', '--config', {str(config)!r}]) == 0\n"
-        "loaded = {'numpy', 'dataclasses', 'inspect', 'logging'} & (set(sys.modules) - before)\n"
+        "loaded = {'numpy', 'dataclasses', 'inspect', 'logging', 'hashlib'}\n"
+        "loaded &= set(sys.modules) - before\n"
         "assert not loaded, f'validate imported {sorted(loaded)}'\n"
         "import antifrag.pipeline, antifrag.fixture\n"
         "assert 'dataclasses' not in set(sys.modules) - before, 'pipeline'\n"
@@ -725,6 +726,68 @@ def test_run_holds_no_report_whole(tmp_path):
     size = (tmp_path / "out" / "scatter.csv").stat().st_size
     assert size > 3_000_000
     assert peak < size
+
+
+def test_cases_that_repeat_their_window_are_analysed_once(tmp_path, monkeypatch):
+    # one quote every 30 days: the daily and weekly panels hold the same
+    # quotes, so those cases of a window have the same agents and A values
+    path = write_wide_crypto_tree(tmp_path, 8)
+    # market caps on three agents only: every case skips the mk_* bins
+    for agent in sorted((tmp_path / "agents").glob("*.csv"))[3:]:
+        header, *rows = agent.read_text().splitlines()
+        agent.write_text("\n".join([header, *(r.rsplit(",", 1)[0] + "," for r in rows)]) + "\n")
+    path.write_text(path.read_text() + "scales = 0,1,2\n")
+    config, _, _ = load_config(path)
+    calls = dict.fromkeys(("bin_stats", "correlation", "distribution"), 0)
+
+    def counted(name, kernel):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return call
+
+    rendered = {}
+
+    def spied(name, render):
+        def spy(cases, *args):
+            rendered[name] = (render, cases, args)
+            return render(cases, *args)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(analysis, name, counted(name, getattr(analysis, name)))
+    for name, render in (("bins.csv", "_render_bins"), ("correlations.csv", "_render_correlations"),
+                         ("distributions.csv", "_render_distributions")):
+        monkeypatch.setattr(pipeline, render, spied(name, getattr(pipeline, render)))
+    texts = pipeline.execute(config)
+    counts = dict(calls)
+
+    # a case's agents and A texts, which tell apart every two float64 values
+    # the pipeline can give (-0.0 is written -0), and its n_pairs per variable
+    cases, pairs = {}, {}
+    for line in texts["antifragility.csv"].splitlines()[1:]:
+        aid, measure, scale, window, a, _ = line.split(",")
+        cases.setdefault((window, measure, scale), []).append((aid, a))
+    for line in texts["correlations.csv"].splitlines()[1:]:
+        window, measure, scale, _, _, n = line.split(",")
+        pairs.setdefault((window, measure, scale), []).append(int(n))
+    distinct = {(case[0], tuple(agents)): pairs[case] for case, agents in cases.items()}
+    assert len(cases) == 36 and len(distinct) < 36
+    assert counts == {
+        "bin_stats": sum(2 * (n >= 5) for ns in distinct.values() for n in ns),
+        "correlation": sum(n > 0 for ns in distinct.values() for n in ns),
+        "distribution": len(distinct),
+    }
+    for name, (render, cases, args) in rendered.items():
+        header = next(render([], *args))
+        assert texts[name] == header + "".join(
+            "".join(render([case], *args))[len(header):] for case in cases)
+
+    # the warning counts every case that skips bins, a repeat as its first
+    done = cli_in_subprocess("run", "--config", str(path))
+    assert (done.returncode, done.stderr.splitlines()) == (0, [
+        "WARNING antifrag.pipeline: bins skipped in 36 of 36 cases (fewer than 5 agents "
+        "defined): pct_dlt_mk, pct_mk_f_i, mk_mea"])
 
 
 def test_failed_top_comparison_leaves_no_output(fixture_tree):

@@ -7,7 +7,8 @@ oracle. The measures' array joins must equal a dict-per-period reference
 bit for bit, and the bins, correlations and distributions rendered from
 shared column reductions and texts must equal the text of the per-case
 reference loops (bins and correlations once the reference's r and bin means
-are clamped to their ranges, as the pipeline clamps them).
+are clamped to their ranges, as the pipeline clamps them), also where cases
+repeat another case's agents and A values.
 """
 
 import datetime as dt
@@ -232,11 +233,37 @@ def report_case(window, measure, scale, agents):
     return (window, measure, scale, ids, a, [fmt(v) for v in a], [1] * len(ids))
 
 
+def positive_zeros(a):
+    """The positions of 0.0 (not -0.0) in ``a``."""
+    return [k for k, v in enumerate(a) if v == 0.0 and math.copysign(1.0, v) > 0]
+
+
+def repeated(draw, cases):
+    """The agents and A of a case drawn so far, of either window: as they
+    are, or with one 0.0 of the A turned into -0.0."""
+    ids, a = draw(st.sampled_from([case[3:5] for case in cases]))
+    if (zeros := positive_zeros(a)) and draw(st.booleans()):
+        a = list(a)
+        a[draw(st.sampled_from(zeros))] = -0.0
+    return dict(zip(ids, a))
+
+
+def with_repeat(case, measure, scale, window=None, flip=False):
+    """``case`` and a copy of it at (measure, scale), in ``window`` (default:
+    the case's), with its first 0.0 of A turned into -0.0 when ``flip``."""
+    a = list(case[4])
+    if flip:
+        a[positive_zeros(a)[0]] = -0.0
+    copy = report_case(window or case[0], measure, scale, dict(zip(case[3], a)))
+    return sorted([case, copy], key=lambda c: c[:3])
+
+
 @st.composite
 def report_inputs(draw):
     """(cases, perf_variables) as ``pipeline.execute`` hands them over: cases
     sorted by (window, measure, scale), each over agents in id order, some
-    without performance in the window and some variables never defined."""
+    without performance in the window and some variables never defined.
+    Some cases repeat the agents and A of an earlier one (``repeated``)."""
     cases = []
     perf_variables = {}
     for window in ("2014", "2015")[: draw(st.integers(1, 2))]:
@@ -249,7 +276,10 @@ def report_inputs(draw):
         keys = sorted(draw(st.sets(st.tuples(st.sampled_from(["afp", "afv"]), st.integers(0, 2)),
                                    min_size=1, max_size=3)))
         for measure, scale in keys:
-            agents = draw(st.dictionaries(st.sampled_from(REPORT_IDS), REPORT_VALUES))
+            if cases and draw(st.booleans()):
+                agents = repeated(draw, cases)
+            else:
+                agents = draw(st.dictionaries(st.sampled_from(REPORT_IDS), REPORT_VALUES))
             cases.append(report_case(window, measure, scale, agents))
     return sorted(cases, key=lambda case: case[:3]), perf_variables
 
@@ -281,6 +311,17 @@ def signed_zero_inputs(zeros, sign):
     perf = {("2014", aid): {**dict.fromkeys(PERF_VARIABLES), "pr_mea": v}
             for aid, v in zip(ids, values)}
     return [report_case("2014", "afp", 0, dict(zip(ids, values)))], perf
+
+
+def repeated_report_inputs(window="2014", flip=False):
+    """A case whose A and ``pr_mea`` are 0.0, 0.0, 1, 2, ... 13 and a copy at
+    (afv, 1) in ``window``, its first 0.0 of A turned into -0.0 when ``flip``
+    (the lowest bin by ``pr_mea`` then has the A minimum "-0"); window
+    2015's performance values are 2014's negated, so its bins and r differ."""
+    cases, perf = signed_zero_inputs((0.0, 0.0), 1)
+    perf.update({("2015", aid): {name: v if v is None else -v for name, v in values.items()}
+                 for (_, aid), values in list(perf.items())})
+    return with_repeat(cases[0], "afv", 1, window, flip), perf
 
 
 def two_agent_inputs():
@@ -318,6 +359,9 @@ def clamped(bins: str, correlations: str) -> tuple[str, str]:
 @example(signed_zero_inputs((0.0, -0.0), 1))
 @example(signed_zero_inputs((-0.0, 0.0), -1))
 @example(signed_zero_inputs((0.0, -0.0), -1))
+@example(repeated_report_inputs())
+@example(repeated_report_inputs(flip=True))
+@example(repeated_report_inputs(window="2015"))
 def test_bins_and_correlations_equal_per_case_reference_bit_for_bit(inputs):
     cases, perf_variables = inputs
     tables = perf_tables(perf_variables, [case[0] for case in cases])
@@ -337,7 +381,8 @@ A_VALUES = st.one_of(
 @st.composite
 def distribution_inputs(draw):
     """(cases, top ids by window, n_hist_bins): cases over 1-16 agents, some
-    single-valued, and top lists naming no agent, some or all of them."""
+    single-valued, some repeating the agents and A of an earlier one
+    (``repeated``), and top lists naming no agent, some or all of them."""
     cases = []
     top_by_window = {}
     for window in ("2014", "2015")[: draw(st.integers(1, 2))]:
@@ -349,20 +394,35 @@ def distribution_inputs(draw):
         keys = sorted(draw(st.sets(st.tuples(st.sampled_from(["afp", "afv"]), st.integers(0, 2)),
                                    min_size=1, max_size=3)))
         for measure, scale in keys:
-            agents = draw(st.one_of(
-                st.dictionaries(st.sampled_from(REPORT_IDS), A_VALUES, min_size=1),
-                st.builds(dict.fromkeys, st.sets(st.sampled_from(REPORT_IDS), min_size=1),
-                          A_VALUES),
-            ))
+            if cases and draw(st.booleans()):
+                agents = repeated(draw, cases)
+            else:
+                agents = draw(st.one_of(
+                    st.dictionaries(st.sampled_from(REPORT_IDS), A_VALUES, min_size=1),
+                    st.builds(dict.fromkeys, st.sets(st.sampled_from(REPORT_IDS), min_size=1),
+                              A_VALUES),
+                ))
             cases.append(report_case(window, measure, scale, agents))
     cases.sort(key=lambda case: case[:3])
     return cases, top_by_window, draw(st.sampled_from([1, 7, 50]))
+
+
+def repeated_distribution_inputs(window="2014", flip=False):
+    """A case whose A peaks at 0.0 and a copy at (afv, 1) in ``window``, that
+    0.0 turned into -0.0 (the last edge's text "-0") when ``flip``; each
+    window's top list names another agent."""
+    case = report_case("2014", "afp", 0, {"a00": -1.0, "a01": -0.5, "a02": 0.0})
+    top = {"2014": frozenset(["a00"]), "2015": frozenset(["a01"])}
+    return with_repeat(case, "afv", 1, window, flip), top, 7
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(distribution_inputs())
 @example(([report_case("2014", "afp", 0, {"a00": -0.0, "a01": 0.0, "a02": -0.0})],
           {"2014": frozenset(["a01"])}, 7))
+@example(repeated_distribution_inputs())
+@example(repeated_distribution_inputs(flip=True))
+@example(repeated_distribution_inputs(window="2015"))
 def test_distributions_equal_per_case_reference_bit_for_bit(inputs):
     cases, top_by_window, n_bins = inputs
     assert ("".join(_render_distributions(cases, top_by_window, n_bins))

@@ -1,25 +1,32 @@
 """End-to-end run: load inputs, compute all cases, render the reports.
 
-A run covers every configured (window, scale) pair in one serial loop. Each
-case builds its panel once and keeps only what the reports read: the alive
-count, and its included agents' ids (in id order), A and periods used. The
-cases form one list, sorted once by (window, measure, scale), that every
-report iterates, so report rows come out sorted and identical for any
-input-file ordering; the performance metrics are one table per window
-(``performance.PerformanceTable``), read by every report that shows them.
-Reals are serialized with 17 significant digits and lines end with \\n.
-Each A and performance value is formatted once, for all reports, and a
-bin's min and max reuse those texts. Past them, the reports format only
-each bin's mean, each Pearson r, each case's histogram edges (once for both
-populations), each distinct density of a population, the reals of
-comparison.json and the --dump-panels files. correlations.csv and bins.csv
-walk the same per-case columns (``_case_columns``), each reducing a column
-only as far as it reads it. bins.csv, correlations.csv and
-distributions.csv render each distinct case of a window once
-(``_shared``): a case with the same agent ids and A bits as an earlier
-one of its window (as monthly quotes give at the daily and weekly scales)
-writes that case's lines under its own prefix. scatter.csv and
-antifragility.csv stay per case.
+A run covers every configured (window, scale) pair in one serial loop. A
+scale aliases an earlier scale of its window (in config order) when it
+splits the window's observed days (each day an agent or index is quoted on)
+into periods at the same days: ``np.diff(period_starts(days, scale)) != 0``
+is equal for both. Period starts never decrease, so both scales then put
+every agent's and index's rows in the same periods, in the same order, and
+differ only in the periods' labels; the measures give the same ids, n_used
+and A bit for bit. An alias builds no panel (unless --dump-panels writes
+it) and computes no measures: it takes its first scale's results and emits
+its cases under its own scale. Every other pair builds its panel once and
+keeps only what the reports read: the alive count, and its included agents'
+ids (in id order), A and periods used. The cases form one list, sorted once
+by (window, measure, scale), that every report iterates, so report rows
+come out sorted and identical for any input-file ordering; the performance
+metrics are one table per window (``performance.PerformanceTable``), read
+by every report that shows them. Reals are serialized with 17 significant
+digits and lines end with \\n. Each A and performance value is formatted
+once, for all reports (an alias's cases share their lists with its first
+scale's), and a bin's min and max reuse those texts. Past them, the reports
+format only each bin's mean, each Pearson r, each case's histogram edges
+(once for both populations), each distinct density of a population, the
+reals of comparison.json and the --dump-panels files. correlations.csv and
+bins.csv walk the same per-case columns (``_case_columns``), each reducing
+a column only as far as it reads it. bins.csv, correlations.csv and
+distributions.csv render the cases of a scale and its aliases once
+(``_shared``): an alias writes its first scale's lines under its own
+prefix. scatter.csv and antifragility.csv stay per case.
 
 Report files: antifragility.csv, performance.csv, scatter.csv, bins.csv,
 distributions.csv, correlations.csv, comparison.json (when top-performer
@@ -56,7 +63,7 @@ from .ingestion import (
 )
 from .measures import compute_measures
 from .performance import PERF_VARIABLES, compute_performance, top_ids_for
-from .resampling import INDEX, PRICE, build_panel, sorted_unique
+from .resampling import INDEX, PRICE, build_panel, period_starts, sorted_unique
 
 logger = logging.getLogger(__name__)
 
@@ -122,10 +129,18 @@ def _reports(config: RunConfig, dump_panels: bool):
     for window in config.windows:
         sliced = [s for s in (slice_window(a, window) for a in agents) if s is not None]
         tables[window.label] = compute_performance(sliced, full_start, window)
+        # the window's observed days and, per partition of them into periods
+        # (the days that start one), the results of the first scale to make it
+        observed = [s.days for s in sliced] + [i.days[window.span(i.days)] for i in indexes]
+        days = sorted_unique(np.concatenate(observed or [np.zeros(0, dtype=np.int64)]))
+        computed = {}
         for scale in config.scales:
+            ws = computed.get(key := (np.diff(period_starts(days, scale)) != 0).tobytes())
             try:
-                panel = build_panel(sliced, indexes, window, scale)
-                ws = compute_measures(panel, config.measures)
+                if ws is None or dump_panels:
+                    panel = build_panel(sliced, indexes, window, scale)
+                if ws is None:
+                    ws = computed[key] = compute_measures(panel, config.measures)
             except ComputeError as exc:
                 raise ComputeError(f"{exc} in window {window.label} at scale {scale:d}") from None
             alive.setdefault(window.label, {})[str(int(scale))] = len(ws.alive_agents)
@@ -157,19 +172,28 @@ def _case_list(scored) -> list:
     """The cases sorted by (window, measure, scale), each one (window,
     measure, scale, ids, A, A texts, n_used) over the agents with n_used > 0,
     in ``ids`` order. ``scored`` holds (window, measure, scale, ids, global A
-    array, n_used array). Each A, a float, is formatted here once, as by fmt.
-    A case without such an agent fails the run here, before any write; the
-    cases that exclude some are named, in case order, in one INFO line."""
-    cases, excluded = [], []
+    array, n_used array); the cases of entries with one global A array (a
+    scale and the scales that alias it) share their lists, so each A, a
+    float, is formatted here once, as by fmt. A case without such an agent
+    fails the run here, before any write; the cases that exclude some are
+    named, in case order, in one INFO line."""
+    cases, excluded, lists = [], [], {}
     for window, measure, scale, ids, global_a, counts in scored:
-        used = np.flatnonzero(counts)
-        if not len(used):
-            raise ComputeError(f"no agent has antifragility in case {window}/{measure}/{scale}")
-        if len(used) < len(ids):
-            excluded.append((window, measure, scale, ", ".join(compress(ids, counts == 0))))
-        a = global_a[used].tolist()
-        cases.append((window, measure, scale, [ids[k] for k in used.tolist()], a,
-                      list(map(format, a, repeat(".17g"))), counts[used].tolist()))
+        # an alias's entries hold its first scale's arrays; keyed on the
+        # array's id, which the array in the value keeps from reuse
+        if (shared := lists.get(id(global_a))) is None:
+            used = np.flatnonzero(counts)
+            if not len(used):
+                raise ComputeError(f"no agent has antifragility in case {window}/{measure}/{scale}")
+            out = ", ".join(compress(ids, counts == 0)) if len(used) < len(ids) else ""
+            a = global_a[used].tolist()
+            shared = lists[id(global_a)] = (global_a, out, [ids[k] for k in used.tolist()], a,
+                                            list(map(format, a, repeat(".17g"))),
+                                            counts[used].tolist())
+        _, out, *columns = shared
+        if out:
+            excluded.append((window, measure, scale, out))
+        cases.append((window, measure, scale, *columns))
     if excluded:
         logger.info("agents excluded in %d of %d cases (no overlapping periods): %s",
                     len(excluded), len(cases), "; ".join(
@@ -219,24 +243,25 @@ def _render_performance(tables, top_by_window):
 
 def _shared(cases, render):
     """Per case, its ``window,measure,scale,`` prefix and ``render``'s result
-    for the first case of its window with the same agent ids and the same A
-    values, compared as float64 bytes (so -0.0 and 0.0 differ): a repeat
-    takes its first case's result, as that case's rows depend on nothing
-    else of it. ``render`` maps an iterator over the first cases, in case
-    order, to one result each; it draws each one as it is met. The memo of
-    results is cleared at each window change."""
+    for the first case of its window with the same A list: ``_case_list``
+    gives one list to a scale's case and to the cases of the scales that
+    alias it, which have the same agents and A bits, so an alias takes its
+    first case's result, as that case's rows depend on nothing else of it.
+    ``render`` maps an iterator over the first cases, in case order, to one
+    result each; it draws each one as it is met. The memo of results is
+    cleared at each window change."""
     pending = []  # the first case render draws next
     results = render(iter(pending.pop, None))
     current = None
     for case in cases:
-        window, measure, scale, ids, a_values, _, _ = case
+        window, measure, scale, _, a_values, _, _ = case
         if window != current:
             current, memo = window, {}
-        key = (*ids, np.array(a_values, dtype=float).tobytes())
-        if (result := memo.get(key)) is None:
+        # keyed on the list's id, which the list in the value keeps from reuse
+        if (hit := memo.get(id(a_values))) is None:
             pending.append(case)
-            result = memo[key] = next(results)
-        yield f"{window},{measure},{scale},", result
+            hit = memo[id(a_values)] = (a_values, next(results))
+        yield f"{window},{measure},{scale},", hit[1]
 
 
 def _lines(prefix: str, bodies: list[str]) -> str:
@@ -277,7 +302,7 @@ def _render_correlations(cases, tables):
     """correlations.csv, one piece per case: per performance variable, the
     Pearson r over the agents that define it, from each column's deviations
     and their sum of squares, and the agents' number. Rendered once per
-    distinct case (``_shared``)."""
+    case and its aliases (``_shared``)."""
     yield "window,measure,scale,perf_variable,r,n_pairs\n"
 
     def bodies(firsts):
@@ -297,7 +322,7 @@ def _render_bins(cases, tables):
     bin's min and max are the texts of the values ``analysis.bin_stats``
     picks; only its mean is formatted here. A variable that fewer agents,
     but some, define is skipped and named in one warning per run, which
-    counts every case that skips one, a repeat (``_shared``) as its first."""
+    counts every case that skips one, an alias (``_shared``) as its first."""
     yield "window,measure,scale,bin_by,stat_of,bin_index,count,min,mean,max\n"
     bounds_of: dict[int, list[tuple[int, int]]] = {}
 
@@ -334,8 +359,8 @@ def _render_bins(cases, tables):
 
 
 def _render_distributions(cases, top_by_window, n_bins):
-    """distributions.csv, one piece per case, rendered once per distinct
-    case (``_shared``). A case's edges are formatted once for both
+    """distributions.csv, one piece per case, rendered once per case and
+    its aliases (``_shared``). A case's edges are formatted once for both
     populations, and each distinct density once per population (densities
     are never negative, so no -0.0 shares a text with 0.0)."""
     yield "window,measure,scale,population,bin_index,bin_left,bin_right,density,sample_count\n"

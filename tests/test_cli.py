@@ -790,6 +790,43 @@ def test_cases_that_repeat_their_window_are_analysed_once(tmp_path, monkeypatch)
         "defined): pct_dlt_mk, pct_mk_f_i, mk_mea"])
 
 
+@pytest.mark.parametrize("dump_panels", [False, True])
+def test_scales_that_only_relabel_periods_are_computed_once(tmp_path, monkeypatch, dump_panels):
+    # one quote every 30 days from 2014-01-01: no week holds two, so the
+    # weekly scale relabels the daily one's periods in every window; only
+    # January and May 2014 hold two quotes, so the monthly scale is computed
+    # on its own in 2014 alone
+    path = write_wide_crypto_tree(tmp_path, 8)
+    path.write_text(path.read_text() + "scales = 2,0,1\n")
+    config, _, _ = load_config(path)
+    calls = {"build_panel": [], "compute_measures": []}
+    real = {name: getattr(pipeline, name) for name in calls}
+
+    def build_panel(agents, indexes, window, scale):
+        calls["build_panel"].append((window.label, int(scale)))
+        return real["build_panel"](agents, indexes, window, scale)
+
+    def compute_measures(panel, measures):
+        calls["compute_measures"].append((panel.window.label, int(panel.scale)))
+        return real["compute_measures"](panel, measures)
+
+    monkeypatch.setattr(pipeline, "build_panel", build_panel)
+    monkeypatch.setattr(pipeline, "compute_measures", compute_measures)
+    texts = pipeline.execute(config, dump_panels)
+    computed = [("2014", 0), ("2014", 2), ("2015", 0), ("2016", 0)]
+    pairs = [(w, s) for w in ("2014", "2015", "2016") for s in (0, 1, 2)]
+    assert calls == {"build_panel": pairs if dump_panels else computed,
+                     "compute_measures": computed}
+    # every pair keeps its alive count and its own rows, 8 agents x 4 measures
+    alive = json.loads(texts["run_manifest.json"])["alive_agents"]
+    assert alive == {w: {"0": 8, "1": 8, "2": 8} for w in ("2014", "2015", "2016")}
+    scales = [line.split(",")[2:4] for line in texts["antifragility.csv"].splitlines()[1:]]
+    assert sorted(map(tuple, scales)) == sorted((str(s), w) for w, s in pairs for _ in range(32))
+    panels = {name for name in texts if name.startswith("panels/")}
+    assert panels == ({f"panels/{w}_s{s}_{c}.csv" for w, s in pairs
+                       for c in ("price", "volume", "market_cap")} if dump_panels else set())
+
+
 def test_failed_top_comparison_leaves_no_output(fixture_tree):
     # the top list names only an agent that is not alive in the window
     (fixture_tree / "crypto" / "top_performers.json").write_text('{"2014": ["QCOIN"]}\n')

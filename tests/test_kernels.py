@@ -238,23 +238,28 @@ def positive_zeros(a):
     return [k for k, v in enumerate(a) if v == 0.0 and math.copysign(1.0, v) > 0]
 
 
-def repeated(draw, cases):
-    """The agents and A of a case drawn so far, of either window: as they
-    are, or with one 0.0 of the A turned into -0.0."""
-    ids, a = draw(st.sampled_from([case[3:5] for case in cases]))
-    if (zeros := positive_zeros(a)) and draw(st.booleans()):
-        a = list(a)
+def repeated(draw, cases, window, measure, scale):
+    """A case at (window, measure, scale) over the agents and A of a case
+    drawn so far, of either window: sharing its lists, as
+    ``pipeline._case_list`` gives an alias's cases its first scale's, or
+    with one 0.0 of the A turned into -0.0."""
+    case = draw(st.sampled_from(cases))
+    if (zeros := positive_zeros(case[4])) and draw(st.booleans()):
+        a = list(case[4])
         a[draw(st.sampled_from(zeros))] = -0.0
-    return dict(zip(ids, a))
+        return report_case(window, measure, scale, dict(zip(case[3], a)))
+    return (window, measure, scale, *case[3:])
 
 
 def with_repeat(case, measure, scale, window=None, flip=False):
     """``case`` and a copy of it at (measure, scale), in ``window`` (default:
-    the case's), with its first 0.0 of A turned into -0.0 when ``flip``."""
-    a = list(case[4])
+    the case's): sharing its lists, or with its first 0.0 of A turned into
+    -0.0 when ``flip``."""
+    copy = (window or case[0], measure, scale, *case[3:])
     if flip:
+        a = list(case[4])
         a[positive_zeros(a)[0]] = -0.0
-    copy = report_case(window or case[0], measure, scale, dict(zip(case[3], a)))
+        copy = report_case(copy[0], measure, scale, dict(zip(case[3], a)))
     return sorted([case, copy], key=lambda c: c[:3])
 
 
@@ -277,10 +282,10 @@ def report_inputs(draw):
                                    min_size=1, max_size=3)))
         for measure, scale in keys:
             if cases and draw(st.booleans()):
-                agents = repeated(draw, cases)
+                cases.append(repeated(draw, cases, window, measure, scale))
             else:
                 agents = draw(st.dictionaries(st.sampled_from(REPORT_IDS), REPORT_VALUES))
-            cases.append(report_case(window, measure, scale, agents))
+                cases.append(report_case(window, measure, scale, agents))
     return sorted(cases, key=lambda case: case[:3]), perf_variables
 
 
@@ -395,14 +400,14 @@ def distribution_inputs(draw):
                                    min_size=1, max_size=3)))
         for measure, scale in keys:
             if cases and draw(st.booleans()):
-                agents = repeated(draw, cases)
+                cases.append(repeated(draw, cases, window, measure, scale))
             else:
                 agents = draw(st.one_of(
                     st.dictionaries(st.sampled_from(REPORT_IDS), A_VALUES, min_size=1),
                     st.builds(dict.fromkeys, st.sets(st.sampled_from(REPORT_IDS), min_size=1),
                               A_VALUES),
                 ))
-            cases.append(report_case(window, measure, scale, agents))
+                cases.append(report_case(window, measure, scale, agents))
     cases.sort(key=lambda case: case[:3])
     return cases, top_by_window, draw(st.sampled_from([1, 7, 50]))
 

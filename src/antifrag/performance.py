@@ -51,22 +51,18 @@ def _channel_metrics(values: list[float]):
     return spread, change, mean
 
 
-def top_ids_for(
-    window: AnalysisWindow, top: dict[int, frozenset[str]] | None
-) -> frozenset[str]:
-    """Top performers matching a window, keyed by the window's end year.
+def top_ids_for(windows, top: dict[int, frozenset[str]] | None) -> dict[str, frozenset[str]]:
+    """Per window label, the top performers of the window's end year.
 
-    A missing year is only worth a warning; the window then simply has no
-    top performers.
+    A missing year is only worth a warning, one per run that names each
+    (year, window) in config order; such a window simply has no top
+    performers.
     """
-    if not top:
-        return frozenset()
-    year = window.end.year
-    if year not in top:
-        logger.warning(
-            "no top-performer list for year %d (window %s)", year, window.label
-        )
-    return top.get(year, frozenset())
+    if top and (missing := [w for w in windows if w.end.year not in top]):
+        logger.warning("no top-performer list in %d of %d windows: %s", len(missing),
+                       len(windows), ", ".join(f"year {w.end.year} (window {w.label})"
+                                               for w in missing))
+    return {w.label: (top or {}).get(w.end.year, frozenset()) for w in windows}
 
 
 class PerformanceTable(NamedTuple):

@@ -1,30 +1,35 @@
 """End-to-end run: load inputs, compute all cases, render the reports.
 
-A run covers every configured (window, scale) pair in one serial loop. A
-scale aliases an earlier scale of its window (in config order) when it
+A run covers every configured (window, scale) pair in one serial loop:
+windows in config order and, in each, its scales from the finest (the
+config sorts them). A scale aliases an earlier scale of its window when it
 splits the window's observed days (each day an agent or index is quoted on)
 into periods at the same days: ``np.diff(period_starts(days, scale)) != 0``
 is equal for both. Period starts never decrease, so both scales then put
 every agent's and index's rows in the same periods, in the same order, and
 differ only in the periods' labels; the measures give the same ids, n_used
 and A bit for bit. An alias builds no panel (unless --dump-panels writes
-it) and computes no measures: it takes its first scale's results and emits
-its cases under its own scale. Every other pair builds its panel once and
-keeps only what the reports read: the alive count, and its included agents'
-ids (in id order), A and periods used. The cases form one list, sorted once
-by (window, measure, scale), that every report iterates, so report rows
-come out sorted and identical for any input-file ordering; the performance
-metrics are one table per window (``performance.PerformanceTable``), read
-by every report that shows them. Reals are serialized with 17 significant
-digits and lines end with \\n. Each A and performance value is formatted
-once, for all reports (an alias's cases share their lists with its first
+it) and computes no measures: it takes its first scale's case columns and
+emits its cases under its own scale. Every other pair builds its panel
+once and turns its results into what the reports read as soon as they are
+computed (``_columns``): the alive count and, per measure, its included
+agents' ids (in id order), A, A texts and periods used. A case without an
+included agent fails the run there, so a run fails at its first failing
+pair, and within a pair on its panel, then its measures, then its cases in
+sorted measure order. The cases form one list, sorted once by (window,
+measure, scale), that every report iterates, so report rows come out
+sorted and identical for any input-file ordering; the performance metrics
+are one table per window (``performance.PerformanceTable``), read by every
+report that shows them. Reals are serialized with 17 significant digits
+and lines end with \\n. Each A and performance value is formatted once,
+for all reports (an alias's cases share their lists with its first
 scale's), and a bin's min and max reuse those texts. Past them, the reports
 format only each bin's mean, each Pearson r, each case's histogram edges
 (once for both populations), each distinct density of a population, the
 reals of comparison.json and the --dump-panels files. correlations.csv and
-bins.csv walk the same per-case columns (``_case_columns``), each reducing
-a column only as far as it reads it. bins.csv, correlations.csv and
-distributions.csv render the cases of a scale and its aliases once
+bins.csv reduce the same per-case columns (``_case_columns``), each only as
+far as it reads them. bins.csv, correlations.csv and distributions.csv
+render each case with a per-case function once for it and its aliases
 (``_shared``): an alias writes its first scale's lines under its own
 prefix. scatter.csv and antifragility.csv stay per case.
 
@@ -120,9 +125,9 @@ def _reports(config: RunConfig, dump_panels: bool):
         digests[f"top/{top_path.name}"] = read[top_path]
 
     full_start = {a.agent_id: a.first_date for a in agents}
-    top_by_window = {w.label: top_ids_for(w, top) for w in config.windows}
+    top_by_window = top_ids_for(config.windows, top)
 
-    scored = []
+    cases, excluded = [], []
     alive: dict[str, dict[str, int]] = {}
     panel_dumps: dict[str, str] = {}
     tables = {}
@@ -130,27 +135,35 @@ def _reports(config: RunConfig, dump_panels: bool):
         sliced = [s for s in (slice_window(a, window) for a in agents) if s is not None]
         tables[window.label] = compute_performance(sliced, full_start, window)
         # the window's observed days and, per partition of them into periods
-        # (the days that start one), the results of the first scale to make it
+        # (the days that start one), the alive count and per-measure case
+        # columns of the first scale to make it
         observed = [s.days for s in sliced] + [i.days[window.span(i.days)] for i in indexes]
         days = sorted_unique(np.concatenate(observed or [np.zeros(0, dtype=np.int64)]))
         computed = {}
         for scale in config.scales:
-            ws = computed.get(key := (np.diff(period_starts(days, scale)) != 0).tobytes())
+            pair = computed.get(key := (np.diff(period_starts(days, scale)) != 0).tobytes())
             try:
-                if ws is None or dump_panels:
+                if pair is None or dump_panels:
                     panel = build_panel(sliced, indexes, window, scale)
-                if ws is None:
-                    ws = computed[key] = compute_measures(panel, config.measures)
+                if pair is None:
+                    ws = compute_measures(panel, config.measures)
             except ComputeError as exc:
                 raise ComputeError(f"{exc} in window {window.label} at scale {scale:d}") from None
-            alive.setdefault(window.label, {})[str(int(scale))] = len(ws.alive_agents)
-            scored.extend(
-                (window.label, m, int(scale), ws.alive_agents, sc.global_a, sc.counts)
-                for m, sc in ws.scores.items()
-            )
+            if pair is None:
+                pair = computed[key] = _columns(ws, window.label, int(scale))
+            alive.setdefault(window.label, {})[str(int(scale))] = pair[0]
+            for measure, (*columns, out) in pair[1].items():
+                case = (window.label, measure, int(scale))
+                cases.append((*case, *columns))
+                if out:
+                    excluded.append((*case, out))
             if dump_panels:
                 panel_dumps.update(_panel_dumps(panel))
-    cases = _case_list(scored)
+    cases.sort(key=itemgetter(0, 1, 2))
+    if excluded:
+        logger.info("agents excluded in %d of %d cases (no overlapping periods): %s",
+                    len(excluded), len(cases), "; ".join(
+                        f"{w}/{m}/{s}: {out}" for w, m, s, out in sorted(excluded)))
 
     reports = [
         ("antifragility.csv", _render_antifragility(cases)),
@@ -168,37 +181,21 @@ def _reports(config: RunConfig, dump_panels: bool):
     return reports + [("run_manifest.json", [_manifest_json(config, digests, alive)])]
 
 
-def _case_list(scored) -> list:
-    """The cases sorted by (window, measure, scale), each one (window,
-    measure, scale, ids, A, A texts, n_used) over the agents with n_used > 0,
-    in ``ids`` order. ``scored`` holds (window, measure, scale, ids, global A
-    array, n_used array); the cases of entries with one global A array (a
-    scale and the scales that alias it) share their lists, so each A, a
-    float, is formatted here once, as by fmt. A case without such an agent
-    fails the run here, before any write; the cases that exclude some are
-    named, in case order, in one INFO line."""
-    cases, excluded, lists = [], [], {}
-    for window, measure, scale, ids, global_a, counts in scored:
-        # an alias's entries hold its first scale's arrays; keyed on the
-        # array's id, which the array in the value keeps from reuse
-        if (shared := lists.get(id(global_a))) is None:
-            used = np.flatnonzero(counts)
-            if not len(used):
-                raise ComputeError(f"no agent has antifragility in case {window}/{measure}/{scale}")
-            out = ", ".join(compress(ids, counts == 0)) if len(used) < len(ids) else ""
-            a = global_a[used].tolist()
-            shared = lists[id(global_a)] = (global_a, out, [ids[k] for k in used.tolist()], a,
-                                            list(map(format, a, repeat(".17g"))),
-                                            counts[used].tolist())
-        _, out, *columns = shared
-        if out:
-            excluded.append((window, measure, scale, out))
-        cases.append((window, measure, scale, *columns))
-    if excluded:
-        logger.info("agents excluded in %d of %d cases (no overlapping periods): %s",
-                    len(excluded), len(cases), "; ".join(
-                        f"{w}/{m}/{s}: {out}" for w, m, s, out in sorted(excluded)))
-    return sorted(cases, key=lambda case: case[:3])
+def _columns(ws, window: str, scale: int) -> tuple[int, dict]:
+    """The pair's alive count and, per measure in sorted order, the columns
+    of its case over the agents with n_used > 0, in ``ws.alive_agents``
+    order: (ids, A, A texts, n_used, the other agents' ids joined by ", ").
+    Each A, a float, is formatted here once, as by fmt; an alias's cases
+    share these lists. A case without such an agent fails the run here."""
+    columns, ids = {}, ws.alive_agents
+    for measure, sc in ws.scores.items():
+        if not len(used := np.flatnonzero(sc.counts)):
+            raise ComputeError(f"no agent has antifragility in case {window}/{measure}/{scale}")
+        a = sc.global_a[used].tolist()
+        out = ", ".join(compress(ids, sc.counts == 0)) if len(used) < len(ids) else ""
+        columns[measure] = ([ids[k] for k in used.tolist()], a,
+                            list(map(format, a, repeat(".17g"))), sc.counts[used].tolist(), out)
+    return len(ids), columns
 
 
 def _render_antifragility(cases):
@@ -242,26 +239,22 @@ def _render_performance(tables, top_by_window):
 
 
 def _shared(cases, render):
-    """Per case, its ``window,measure,scale,`` prefix and ``render``'s result
-    for the first case of its window with the same A list: ``_case_list``
-    gives one list to a scale's case and to the cases of the scales that
-    alias it, which have the same agents and A bits, so an alias takes its
-    first case's result, as that case's rows depend on nothing else of it.
-    ``render`` maps an iterator over the first cases, in case order, to one
-    result each; it draws each one as it is met. The memo of results is
-    cleared at each window change."""
-    pending = []  # the first case render draws next
-    results = render(iter(pending.pop, None))
+    """Per case, its ``window,measure,scale,`` prefix and ``render(case,
+    cache)`` of the first case of its window with the same A list: a scale's
+    cases share their lists with the cases of the scales that alias it,
+    which have the same agents and A bits, so an alias takes its first
+    case's result, as that case's rows depend on nothing else of it.
+    ``cache`` is one dict per window, which ``render`` may fill with what the
+    window's cases share. Keyed on the list's id: ``cases`` keeps every list
+    alive, so no id is reused while they are walked."""
     current = None
     for case in cases:
         window, measure, scale, _, a_values, _, _ = case
         if window != current:
-            current, memo = window, {}
-        # keyed on the list's id, which the list in the value keeps from reuse
-        if (hit := memo.get(id(a_values))) is None:
-            pending.append(case)
-            hit = memo[id(a_values)] = (a_values, next(results))
-        yield f"{window},{measure},{scale},", hit[1]
+            current, cache, results = window, {}, {}
+        if (result := results.get(id(a_values))) is None:
+            result = results[id(a_values)] = render(case, cache)
+        yield f"{window},{measure},{scale},", result
 
 
 def _lines(prefix: str, bodies: list[str]) -> str:
@@ -269,33 +262,30 @@ def _lines(prefix: str, bodies: list[str]) -> str:
     return prefix + ("\n" + prefix).join(bodies) + "\n" if bodies else ""
 
 
-def _case_columns(cases, tables, reduce):
-    """Per case, per performance variable, (name, n, x, y): the number of
-    the case's agents that define the variable and, when there are any,
-    ``reduce(values, texts)`` of their A column and of the variable's
-    column, ``texts`` an iterator over the values' texts. An A column is
-    reduced once per case and defined mask, and a performance column once
-    per window, variable and rows."""
-    current = None
-    for window, _, _, ids, a_values, a_text, _ in cases:
-        if window != current:
-            current, p_cache = window, {}
-            row_of, table, text = tables[window].row_of, tables[window].values, tables[window].text
-        rows = np.array([row_of.get(aid, -1) for aid in ids], dtype=np.intp)
-        a_all = np.array(a_values, dtype=float)
-        defined = ~np.isnan(table[rows])
-        a_cache, columns = {}, []
-        for j, name in enumerate(PERF_VARIABLES):
-            mask = defined[:, j]
-            x = y = None
-            if n := int(np.count_nonzero(mask)):
-                if (x := a_cache.get(key := mask.tobytes())) is None:
-                    x = a_cache[key] = reduce(a_all[mask], compress(a_text, mask.tolist()))
-                used = rows[mask]
-                if (y := p_cache.get(key := (j, used.tobytes()))) is None:
-                    y = p_cache[key] = reduce(table[used, j], (text[r][j] for r in used.tolist()))
-            columns.append((name, n, x, y))
-        yield columns
+def _case_columns(case, cache, table, reduce):
+    """Per performance variable, (name, n, x, y): the number of the case's
+    agents that define the variable in its window's ``table`` and, when
+    there are any, ``reduce(values, texts)`` of their A column and of the
+    variable's column, ``texts`` an iterator over the values' texts. An A
+    column is reduced once per defined mask, and a performance column once
+    per variable and rows of the window (``cache``, the window's)."""
+    _, _, _, ids, a_values, a_text, _ = case
+    rows = np.array([table.row_of.get(aid, -1) for aid in ids], dtype=np.intp)
+    a_all = np.array(a_values, dtype=float)
+    defined = ~np.isnan(table.values[rows])
+    a_cache, columns = {}, []
+    for j, name in enumerate(PERF_VARIABLES):
+        mask = defined[:, j]
+        x = y = None
+        if n := int(np.count_nonzero(mask)):
+            if (x := a_cache.get(key := mask.tobytes())) is None:
+                x = a_cache[key] = reduce(a_all[mask], compress(a_text, mask.tolist()))
+            used = rows[mask]
+            if (y := cache.get(key := (j, used.tobytes()))) is None:
+                y = cache[key] = reduce(table.values[used, j],
+                                        (table.text[r][j] for r in used.tolist()))
+        columns.append((name, n, x, y))
+    return columns
 
 
 def _render_correlations(cases, tables):
@@ -305,13 +295,13 @@ def _render_correlations(cases, tables):
     case and its aliases (``_shared``)."""
     yield "window,measure,scale,perf_variable,r,n_pairs\n"
 
-    def bodies(firsts):
-        for columns in _case_columns(
-                firsts, tables, lambda values, _: analysis.deviations(values.tolist())):
-            yield [f"{name},{fmt(analysis.correlation(x, y) if n else None)},{n}"
-                   for name, n, x, y in columns]
+    def body(case, cache):
+        return [f"{name},{fmt(analysis.correlation(x, y) if n else None)},{n}"
+                for name, n, x, y in _case_columns(
+                    case, cache, tables[case[0]],
+                    lambda values, _: analysis.deviations(values.tolist()))]
 
-    for prefix, lines in _shared(cases, bodies):
+    for prefix, lines in _shared(cases, body):
         yield _lines(prefix, lines)
 
 
@@ -326,27 +316,25 @@ def _render_bins(cases, tables):
     yield "window,measure,scale,bin_by,stat_of,bin_index,count,min,mean,max\n"
     bounds_of: dict[int, list[tuple[int, int]]] = {}
 
-    def bodies(firsts):
-        for columns in _case_columns(firsts, tables, lambda values, texts: (
+    def body(case, cache):
+        skipped, bins = [], []
+        for name, n, x, y in _case_columns(case, cache, tables[case[0]], lambda values, texts: (
                 values.tolist(), np.argsort(values, kind="stable").tolist(), list(texts))):
-            skipped, bins = [], []
-            for name, n, x, y in columns:
-                if n < analysis.QUANTILE_BINS:
-                    if n:
-                        skipped.append(name)
-                    continue
-                if (bounds := bounds_of.get(n)) is None:
-                    bounds = bounds_of[n] = analysis.bin_bounds(n)
-                for pair, (_, by, _), (of, _, text) in ((f"A,{name},", x, y),
-                                                        (f"{name},A,", y, x)):
-                    bins += [f"{pair}{index},{size},{text[lo]},{mean:.17g},{text[hi]}"
-                             for index, (size, lo, mean, hi)
-                             in enumerate(analysis.bin_stats(by, of, bounds))]
-            yield bins, skipped
+            if n < analysis.QUANTILE_BINS:
+                if n:
+                    skipped.append(name)
+                continue
+            if (bounds := bounds_of.get(n)) is None:
+                bounds = bounds_of[n] = analysis.bin_bounds(n)
+            for pair, (_, by, _), (of, _, text) in ((f"A,{name},", x, y), (f"{name},A,", y, x)):
+                bins += [f"{pair}{index},{size},{text[lo]},{mean:.17g},{text[hi]}"
+                         for index, (size, lo, mean, hi)
+                         in enumerate(analysis.bin_stats(by, of, bounds))]
+        return bins, skipped
 
     skipped_cases = 0
     skipped_names: set[str] = set()
-    for prefix, (bins, skipped) in _shared(cases, bodies):
+    for prefix, (bins, skipped) in _shared(cases, body):
         skipped_cases += bool(skipped)
         skipped_names.update(skipped)
         yield _lines(prefix, bins)
@@ -365,26 +353,25 @@ def _render_distributions(cases, top_by_window, n_bins):
     are never negative, so no -0.0 shares a text with 0.0)."""
     yield "window,measure,scale,population,bin_index,bin_left,bin_right,density,sample_count\n"
 
-    def bodies(firsts):
-        for window, _, _, ids, a_values, _, _ in firsts:
-            dist = analysis.distribution(a_values, n_bins=n_bins)
-            edges = list(map(format, dist.edges.tolist(), repeat(".17g")))
-            spans = [f"{i},{left},{right},"
-                     for i, (left, right) in enumerate(zip(edges, edges[1:]))]
-            populations = [("all", dist)]
-            top_values = [a for aid, a in zip(ids, a_values) if aid in top_by_window[window]]
-            if top_values:
-                populations.append(("top", analysis.distribution(top_values, edges=dist.edges)))
-            lines = []
-            for population, d in populations:
-                suffix = f",{d.sample_count}"
-                densities = d.densities.tolist()
-                density_text = {v: format(v, ".17g") for v in set(densities)}
-                lines += [f"{population},{span}{density_text[v]}{suffix}"
-                          for span, v in zip(spans, densities)]
-            yield lines
+    def body(case, _):
+        window, _, _, ids, a_values, _, _ = case
+        dist = analysis.distribution(a_values, n_bins=n_bins)
+        edges = list(map(format, dist.edges.tolist(), repeat(".17g")))
+        spans = [f"{i},{left},{right}," for i, (left, right) in enumerate(zip(edges, edges[1:]))]
+        populations = [("all", dist)]
+        top_values = [a for aid, a in zip(ids, a_values) if aid in top_by_window[window]]
+        if top_values:
+            populations.append(("top", analysis.distribution(top_values, edges=dist.edges)))
+        lines = []
+        for population, d in populations:
+            suffix = f",{d.sample_count}"
+            densities = d.densities.tolist()
+            density_text = {v: format(v, ".17g") for v in set(densities)}
+            lines += [f"{population},{span}{density_text[v]}{suffix}"
+                      for span, v in zip(spans, densities)]
+        return lines
 
-    for prefix, lines in _shared(cases, bodies):
+    for prefix, lines in _shared(cases, body):
         yield _lines(prefix, lines)
 
 

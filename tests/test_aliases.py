@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import antifrag.cli as cli
 from antifrag import pipeline
 from antifrag.config import MEASURES_BY_KIND, load_config
+from antifrag.fixture import write_fixture_tree
 
 from conftest import random_market
 from oracle import oracle_compute
@@ -104,17 +105,17 @@ def run(config: Path) -> tuple[int, list[str], dict[str, list[str]]]:
 
 def first_error(errors: list[str], labels: list[str]) -> str:
     """The error line of a run of every (window, scale) pair, from the
-    error lines of the pairs run on their own, in config order. A pair that
-    fails to compute fails the run before any case without a scored agent
-    does, and the run meets windows in config order and, in each, scales in
-    config order."""
+    error lines of the pairs run on their own. The run meets the pairs in
+    order: windows in config order (``labels``) and, in each, its scales
+    from the finest, as the config loader sorts them. Within a pair, its
+    panel or measures fail before any of its cases (in sorted measure order)
+    without a scored agent, so the run's error is the first failing pair's."""
     def rank(line):
-        if found := re.search(r" in window (\S+) at scale \d+$", line):
-            return 0, labels.index(found[1])
-        if found := re.search(r" in case ([^/]+)/", line):
-            return 1, labels.index(found[1])
-        return 2, 0
-    return min(errors, key=rank)  # the first of equal ranks: config order
+        if found := (re.search(r" in window (\S+) at scale (\d+)$", line)
+                     or re.search(r" in case ([^/]+)/[^/]+/(\d+)$", line)):
+            return labels.index(found[1]), int(found[2])
+        return len(labels), 0
+    return min(errors, key=rank)
 
 
 def pair_of(name: str, row: str) -> tuple[str, str]:
@@ -198,6 +199,23 @@ def spy_build_panel(monkeypatch) -> list[tuple[str, int]]:
 
     monkeypatch.setattr(pipeline, "build_panel", build_panel)
     return calls
+
+
+@pytest.mark.parametrize("windows", ["2014", "2014, 2030"])
+def test_a_run_fails_at_its_first_failing_pair_in_config_order(tmp_path, monkeypatch, capsys,
+                                                                windows):
+    # VIX quoted only after the stock fixture's agents stop: no agent has
+    # afx in window 2014, whose first scale fails before window 2030, which
+    # holds no agent at all, is built
+    config = write_fixture_tree(tmp_path)[0]
+    (config.parent / "indexes" / "vix.csv").write_text(
+        "date,level\n2014-12-01,15.0\n2014-12-02,16.0\n2014-12-03,17.0\n")
+    config.write_text(config.read_text().replace("windows = 2014\n", f"windows = {windows}\n"))
+    calls = spy_build_panel(monkeypatch)
+    assert cli.main(["run", "--config", str(config)]) == 1
+    assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")] == [
+        "error: no agent has antifragility in case 2014/afx/0"]
+    assert calls == [("2014", 0)]
 
 
 def every_35_days(kind: str, n_agents: int, seed: int):

@@ -12,7 +12,7 @@ from antifrag.analysis import (
     top_comparison,
 )
 from antifrag.errors import ComputeError
-from antifrag.pipeline import _case_list, _render_scatter
+from antifrag.pipeline import _render_scatter
 
 from conftest import perf_tables
 
@@ -262,13 +262,13 @@ def test_top_comparison_ratio():
 def scatter_lines(cases, perf) -> list[str]:
     """scatter.csv rows of {case: {agent: A}} and {(window, agent): {name:
     value}}; each case's agents come in id order, as a panel gives them."""
-    scored = [
-        (*key, sorted(values), np.array([values[a] for a in sorted(values)]),
-         np.ones(len(values), dtype=int))
-        for key, values in cases.items()
-    ]
+    rows = []
+    for key, values in sorted(cases.items()):
+        ids = sorted(values)
+        a = [values[aid] for aid in ids]
+        rows.append((*key, ids, a, [format(v, ".17g") for v in a], [1] * len(ids)))
     tables = perf_tables(perf, [window for window, _, _ in cases])
-    text = "".join(_render_scatter(_case_list(scored), tables))
+    text = "".join(_render_scatter(rows, tables))
     assert text.endswith("\n")
     lines = text.split("\n")[:-1]
     assert lines[0] == "window,measure,scale,agent_id,A,perf_variable,perf_value"

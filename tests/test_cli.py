@@ -344,6 +344,18 @@ def test_stderr_of_each_command_is_its_log_lines(fixture_tree, tmp_path):
     ]
 
 
+def test_windows_without_a_top_list_are_named_in_one_warning(fixture_tree, tmp_path):
+    # the top list holds 2014 only; two more windows end in 2015 and 2016
+    config = fixture_tree / "crypto" / "config.cfg"
+    config.write_text(config.read_text().replace(
+        "windows = 2014\n", "windows = 2014, a:2014-01-01:2015-01-31, b:2014-02-01:2016-06-30\n"))
+    done = cli_in_subprocess("run", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert done.returncode == 0
+    assert [line for line in done.stderr.splitlines() if "top-performer" in line] == [
+        "WARNING antifrag.performance: no top-performer list in 2 of 3 windows: "
+        "year 2015 (window a), year 2016 (window b)"]
+
+
 # an exit handler registered before cli() runs; it reports the process's
 # thread count (from /proc, where there is one) and the BLAS thread setting
 CLI_EXIT_SCRIPT = """\

@@ -240,9 +240,9 @@ def positive_zeros(a):
 
 def repeated(draw, cases, window, measure, scale):
     """A case at (window, measure, scale) over the agents and A of a case
-    drawn so far, of either window: sharing its lists, as
-    ``pipeline._case_list`` gives an alias's cases its first scale's, or
-    with one 0.0 of the A turned into -0.0."""
+    drawn so far, of either window: sharing its lists, as an alias's cases
+    share their first scale's (``pipeline._columns``), or with one 0.0 of
+    the A turned into -0.0."""
     case = draw(st.sampled_from(cases))
     if (zeros := positive_zeros(case[4])) and draw(st.booleans()):
         a = list(case[4])

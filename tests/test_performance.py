@@ -117,20 +117,24 @@ def test_top_performer_flag_exact_match():
 def test_top_ids_for_matches_end_year():
     top = {2014: frozenset({"A"}), 2015: frozenset({"B"})}
     window = AnalysisWindow(dt.date(2015, 1, 1), dt.date(2015, 11, 30), "2015")
-    assert top_ids_for(window, top) == frozenset({"B"})
+    assert top_ids_for([window], top) == {"2015": frozenset({"B"})}
 
 
 def test_top_ids_for_missing_year_warns_not_raises(caplog):
     top = {2014: frozenset({"A"})}
-    window = AnalysisWindow(dt.date(2016, 1, 1), dt.date(2016, 12, 31), "2016")
+    windows = [AnalysisWindow(dt.date(y, 1, 1), dt.date(y, 12, 31), label)
+               for y, label in ((2017, "late"), (2014, "w14"), (2016, "early"))]
     with caplog.at_level("WARNING"):
-        assert top_ids_for(window, top) == frozenset()
-    assert any("2016" in r.message for r in caplog.records)
+        assert top_ids_for(windows, top) == {
+            "late": frozenset(), "w14": frozenset({"A"}), "early": frozenset()}
+    assert [r.message for r in caplog.records] == [
+        "no top-performer list in 2 of 3 windows: year 2017 (window late), "
+        "year 2016 (window early)"]
 
 
 def test_top_ids_for_no_lists_is_empty():
     window = AnalysisWindow(dt.date(2016, 1, 1), dt.date(2016, 12, 31), "2016")
-    assert top_ids_for(window, None) == frozenset()
+    assert top_ids_for([window], None) == {"2016": frozenset()}
 
 
 # ids whose file order (by "<id>.csv") is not their id order: "a-b.csv"

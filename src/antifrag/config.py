@@ -263,7 +263,7 @@ def build_config(raw: dict[str, str], base_dir: Path):
     scales = unique("scales", scales)
 
     valid_measures = MEASURES_BY_KIND.get(market_kind, ())
-    if raw.get("measures"):
+    if "measures" in raw:
         measures = tuple(m.strip() for m in raw["measures"].split(",") if m.strip())
         if not measures:
             errors.append("measures must not be empty")

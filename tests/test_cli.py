@@ -604,6 +604,7 @@ WORKER_NOTE = "note: worker_count has no effect: cases run in one process"
     (config_lines(scales="1, 1"), ["error: scales: duplicates"]),
     (config_lines(scales=""), ["error: scales must not be empty"]),
     (config_lines(measures=","), ["error: measures must not be empty"]),
+    (config_lines(measures=""), ["error: measures must not be empty"]),
     (config_lines(measures="afp, afp, afv"), ["error: measures: duplicates"]),
     (config_lines(market_kind="stock"),
      ["error: index_dir is required for stock measures afx/af3m"]),
@@ -618,8 +619,8 @@ WORKER_NOTE = "note: worker_count has no effect: cases run in one process"
     (config_lines(worker_count="-1"), [WORKER_NOTE, "error: worker_count must be >= 0"]),
 ], ids=["no-equals", "duplicate-key", "unreadable", "empty-window", "bad-year", "bad-span",
         "huge-year", "year-0", "duplicate-labels", "market-kind", "no-data-dir", "no-output-dir",
-        "output-dir-is-data-dir", "no-windows", "bad-scale",
-        "duplicate-scales", "empty-scales", "empty-measures", "duplicate-measures",
+        "output-dir-is-data-dir", "no-windows", "bad-scale", "duplicate-scales",
+        "empty-scales", "empty-measures", "blank-measures", "duplicate-measures",
         "no-index-dir", "index-dir-not-a-dir", "top-path-not-a-file", "bad-n-hist-bins",
         "zero-n-hist-bins", "bad-worker-count", "negative-worker-count"])
 def test_validate_prints_each_config_error(tmp_path, capsys, lines, output):

@@ -271,12 +271,12 @@ def _window(body: list[str], width: int, span: tuple[dt.date, dt.date]) -> list[
     the span is bisected on the sorted texts, which for valid dates is date
     order. Each line left out must have a date that parses and be all
     ``_plain_lines`` cells: it would pass every check, so the kept lines fail
-    where all lines would. The cells are matched once per distinct digit
-    shape (``_SHAPE``) among at most 4,096 at a time; lines whose shapes are
-    all distinct, the worst case, cost about 1.6 times the CPU of a match
-    per line and hold at most 4,351 shapes (about 0.6 MB for 60-character
-    lines) beside the date texts. A kept line's date is parsed once, from
-    its stripped first field; when that parses, it is those 10 characters.
+    where all lines would. The lines left out are certified in blocks of
+    4,096, each matched once per distinct digit shape (``_SHAPE``), so at
+    most 4,096 shapes (about 0.6 MB for 60-character lines) are held beside
+    the date texts; lines whose shapes are all distinct, the worst case, cost
+    about 1.6 times the CPU of a match per line. A kept line's date is parsed
+    once, from its stripped first field; when that parses, it is those 10 characters.
     """
     first, last = span[0].isoformat(), span[1].isoformat()
     ends = sorted((body[0][:10], body[-1][:10]))
@@ -296,19 +296,15 @@ def _window(body: list[str], width: int, span: tuple[dt.date, dt.date]) -> list[
         list(map(dt.date.fromisoformat, dates[1:start] + dates[stop:]))
     except ValueError:
         return body
-    # joined and matched 256 lines at a time: one match over every line left
-    # out keeps a backtracking state per line (about 3 MB for 2,000 lines),
-    # and 64 lines a match cost crypto-crash about 3% more CPU. The shapes
-    # are matched and dropped once 4,096 gather, so that they hold no second
-    # copy of a file whose shapes are all distinct.
-    left_out, shapes, plain = body[1:start] + body[stop:], set(), _plain_lines(width).fullmatch
-    for i in range(0, len(left_out), 256):
-        shapes.update("\n".join(left_out[i : i + 256]).translate(_SHAPE).split("\n"))
-        if len(shapes) >= 4096 or i + 256 >= len(left_out):
-            shapes = list(shapes)
-            if not all(plain("\n".join(shapes[j : j + 256]) + "\n") for j in range(0, len(shapes), 256)):
-                return body
-            shapes = set()
+    # certified 4,096 lines at a time, so that distinct shapes make no second
+    # copy of a file, and matched 256 shapes at a time: one match over every
+    # line keeps a backtracking state per line (about 3 MB for 2,000 lines),
+    # and 64 lines a match cost crypto-crash about 3% more CPU
+    left_out, plain = body[1:start] + body[stop:], _plain_lines(width).fullmatch
+    for i in range(0, len(left_out), 4096):
+        shapes = [*{*"\n".join(left_out[i : i + 4096]).translate(_SHAPE).split("\n")}]
+        if not all(plain("\n".join(shapes[j : j + 256]) + "\n") for j in range(0, len(shapes), 256)):
+            return body
     return body[:1] + body[start:stop]
 
 

@@ -13,7 +13,8 @@ it) and computes no measures: it takes its first scale's case columns and
 emits its cases under its own scale. Every other pair builds its panel
 once and turns its results into what the reports read as soon as they are
 computed (``_columns``): the alive count and, per measure, its included
-agents' ids (in id order), A, A texts and periods used. A case without an
+agents' ids (in id order), A, A texts and periods used; its panel and
+results are dropped before the next pair is built. A case without an
 included agent fails the run there, so a run fails at its first failing
 pair, and within a pair on its panel, then its measures, then its cases in
 sorted measure order. The cases form one list, sorted once by (window,
@@ -100,7 +101,10 @@ def _reports(config: RunConfig, dump_panels: bool):
     in a renderer. Return every report as (file name, text pieces),
     run_manifest.json last. A piece is whole lines, rendered as it is read
     from the cases and tables alone, so the reports may be read in any order."""
-    agent_files = sorted(config.data_dir.glob("*.csv"))
+    # a .csv name in another letter case fails the run; no other entry is read
+    agent_files = sorted(config.data_dir.glob("*.[cC][sS][vV]"))
+    if odd := [p for p in agent_files if not p.name.endswith(".csv")]:
+        raise IngestionError(f"{odd[0]}: agent file name must end in lower-case .csv")
     if not agent_files:
         raise IngestionError(f"no agent CSV files in {config.data_dir}")
     # each agent's rows in the windows' hull, and its first day (full_start)
@@ -151,14 +155,16 @@ def _reports(config: RunConfig, dump_panels: bool):
                 raise ComputeError(f"{exc} in window {window.label} at scale {scale:d}") from None
             if pair is None:
                 pair = computed[key] = _columns(ws, window.label, int(scale))
+                del ws
+            if dump_panels:
+                panel_dumps.update(_panel_dumps(panel))
+            panel = None  # neither the results nor the panel outlive their pair
             alive.setdefault(window.label, {})[str(int(scale))] = pair[0]
             for measure, (*columns, out) in pair[1].items():
                 case = (window.label, measure, int(scale))
                 cases.append((*case, *columns))
                 if out:
                     excluded.append((*case, out))
-            if dump_panels:
-                panel_dumps.update(_panel_dumps(panel))
     cases.sort(key=itemgetter(0, 1, 2))
     if excluded:
         logger.info("agents excluded in %d of %d cases (no overlapping periods): %s",

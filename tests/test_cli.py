@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,30 @@ def test_each_panel_is_built_once(fixture_tree, monkeypatch, dump_panels):
     assert sorted(calls) == sorted(
         (w.label, int(s)) for w in cfg.windows for s in cfg.scales
     )
+
+
+@pytest.mark.parametrize("dump_panels", [False, True])
+def test_each_pair_is_freed_before_the_next_is_built(fixture_tree, monkeypatch, dump_panels):
+    # the crypto fixture is quoted daily, so none of its three scales
+    # aliases another: each pair builds a panel and computes its measures
+    config, _, _ = load_config(fixture_tree / "crypto" / "config.cfg")
+    held, built = [], []
+    real = {name: getattr(pipeline, name) for name in ("build_panel", "compute_measures")}
+
+    def build_panel(agents, indexes, window, scale):
+        assert [ref() for ref in held] == [None] * len(held), "an earlier pair is alive"
+        built.append(int(scale))
+        return real["build_panel"](agents, indexes, window, scale)
+
+    def compute_measures(panel, measures):
+        ws = real["compute_measures"](panel, measures)
+        held.extend([weakref.ref(panel), weakref.ref(ws)])
+        return ws
+
+    monkeypatch.setattr(pipeline, "build_panel", build_panel)
+    monkeypatch.setattr(pipeline, "compute_measures", compute_measures)
+    pipeline.execute(config, dump_panels)
+    assert (built, len(held)) == ([0, 1, 2], 6)
 
 
 def test_rerun_without_top_lists_removes_stale_comparison(fixture_tree):
@@ -1109,6 +1134,27 @@ def test_agent_id_with_comma_fails_the_run(fixture_tree, capsys):
     assert cli.main(["run", "--config", str(config), "--workers", "1"]) == 1
     assert "agent id 'X,Y'" in capsys.readouterr().err
     assert not (fixture_tree / "crypto" / "output").exists()
+
+
+def test_only_lower_case_csv_names_in_data_dir_are_read(fixture_tree, capsys):
+    agents = fixture_tree / "crypto" / "agents"
+    config = fixture_tree / "crypto" / "config.cfg"
+    assert cli.main(["run", "--config", str(config)]) == 0
+    reports = read_all(fixture_tree / "crypto" / "output")
+    # entries of any other name are not read
+    (agents / "notes.txt").write_text("not a quote file\n")
+    (agents / ".DS_Store").write_bytes(b"\x00\x00\x00\x01Bud1")
+    (agents / "sub").mkdir()
+    capsys.readouterr()
+    assert cli.main(["--verbose", "run", "--config", str(config)]) == 0
+    assert "notes.txt" not in capsys.readouterr().err
+    assert read_all(fixture_tree / "crypto" / "output") == reports
+    # a .csv name in another letter case fails the run, as an unsafe id does
+    (agents / "QCOIN.CSV").write_bytes((agents / "XCOIN.csv").read_bytes())
+    assert cli.main(["--verbose", "run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {agents / 'QCOIN.CSV'}: agent file name must end in lower-case .csv")
+    assert read_all(fixture_tree / "crypto" / "output") == reports
 
 
 def test_window_label_outside_charset_is_a_config_error(fixture_tree, capsys):

@@ -730,6 +730,8 @@ def span_text(kind, changes=(), days=range(15)):
     ("stock", span_text("stock", days=range(4, -1, -1))),
     # the 264th line left out, in date order, is bad
     ("stock", span_text("stock", [(40, 1, "-1")], days=range(309, -1, -1))),
+    # the 4,145th line left out, in the second block of 4,096, is bad
+    ("stock", span_text("stock", [(4150, 1, "-1")], days=range(4200))),
     ("stock", span_text("stock", [(2, 1, "-1")], days=[d * 7 % 15 for d in range(15)])),
 ], ids=["bad-cell-before", "bad-cell-after", "bad-cells-before-and-in", "year-0000-before",
         "feb-29-after", "date-suffixes-outside", "1e+101-after", "101-digits-before",
@@ -740,6 +742,7 @@ def span_text(kind, changes=(), days=range(15)):
         "swapped-rows-before", "newest-first-bad-cell-before",
         "newest-first-bad-cell-after", "newest-first-day-32-after", "newest-first-all-after",
         "newest-first-all-before", "newest-first-bad-cell-past-the-first-256-left-out",
+        "bad-cell-past-the-first-4096-left-out",
         "shuffled-bad-cell-after"])
 def test_span_load_is_the_reference_load_in_span_on_each_edge(kind, text):
     assert_span_load_is_the_reference_in_span(kind, text, (day(5), day(9)))

@@ -15,6 +15,7 @@ satisfaction is 0, and so is each of its instants, whatever the perturbation.
 """
 
 import datetime as dt
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -74,16 +75,35 @@ CRYPTO_PRICES = {
 CRYPTO_VOLUMES = [1000.0, 3000.0, 2000.0, 2500.0, 1500.0, 1000.0] * 2
 
 
-def run_tree(root: Path, kind: str, rows: dict[str, list[str]], indexes: dict[str, list[str]],
-             windows: str) -> dict[tuple[str, str, str], tuple[str, int]]:
-    """Run one tree and read each (agent, measure, window)'s A text and
-    n_used from its antifragility.csv. ``rows`` holds each agent's CSV
-    lines, header first; ``indexes`` each index file's."""
+# each of five crypto agents moves by 1 and by 2 in turn, week by week, in
+# two windows of nine weekly quotes. Every agent's absolute raw changes are
+# 1, 2, 1, 2, ..., so afp's system means are too, and they normalize to 0,
+# 1, 0, 1, ...: the perturbation peaks at the moves by 2. Agent k makes k of
+# its four moves by 2 upward, and each path spans 5 (4 for k = 2), so its
+# satisfaction at the peaks is +-2/5 and A is (k - 2) / 10 (0 for k = 2).
+# Its prices sit 10 * (k + 1) above its path, so the agents that follow the
+# perturbation most closely have both the highest mean price and the
+# highest A
+FOLLOW_DAYS = [start + dt.timedelta(weeks=w)
+               for start in (dt.date(2015, 1, 5), dt.date(2015, 4, 6)) for w in range(9)]
+FOLLOW_MOVES = [
+    [1, -2, 1, -2, 1, -2, 1, -2],
+    [1, -2, 1, -2, 1, -2, -1, 2],
+    [-1, 2, -1, 2, 1, -2, 1, -2],
+    [-1, 2, -1, 2, -1, 2, 1, -2],
+    [-1, 2, -1, 2, -1, 2, -1, 2],
+]
+
+
+def run(root: Path, kind: str, rows: dict[str, list[str]], indexes: dict[str, list[str]],
+        *config: str) -> Path:
+    """Run one tree with ``config``'s lines and return its output directory.
+    ``rows`` holds each agent's CSV lines, header first; ``indexes`` each
+    index file's."""
     (root / "agents").mkdir()
     for aid, lines in rows.items():
         (root / "agents" / f"{aid}.csv").write_text("\n".join(lines) + "\n")
-    config = [f"market_kind = {kind}", "data_dir = agents", "output_dir = out",
-              f"windows = {windows}", "scales = 0"]
+    config = [f"market_kind = {kind}", "data_dir = agents", "output_dir = out", *config]
     if indexes:
         (root / "indexes").mkdir()
         for name, lines in indexes.items():
@@ -91,7 +111,15 @@ def run_tree(root: Path, kind: str, rows: dict[str, list[str]], indexes: dict[st
         config.append("index_dir = indexes")
     (root / "config.cfg").write_text("\n".join(config) + "\n")
     assert cli.main(["run", "--config", str(root / "config.cfg")]) == 0
-    header, *lines = (root / "out" / "antifragility.csv").read_text().splitlines()
+    return root / "out"
+
+
+def run_tree(root: Path, kind: str, rows: dict[str, list[str]], indexes: dict[str, list[str]],
+             windows: str) -> dict[tuple[str, str, str], tuple[str, int]]:
+    """Run one tree at the daily scale and read each (agent, measure,
+    window)'s A text and n_used from its antifragility.csv."""
+    out = run(root, kind, rows, indexes, f"windows = {windows}", "scales = 0")
+    header, *lines = (out / "antifragility.csv").read_text().splitlines()
     assert header == "agent_id,measure,scale,window,global_A,n_used"
     out = {}
     for line in lines:
@@ -146,3 +174,31 @@ def test_a_constant_agent_scores_zero_under_every_measure(request, kind):
     windows = {w for _, _, w in scores}
     flat = {(m, w): a for (aid, m, w), (a, _) in scores.items() if aid == "FLAT"}
     assert flat == {(m, w): "0" for m in MEASURES_BY_KIND[kind] for w in windows}
+
+
+def test_crypto_agents_with_a_higher_price_score_a_higher_a(tmp_path):
+    # the paper: "in the case of cryptocurrencies, there is an apparent
+    # correlation between high price and high antifragility"
+    rows = {}
+    for k, moves in enumerate(FOLLOW_MOVES):
+        path = [0, *accumulate(moves)]
+        rows[f"F{k}"] = ["date,open,volume"] + [
+            f"{d},{10.0 * (k + 1) + p!r},1000.0" for d, p in zip(FOLLOW_DAYS, path * 2)]
+    out = run(tmp_path, "crypto", rows, {}, "measures = afp", "scales = 0, 1",
+              "windows = q1:2015-01-01:2015-03-31, q2:2015-04-01:2015-06-30")
+    cases = {(w, "afp", s) for w in ("q1", "q2") for s in ("0", "1")}
+    r = {}
+    for line in (out / "correlations.csv").read_text().splitlines()[1:]:
+        window, measure, scale, variable, value, n = line.split(",")
+        if variable == "pr_mea":
+            r[window, measure, scale] = (float(value), int(n))
+    assert r.keys() == cases
+    assert all(value > 0 and n == 5 for value, n in r.values())
+    means = {case: [] for case in cases}
+    for line in (out / "bins.csv").read_text().splitlines()[1:]:
+        window, measure, scale, by, of, _, count, _, mean, _ = line.split(",")
+        if (by, of) == ("pr_mea", "A"):
+            means[window, measure, scale].append((int(count), float(mean)))
+    for binned in means.values():
+        assert [count for count, _ in binned] == [1] * 5
+        assert all(a < b for (_, a), (_, b) in zip(binned, binned[1:]))

@@ -302,7 +302,7 @@ def _window(body: list[str], width: int, span: tuple[dt.date, dt.date]) -> list[
     # and 64 lines a match cost crypto-crash about 3% more CPU
     left_out, plain = body[1:start] + body[stop:], _plain_lines(width).fullmatch
     for i in range(0, len(left_out), 4096):
-        shapes = [*{*"\n".join(left_out[i : i + 4096]).translate(_SHAPE).split("\n")}]
+        shapes = list(set("\n".join(left_out[i : i + 4096]).translate(_SHAPE).split("\n")))
         if not all(plain("\n".join(shapes[j : j + 256]) + "\n") for j in range(0, len(shapes), 256)):
             return body
     return body[:1] + body[start:stop]

@@ -1,5 +1,5 @@
 """Known answers: small stock and crypto trees whose antifragility follows
-from the definitions by hand, checked on the antifragility.csv of a real run.
+from the definitions by hand, checked on the reports of a real run.
 
 Every other check of A compares the engine with a second reading of the
 same definitions (``tests/oracle.py``) or with earlier engine code, so a
@@ -118,8 +118,8 @@ def run_tree(root: Path, kind: str, rows: dict[str, list[str]], indexes: dict[st
              windows: str) -> dict[tuple[str, str, str], tuple[str, int]]:
     """Run one tree at the daily scale and read each (agent, measure,
     window)'s A text and n_used from its antifragility.csv."""
-    out = run(root, kind, rows, indexes, f"windows = {windows}", "scales = 0")
-    header, *lines = (out / "antifragility.csv").read_text().splitlines()
+    reports = run(root, kind, rows, indexes, f"windows = {windows}", "scales = 0")
+    header, *lines = (reports / "antifragility.csv").read_text().splitlines()
     assert header == "agent_id,measure,scale,window,global_A,n_used"
     out = {}
     for line in lines:

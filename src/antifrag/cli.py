@@ -11,7 +11,7 @@ replace the config's ``output_dir`` and ``worker_count`` before the config
 is checked, so a run is checked as it will run. ``validate``
 checks a config without touching any data files. ``fixture`` writes the
 built-in synthetic dataset (stocks/ and crypto/ trees, each with a ready
-config) for smoke testing.
+config) for smoke testing, and like ``run`` fails with one ``error:`` line.
 
 Each command imports only what it runs. ``pipeline`` and ``fixture`` (and
 with them numpy) are imported by the commands that use them, and ``logging``
@@ -75,7 +75,11 @@ def main(argv=None) -> int:
     if args.command == "fixture":
         from .fixture import write_fixture_tree
 
-        configs = write_fixture_tree(args.out)
+        try:
+            configs = write_fixture_tree(args.out)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         for path in configs:
             print(path)
         return 0

@@ -17,6 +17,8 @@ import datetime as dt
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .ingestion import (
     CRYPTO,
     STOCK,
@@ -44,12 +46,14 @@ def _days(start=FIRST_DAY, weekdays_only=False):
     return out
 
 
-def _series(agent_id, kind, days, price, volume, cap=None):
-    rows = [
-        (day, price(i), volume(i), cap(i, day) if cap else None)
-        for i, day in enumerate(days)
-    ]
-    return AgentSeries.from_rows(agent_id, kind, rows)
+def _ordinals(days) -> np.ndarray:
+    return np.array([day.toordinal() for day in days], dtype=np.int64)
+
+
+def _series(agent_id, kind, days, price, volume, cap=lambda i, day: None):
+    n = range(len(days))
+    columns = [list(map(price, n)), list(map(volume, n)), list(map(cap, n, days))]
+    return AgentSeries(agent_id, kind, _ordinals(days), *np.array(columns, dtype=np.float64))
 
 
 def stock_agents() -> list[AgentSeries]:
@@ -79,10 +83,9 @@ def stock_indexes() -> list[IndexSeries]:
         "DJI": lambda j: 16300.0 + 12 * j + 14 * ((2 * j) % 6),
         "SPX": lambda j: 1830.0 + 2 * j + 3 * ((j * j) % 7),
     }
-    return [
-        IndexSeries.from_rows(iid, [(day, fn(j)) for j, day in enumerate(days)])
-        for iid, fn in levels.items()
-    ]
+    return [IndexSeries(iid, _ordinals(days),
+                        np.array(list(map(fn, range(len(days)))), dtype=np.float64))
+            for iid, fn in levels.items()]
 
 
 def crypto_agents() -> list[AgentSeries]:

@@ -9,9 +9,9 @@ end with empty lines.
 
 A loaded series is a record of numpy columns: dates as int64 day ordinals
 (``date.toordinal()``), values as float64, and NaN for a missing market cap.
-Its invariants are written once, in ``_column_fault``, for series loaded from
-a file and built with ``from_rows`` alike; slicing returns views of columns
-that are already checked.
+A series is made by a loader, which checks its invariants once, in
+``_column_fault``; the constructors take columns as given, and slicing
+returns views of columns that are already checked.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from .config import (
     CRYPTO,
     INDEXES_BY_MEASURE,
-    MARKET_KINDS,
     SAFE_NAME_RULE,
     STOCK,
     AnalysisWindow,
@@ -94,24 +93,6 @@ def _column_fault(days: np.ndarray, values, cap=None) -> tuple[str, int] | None:
     return None
 
 
-def _built_columns(who: str, rows, has_cap: bool):
-    """Checked day ordinals and float64 columns of (date, open, volume, cap)
-    rows (a None cap becomes NaN) when ``has_cap``, else of (date, level) rows."""
-    if not rows:
-        raise IngestionError(f"{who}: no observations")
-    width = 4 if has_cap else 2
-    for number, row in enumerate(rows, 1):
-        if len(row) != width:
-            raise IngestionError(f"{who}: row {number} has {len(row)} fields, expected {width}")
-    days = np.array([r[0].toordinal() for r in rows], dtype=np.int64)
-    columns = [np.array(c, dtype=np.float64) for c in list(zip(*rows))[1:]]
-    values, cap = (columns[:-1], columns[-1]) if has_cap else (columns, None)
-    if fault := _column_fault(days, values, cap):
-        problem, row = fault
-        raise IngestionError(f"{who}: {problem} at {dt.date.fromordinal(int(days[row]))}")
-    return days, columns
-
-
 class AgentSeries:
     """Full or sliced history for one stock or cryptocurrency.
 
@@ -138,20 +119,6 @@ class AgentSeries:
     def first_date(self) -> dt.date:
         return dt.date.fromordinal(int(self.days[0]))
 
-    @classmethod
-    def from_rows(cls, agent_id: str, market_kind: str, rows) -> "AgentSeries":
-        """Build from (date, open, volume, cap_or_None) rows in date order."""
-        if not is_safe_name(agent_id):
-            raise IngestionError(f"agent id {agent_id!r} {SAFE_NAME_RULE}")
-        if market_kind not in MARKET_KINDS:
-            raise IngestionError(
-                f"agent {agent_id}: unknown market kind {market_kind!r}"
-            )
-        days, (open_, volume, cap) = _built_columns(f"agent {agent_id}", rows, True)
-        if market_kind == STOCK and not np.isnan(cap).all():
-            raise IngestionError(f"agent {agent_id}: market_cap not allowed for stocks")
-        return cls(agent_id, market_kind, days, open_, volume, cap)
-
 
 class IndexSeries:
     """A market index: strictly increasing day ordinals and their levels.
@@ -171,14 +138,6 @@ class IndexSeries:
     def values(self) -> tuple[tuple[dt.date, float], ...]:
         """The (date, level) pairs as Python objects."""
         return tuple(zip(to_dates(self.days), self.levels.tolist()))
-
-    @classmethod
-    def from_rows(cls, index_id: str, rows) -> "IndexSeries":
-        """Build from (date, level) rows in date order."""
-        if index_id not in INDEX_IDS:
-            raise IngestionError(f"unknown index id {index_id!r}")
-        days, (levels,) = _built_columns(f"index {index_id}", rows, False)
-        return cls(index_id, days, levels)
 
 
 def _parse_date(text: str, path: Path, line: int) -> dt.date:

@@ -58,7 +58,7 @@ def top_ids_for(windows, top: dict[int, frozenset[str]] | None) -> dict[str, fro
     (year, window) in config order; such a window simply has no top
     performers.
     """
-    if top and (missing := [w for w in windows if w.end.year not in top]):
+    if top is not None and (missing := [w for w in windows if w.end.year not in top]):
         logger.warning("no top-performer list in %d of %d windows: %s", len(missing),
                        len(windows), ", ".join(f"year {w.end.year} (window {w.label})"
                                                for w in missing))

@@ -30,17 +30,12 @@ def day(n: int) -> dt.date:
 
 
 def make_agent(aid, kind, rows) -> AgentSeries:
-    """rows: (date, open, volume) or (date, open, volume, cap_or_None)."""
-    rows = [
-        (
-            r[0],
-            float(r[1]),
-            float(r[2]),
-            None if len(r) < 4 or r[3] is None else float(r[3]),
-        )
-        for r in rows
-    ]
-    return AgentSeries.from_rows(aid, kind, rows)
+    """rows, in date order: (date, open, volume) or (date, open, volume, cap_or_None)."""
+    days = np.array([r[0].toordinal() for r in rows], dtype=np.int64)
+    assert (days[1:] > days[:-1]).all(), f"agent {aid}: days must strictly increase"
+    columns = [[r[1] for r in rows], [r[2] for r in rows],
+               [r[3] if len(r) > 3 else None for r in rows]]
+    return AgentSeries(aid, kind, days, *(np.array(c, dtype=np.float64) for c in columns))
 
 
 def series_to_rows(series: AgentSeries):
@@ -65,7 +60,8 @@ def plain_to_agents(plain: dict, kind: str) -> list[AgentSeries]:
 
 def plain_to_indexes(plain: dict) -> list[IndexSeries]:
     return [
-        IndexSeries.from_rows(iid, [(d, float(v)) for d, v in rows])
+        IndexSeries(iid, np.array([d.toordinal() for d, _ in rows], dtype=np.int64),
+                    np.array([v for _, v in rows], dtype=np.float64))
         for iid, rows in sorted(plain.items())
     ]
 

@@ -74,6 +74,16 @@ def test_fixture_lists_config_paths(tmp_path, capsys):
     assert (tmp_path / "crypto" / "top_performers.json").is_file()
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/x"])
+def test_fixture_into_a_file_is_one_error_line(tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("kept\n")
+    assert cli.main(["fixture", "--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])

@@ -353,12 +353,19 @@ def test_loading_is_order_independent(tmp_path):
             == {s.agent_id: series_to_rows(s) for s in second})
 
 
-def test_observation_dates_strictly_increasing_enforced():
-    with pytest.raises(IngestionError, match="strictly increasing"):
-        AgentSeries.from_rows("X", "stock", [
-            (dt.date(2014, 1, 3), 10.0, 100.0, None),
-            (dt.date(2014, 1, 2), 11.0, 100.0, None),
-        ])
+def test_index_file_out_of_order_names_the_line(tmp_path):
+    path = write(tmp_path, "vix.csv", "date,level\n2014-01-02,1\n2014-01-06,2\n2014-01-03,3\n")
+    with pytest.raises(IngestionError) as caught:
+        load_index_series(path, "VIX")
+    assert str(caught.value) == f"{path}: line 4: out-of-order date 2014-01-03"
+
+
+def test_agent_file_with_a_repeated_date_names_both_lines(tmp_path):
+    path = write(tmp_path, "X.csv",
+                 "date,open,volume\n2014-01-03,1,2\n2014-01-02,3,4\n2014-01-03,5,6\n")
+    with pytest.raises(IngestionError) as caught:
+        load_agent_series(path, "stock")
+    assert str(caught.value) == f"{path}: line 4: duplicate date 2014-01-03 (first at line 2)"
 
 
 def test_values_above_1e100_rejected_1e100_accepted(tmp_path):
@@ -375,67 +382,6 @@ def test_values_above_1e100_rejected_1e100_accepted(tmp_path):
         load_index_series(path, "VIX")
 
 
-def test_from_rows_rejects_values_above_1e100():
-    rows = [(dt.date(2014, 1, 2), 1e100, 1e100, 1e100),
-            (dt.date(2014, 1, 3), 1.0, 1.0, 1e101)]
-    with pytest.raises(IngestionError, match=r"agent X: value above 1e\+100 at 2014-01-03"):
-        AgentSeries.from_rows("X", "crypto", rows)
-    with pytest.raises(IngestionError, match=r"index VIX: value above 1e\+100 at 2014-01-02"):
-        IndexSeries.from_rows("VIX", [(dt.date(2014, 1, 2), float("inf"))])
-    assert len(AgentSeries.from_rows("X", "crypto", rows[:1])) == 1
-
-
-def test_from_rows_rejects_nan_values_as_the_loaders_do():
-    d1, d2 = dt.date(2014, 1, 2), dt.date(2014, 1, 3)
-    with pytest.raises(IngestionError, match="agent X: NaN value at 2014-01-02"):
-        AgentSeries.from_rows("X", "stock", [(d1, math.nan, 1.0, None),
-                                             (d2, 1.0, math.nan, None)])
-    with pytest.raises(IngestionError, match="index VIX: NaN value at 2014-01-02"):
-        IndexSeries.from_rows("VIX", [(d1, math.nan)])
-
-
-def agent_from(rows):
-    return AgentSeries.from_rows("X", "crypto", rows)
-
-
-def index_from(rows):
-    return IndexSeries.from_rows("VIX", rows)
-
-
-@pytest.mark.parametrize("build, rows, problem", [
-    (agent_from, [(day(0), 1.0, 1.0)], "agent X: row 1 has 3 fields, expected 4"),
-    (agent_from, [(day(0), 1.0, 1.0, None, 5.0)], "agent X: row 1 has 5 fields, expected 4"),
-    # zip(*rows) would cut this mix to 4 columns without a word
-    (agent_from, [(day(0), 1.0, 1.0, None), (day(1), 1.0, 1.0, None, 5.0)],
-     "agent X: row 2 has 5 fields, expected 4"),
-    (agent_from, [(day(0), 1.0, 1.0, None), (day(1), 1.0, 1.0)],
-     "agent X: row 2 has 3 fields, expected 4"),
-    (index_from, [(day(0),)], "index VIX: row 1 has 1 fields, expected 2"),
-    (index_from, [(day(0), 1.0), (day(1), 1.0, 2.0)], "index VIX: row 2 has 3 fields, expected 2"),
-], ids=["agent-short", "agent-long", "agent-mixed-long", "agent-mixed-short",
-        "index-short", "index-mixed-long"])
-def test_from_rows_rejects_rows_of_the_wrong_width(build, rows, problem):
-    with pytest.raises(IngestionError, match=f"^{problem}$"):
-        build(rows)
-
-
-def test_from_rows_rejects_unsafe_agent_id():
-    with pytest.raises(IngestionError, match=re.escape("agent id '../X,Y'")):
-        AgentSeries.from_rows("../X,Y", "stock", [(dt.date(2014, 1, 2), 1.0, 1.0, None)])
-
-
-@pytest.mark.parametrize("build, problem", [
-    (lambda: AgentSeries.from_rows("X", "bond", [(day(0), 1.0, 1.0, None)]),
-     "agent X: unknown market kind 'bond'"),
-    (lambda: AgentSeries.from_rows("X", "stock", [(day(0), 1.0, 1.0, 5.0)]),
-     "agent X: market_cap not allowed for stocks"),
-    (lambda: IndexSeries.from_rows("FOO", [(day(0), 1.0)]), "unknown index id 'FOO'"),
-], ids=["unknown-kind", "stock-cap", "unknown-index"])
-def test_from_rows_rejects_what_no_loader_passes_it(build, problem):
-    with pytest.raises(IngestionError, match=f"^{re.escape(problem)}$"):
-        build()
-
-
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 FINITE = st.floats(0.0, 1e6)
 # values at and beyond the edges of the accepted range
@@ -449,10 +395,10 @@ HEADERS = {"index": "date,level", "stock": "date,open,volume",
 
 
 @st.composite
-def built_rows(draw, kind):
-    """from_rows input for an index or an agent of ``kind``: rows in date
-    order with duplicate dates allowed, at most one value cell an edge value,
-    and crypto caps sometimes blank (None)."""
+def edge_rows(draw, kind):
+    """The rows of a file for an index or an agent of ``kind``: in date order
+    with duplicate dates allowed, at most one value cell an edge value, and
+    crypto caps sometimes blank (None)."""
     width = 1 if kind == "index" else 3
     rows = [[day(d)] + [draw(FINITE) for _ in range(width)]
             for d in sorted(draw(st.lists(st.integers(0, 30), max_size=6)))]
@@ -476,29 +422,45 @@ def as_csv(kind, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def accepted(build):
-    """The series a constructor returns, as plain rows; None when it raises."""
+def as_loaded(kind, rows) -> list[tuple]:
+    """The rows as a loaded series holds them: a NaN cap, a blank cell in the
+    file, is None."""
+    if kind != "crypto":
+        return rows
+    return [(*r[:3], None if r[3] is None or math.isnan(r[3]) else r[3]) for r in rows]
+
+
+def keeps_the_invariants(rows) -> bool:
+    """README's invariants of a series: some row, strictly increasing dates,
+    and every value from 0 to 1e100, so none NaN; a None cap is no value."""
+    dates = [r[0] for r in rows]
+    values = [v for r in rows for v in r[1:] if v is not None]
+    return (bool(rows) and all(a < b for a, b in zip(dates, dates[1:]))
+            and all(0 <= v <= 1e100 for v in values))
+
+
+def accepted(load):
+    """The series a loader returns, as plain rows; None when it raises."""
     try:
-        series = build()
+        series = load()
     except IngestionError:
         return None
-    return series.values if isinstance(series, IndexSeries) else series_to_rows(series)
+    return list(series.values) if isinstance(series, IndexSeries) else series_to_rows(series)
 
 
 @SETTINGS
 @given(st.sampled_from(["stock", "crypto", "index"]), st.data())
-def test_from_rows_accepts_exactly_what_the_loaders_accept(kind, data):
-    rows = data.draw(built_rows(kind))
+def test_loaders_accept_exactly_the_rows_that_keep_the_invariants(kind, data):
+    rows = data.draw(edge_rows(kind))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "X.csv"
         path.write_text(as_csv(kind, rows))
         if kind == "index":
             loaded = accepted(lambda: load_index_series(path, "VIX"))
-            built = accepted(lambda: IndexSeries.from_rows("VIX", rows))
         else:
             loaded = accepted(lambda: load_agent_series(path, kind))
-            built = accepted(lambda: AgentSeries.from_rows("X", kind, rows))
-    assert loaded == built
+    rows = as_loaded(kind, rows)
+    assert loaded == (rows if keeps_the_invariants(rows) else None)
 
 
 def test_window_start_after_end_rejected():

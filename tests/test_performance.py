@@ -132,9 +132,21 @@ def test_top_ids_for_missing_year_warns_not_raises(caplog):
         "year 2016 (window early)"]
 
 
-def test_top_ids_for_no_lists_is_empty():
+def test_top_ids_for_no_lists_is_empty(caplog):
     window = AnalysisWindow(dt.date(2016, 1, 1), dt.date(2016, 12, 31), "2016")
-    assert top_ids_for([window], None) == {"2016": frozenset()}
+    with caplog.at_level("WARNING"):
+        assert top_ids_for([window], None) == {"2016": frozenset()}
+    assert caplog.records == []
+
+
+def test_top_ids_for_an_empty_file_warns_of_every_window(caplog):
+    # a top-performer file holding {} lists no year, so no window has a list
+    windows = [AnalysisWindow(dt.date(y, 1, 1), dt.date(y, 12, 31), str(y)) for y in (2014, 2015)]
+    with caplog.at_level("WARNING"):
+        assert top_ids_for(windows, {}) == {"2014": frozenset(), "2015": frozenset()}
+    assert [r.message for r in caplog.records] == [
+        "no top-performer list in 2 of 2 windows: year 2014 (window 2014), "
+        "year 2015 (window 2015)"]
 
 
 # ids whose file order (by "<id>.csv") is not their id order: "a-b.csv"

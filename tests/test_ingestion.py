@@ -382,6 +382,59 @@ def test_values_above_1e100_rejected_1e100_accepted(tmp_path):
         load_index_series(path, "VIX")
 
 
+def load_crypto(path):
+    return load_agent_series(path, "crypto")
+
+
+def load_vix(path):
+    return load_index_series(path, "VIX")
+
+
+@pytest.mark.parametrize("load, text, problem", [
+    (load_crypto, "date,open,volume,market_cap\n2014-01-02,1,1\n",
+     "line 2: expected 4 fields, got 3"),
+    (load_crypto, "date,open,volume,market_cap\n2014-01-02,1,1,,5\n",
+     "line 2: expected 4 fields, got 5"),
+    (load_crypto, "date,open,volume,market_cap\n2014-01-02,1,1,\n2014-01-03,1,1,,5\n",
+     "line 3: expected 4 fields, got 5"),
+    (load_crypto, "date,open,volume,market_cap\n2014-01-02,1,1,\n2014-01-03,1,1\n",
+     "line 3: expected 4 fields, got 3"),
+    (load_vix, "date,level\n2014-01-02\n", "line 2: expected 2 fields, got 1"),
+    (load_vix, "date,level\n2014-01-02,1\n2014-01-03,1,2\n", "line 3: expected 2 fields, got 3"),
+], ids=["agent-short", "agent-long", "agent-mixed-long", "agent-mixed-short",
+        "index-short", "index-mixed-long"])
+def test_loaders_reject_rows_of_the_wrong_width(tmp_path, load, text, problem):
+    path = write(tmp_path, "vix.csv" if load is load_vix else "X.csv", text)
+    with pytest.raises(IngestionError) as caught:
+        load(path)
+    assert str(caught.value) == f"{path}: {problem}"
+
+
+def test_loaders_reject_nan_values_in_every_column(tmp_path):
+    header = "date,open,volume,market_cap\n"
+    for field, cells in (("open", "nan,1,"), ("volume", "1,NaN,1"), ("market_cap", "1,1,nan")):
+        path = write(tmp_path, "X.csv", f"{header}2014-01-02,1,1,1\n2014-01-03,{cells}\n")
+        with pytest.raises(IngestionError) as caught:
+            load_crypto(path)
+        assert str(caught.value) == f"{path}: line 3: non-finite {field} value"
+    path = write(tmp_path, "vix.csv", "date,level\n2014-01-02,nan\n")
+    with pytest.raises(IngestionError) as caught:
+        load_vix(path)
+    assert str(caught.value) == f"{path}: line 2: non-finite level value"
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity"])
+def test_loaders_reject_infinite_values(tmp_path, cell):
+    path = write(tmp_path, "X.csv", f"date,open,volume\n2014-01-02,1,{cell}\n")
+    with pytest.raises(IngestionError) as caught:
+        load_agent_series(path, "stock")
+    assert str(caught.value) == f"{path}: line 2: non-finite volume value"
+    path = write(tmp_path, "vix.csv", f"date,level\n2014-01-02,{cell}\n")
+    with pytest.raises(IngestionError) as caught:
+        load_vix(path)
+    assert str(caught.value) == f"{path}: line 2: non-finite level value"
+
+
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 FINITE = st.floats(0.0, 1e6)
 # values at and beyond the edges of the accepted range

@@ -1,17 +1,4 @@
-"""Command line interface.
-
-    antifrag run --config CFG [--workers N] [--out DIR] [--dump-panels]
-    antifrag validate --config CFG
-    antifrag fixture --out DIR
-
-``run`` executes a full analysis and writes the report files; its
-(window, scale) cases run one after another in one process, and
-``--workers`` is accepted but has no effect. ``--out`` and ``--workers``
-replace the config's ``output_dir`` and ``worker_count`` before the config
-is checked, so a run is checked as it will run. ``validate``
-checks a config without touching any data files. ``fixture`` writes the
-built-in synthetic dataset (stocks/ and crypto/ trees, each with a ready
-config) for smoke testing, and like ``run`` fails with one ``error:`` line.
+"""Command line interface: the commands and options of README § Quick start.
 
 Each command imports only what it runs. ``pipeline`` and ``fixture`` (and
 with them numpy) are imported by the commands that use them, and ``logging``

@@ -1,23 +1,7 @@
 """Run configuration: a flat key = value text file.
 
-Recognized keys (one per line, ``#`` starts a comment):
-
-    market_kind          stock | crypto                              required
-    data_dir             directory of per-agent CSV files            required
-    output_dir           where reports are written (or run --out)    required
-    windows              comma-separated window specs                required
-    index_dir            directory with vix/nasdaq/dji/spx.csv       stocks
-    top_performers_path  JSON file of per-year top performers        optional
-    scales               subset of 0,1,2            default: 0,1,2
-    measures             measure ids for the kind   default: all valid
-    n_hist_bins          histogram bin count, 1..10000  default: 50
-    worker_count         accepted, has no effect    default: 0
-
-A window spec is either a plain year (``2014`` covers the calendar year) or
-``label:start:end`` with ISO dates (``2018:2018-01-01:2018-11-30``). A label
-names report rows and ``--dump-panels`` files, so it may only contain
-letters, digits, ``.``, ``_`` and ``-``.
-Relative paths are resolved against the config file's directory.
+The keys, window specs and rules are README § Configuration; ``RunConfig``
+has one slot per key.
 
 The names a config refers to (market kinds, measures and their indexes, time
 scales, safe names, dates, windows) are defined here. ``antifrag validate``

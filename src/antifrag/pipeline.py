@@ -34,9 +34,7 @@ render each case with a per-case function once for it and its aliases
 (``_shared``): an alias writes its first scale's lines under its own
 prefix. scatter.csv and antifragility.csv stay per case.
 
-Report files: antifragility.csv, performance.csv, scatter.csv, bins.csv,
-distributions.csv, correlations.csv, comparison.json (when top-performer
-lists were supplied), and run_manifest.json. Each is a sequence of text
+The report files are README § Output files. Each is a sequence of text
 pieces (one per case or window where it grows with the agents), rendered
 from the cases and tables alone as ``run`` writes them into its staged file
 or ``execute`` joins them.
@@ -101,10 +99,13 @@ def _reports(config: RunConfig, dump_panels: bool):
     in a renderer. Return every report as (file name, text pieces),
     run_manifest.json last. A piece is whole lines, rendered as it is read
     from the cases and tables alone, so the reports may be read in any order."""
-    # a .csv name in another letter case fails the run; no other entry is read
+    # a *.csv entry must be a regular file named in lower case; no other is read
     agent_files = sorted(config.data_dir.glob("*.[cC][sS][vV]"))
-    if odd := [p for p in agent_files if not p.name.endswith(".csv")]:
-        raise IngestionError(f"{odd[0]}: agent file name must end in lower-case .csv")
+    for path in agent_files:
+        if not path.name.endswith(".csv"):
+            raise IngestionError(f"{path}: agent file name must end in lower-case .csv")
+        if not path.is_file():
+            raise IngestionError(f"{path}: agent file is not a regular file")
     if not agent_files:
         raise IngestionError(f"no agent CSV files in {config.data_dir}")
     # each agent's rows in the windows' hull, and its first day (full_start)
@@ -462,8 +463,10 @@ def run(config: RunConfig, dump_panels: bool = False) -> Path:
     directory ``output_dir/.antifrag-staging`` (made once any ``.antifrag-*``
     directory a killed run left, and a file or symlink of its name, is
     removed, and always removed afterwards)
-    and, once all are written and no report path is a directory, moved into
-    place with ``os.replace``. Then the reports of an earlier run that this
+    and, once all are written, no report path is a directory and ``panels``
+    is no file, moved into place with ``os.replace``: a report path that is
+    a symlink is replaced, not followed, and a linked ``panels`` is unlinked
+    before the first move. Then the reports of an earlier run that this
     run does not write (comparison.json, panels/*.csv, then an empty panels/)
     are removed, and only then is run_manifest.json moved into place, so none
     can sit next to this run's manifest."""
@@ -484,9 +487,16 @@ def run(config: RunConfig, dump_panels: bool = False) -> Path:
             path.parent.mkdir(parents=True, exist_ok=True)
             _write(path, pieces)
             names.append(name)
-        for name in names:
-            if (out_dir / name).is_dir():
-                raise IsADirectoryError(f"report path {out_dir / name} is a directory")
+        panels = out_dir / "panels"
+        linked = panels.is_symlink()
+        if not linked and panels.exists() and not panels.is_dir():
+            raise NotADirectoryError(f"report path {panels} must be a directory or absent: "
+                                     "--dump-panels writes its files there")
+        for path in (out_dir / name for name in names):
+            if path.is_dir() and not path.is_symlink() and not (linked and path.parent == panels):
+                raise IsADirectoryError(f"report path {path} is a directory")
+        if linked:
+            panels.unlink()
         for parent in {(out_dir / name).parent for name in names}:
             parent.mkdir(parents=True, exist_ok=True)
         *others, manifest = names
@@ -494,7 +504,6 @@ def run(config: RunConfig, dump_panels: bool = False) -> Path:
             os.replace(staging / name, out_dir / name)
         if "comparison.json" not in names:
             (out_dir / "comparison.json").unlink(missing_ok=True)
-        panels = out_dir / "panels"
         if panels.is_dir():
             for path in panels.glob("*.csv"):
                 if f"panels/{path.name}" not in names:

@@ -933,12 +933,16 @@ def test_excluded_agents_are_one_info_line_per_run(fixture_tree):
         f"{cases}"]
 
 
-def tree_bytes(root: Path) -> dict[str, bytes | None]:
-    """Every path under root, with a file's bytes (None for a directory)."""
-    return {
-        str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
-        for p in root.rglob("*")
-    }
+def tree_bytes(root: Path) -> dict[str, bytes | str | None]:
+    """Every path under root, no symlink followed: a file's bytes, a
+    symlink's target as text, None for a directory."""
+    found = {}
+    for parent, dirs, files in os.walk(root):
+        for path in (Path(parent, name) for name in dirs + files):
+            found[str(path.relative_to(root))] = (
+                os.readlink(path) if path.is_symlink()
+                else None if path.is_dir() else path.read_bytes())
+    return found
 
 
 @pytest.mark.parametrize("data_dir, out, error", [
@@ -1137,6 +1141,82 @@ def test_two_agent_correlations_stay_in_range(fixture_tree, removed):
     assert all(-1.0 <= value <= 1.0 for value in r)
 
 
+@pytest.mark.parametrize("dump_panels", [False, True])
+def test_a_symlinked_panels_is_unlinked_not_followed(fixture_tree, tmp_path, capsys,
+                                                    dump_panels):
+    config = fixture_tree / "crypto" / "config.cfg"
+    out = fixture_tree / "crypto" / "output"
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "precious.csv").write_text("kept\n")
+    out.mkdir()
+    (out / "panels").symlink_to(outside, target_is_directory=True)
+    argv = ["run", "--config", str(config), *["--dump-panels"] * dump_panels]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert tree_bytes(outside) == {"precious.csv": b"kept\n"}
+    assert cli.main([*argv, "--out", str(tmp_path / "clean")]) == 0
+    assert tree_bytes(out) == tree_bytes(tmp_path / "clean")
+
+
+@pytest.mark.parametrize("dump_panels", [False, True])
+def test_a_panels_file_fails_the_run_before_any_move(fixture_tree, capsys, dump_panels):
+    config = fixture_tree / "crypto" / "config.cfg"
+    out = fixture_tree / "crypto" / "output"
+    assert cli.main(["run", "--config", str(config)]) == 0
+    (out / "panels").write_text("kept\n")
+    before = tree_bytes(out)
+    # the rerun's distributions.csv and manifest would differ from the first's
+    config.write_text(config.read_text() + "n_hist_bins = 7\n")
+    assert cli.main(["run", "--config", str(config), *["--dump-panels"] * dump_panels]) == 1
+    assert capsys.readouterr().err == (
+        f"error: report path {out / 'panels'} must be a directory or absent: "
+        "--dump-panels writes its files there\n")
+    assert tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("dump_panels", [False, True])
+@pytest.mark.parametrize("target", ["file", "directory"])
+@pytest.mark.parametrize("name", [*REPORTS, "panels"])
+def test_no_symlinked_report_path_reaches_outside_output_dir(fixture_tree, tmp_path, capsys,
+                                                            name, target, dump_panels):
+    config = fixture_tree / "crypto" / "config.cfg"
+    argv = ["run", "--config", str(config), *["--dump-panels"] * dump_panels, "--out"]
+    clean, out, outside = tmp_path / "clean", tmp_path / "out", tmp_path / "outside"
+    assert cli.main([*argv, str(clean)]) == 0
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    (outside / "dir").mkdir(parents=True)
+    (outside / "dir" / "precious.csv").write_text("kept\n")
+    (outside / "file.csv").write_text("kept\n")
+    (out / name).unlink(missing_ok=True)
+    (out / name).symlink_to(outside / ("dir" if target == "directory" else "file.csv"))
+    before, outside_before = tree_bytes(out), tree_bytes(outside)
+    capsys.readouterr()
+    code = cli.main([*argv, str(out)])
+    err = capsys.readouterr().err
+    assert tree_bytes(outside) == outside_before
+    if code == 0:
+        assert err == ""
+        assert tree_bytes(out) == tree_bytes(clean)
+    else:
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+        assert tree_bytes(out) == before
+
+
+def test_reports_do_not_depend_on_the_hash_seed(fixture_tree, tmp_path):
+    for market in ("stocks", "crypto"):
+        reports = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"{market}-{seed}"
+            done = subprocess.run(
+                [sys.executable, "-m", "antifrag.cli", "run", "--config",
+                 str(fixture_tree / market / "config.cfg"), "--dump-panels", "--out", str(out)],
+                capture_output=True, text=True, env=child_env(PYTHONHASHSEED=seed))
+            assert done.returncode == 0, done.stderr
+            reports.append(tree_bytes(out))
+        assert reports[0] == reports[1]
+
+
 def test_agent_id_with_comma_fails_the_run(fixture_tree, capsys):
     agents = fixture_tree / "crypto" / "agents"
     (agents / "X,Y.csv").write_bytes((agents / "XCOIN.csv").read_bytes())
@@ -1165,6 +1245,18 @@ def test_only_lower_case_csv_names_in_data_dir_are_read(fixture_tree, capsys):
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"error: {agents / 'QCOIN.CSV'}: agent file name must end in lower-case .csv")
     assert read_all(fixture_tree / "crypto" / "output") == reports
+
+
+@pytest.mark.parametrize("name", ["sub.csv", "dang.csv"])
+def test_a_csv_entry_that_is_no_regular_file_fails_the_run(fixture_tree, capsys, name):
+    agents = fixture_tree / "crypto" / "agents"
+    if name == "sub.csv":
+        (agents / name).mkdir()
+    else:
+        (agents / name).symlink_to(agents / "missing.csv")
+    assert cli.main(["run", "--config", str(fixture_tree / "crypto" / "config.cfg")]) == 1
+    assert capsys.readouterr().err == f"error: {agents / name}: agent file is not a regular file\n"
+    assert not (fixture_tree / "crypto" / "output").exists()
 
 
 def test_window_label_outside_charset_is_a_config_error(fixture_tree, capsys):

@@ -8,7 +8,9 @@ bit for bit, and the bins, correlations and distributions rendered from
 shared column reductions and texts must equal the text of the per-case
 reference loops (bins and correlations once the reference's r and bin means
 are clamped to their ranges, as the pipeline clamps them), also where cases
-repeat another case's agents and A values.
+repeat another case's agents and A values. The strategies iterate the sets
+they draw in sorted order, so a run draws the same examples under any
+``PYTHONHASHSEED``.
 """
 
 import datetime as dt

@@ -1,3 +1,9 @@
+"""performance.csv, recomputed for both fixtures from the agent CSVs and
+the top list with plain Python and the definitions in README § Output files,
+over the fixture's window and over one that leaves out each agent's first
+rows; shares no code with ``antifrag``.
+"""
+
 import datetime as dt
 import json
 import math
